@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .pfa import Matrix, Pfa, PfaError, Vector, check_pfa, frac, mat_vec
+from .pfa import Matrix, Pfa, PfaError, Vector, check_pfa, frac
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .pfa import (Matrix, Pfa, PfaError, Vector, check_pfa, frac, gamma,
-                  make_vector)
+from .pfa import Matrix, Pfa, PfaError, Vector, check_pfa, frac, gamma
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

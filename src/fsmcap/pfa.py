@@ -147,8 +147,17 @@ def check_pfa(p: Pfa) -> Pfa:
 
 
 def mat_vec(m: Matrix, u: Sequence[Fraction]) -> Vector:
-    n = len(u)
-    return tuple(sum((m[i][j] * u[j] for j in range(n) if u[j]), ZERO) for i in range(n))
+    """M @ u, touching only the nonzero u[j] and, in each such column, the
+    nonzero m[i][j]; untouched entries stay the Fraction ZERO."""
+    out = [ZERO] * len(u)
+    for j, uj in enumerate(u):
+        if uj:
+            for i, row in enumerate(m):
+                mij = row[j]
+                if mij:
+                    term = mij * uj
+                    out[i] = out[i] + term if out[i] else term
+    return tuple(out)
 
 
 def evolve(p: Pfa, word: Iterable[str], start: Optional[Sequence[Fraction]] = None) -> Vector:
@@ -272,15 +281,29 @@ def _check_budget(p: Pfa, max_len: int, budget: int) -> None:
 
 
 def _level_walk(p: Pfa, max_len: int):
-    """Yield (word, distribution) shortest-first, lexicographic within a
-    length, sharing prefix distributions."""
+    """Yield (word, distribution) once per distinct distribution reachable by
+    a word of length <= max_len, breadth-first in alphabet order.
+
+    A child whose distribution was already seen is skipped, so each
+    distribution is expanded once.  The first visit is by the distribution's
+    shortest-then-lex word: if w.s is that word, w is the least word of its
+    own distribution, and parents are expanded in the order of their words.
+    A skipped word has the value of an earlier visit, so scanning the visits
+    for the first strict improvement or the first value above a threshold
+    gives the same word as scanning every word.
+    """
     level = [((), p.initial)]
+    seen = {p.initial}
     yield level[0]
     for _ in range(max_len):
         nxt = []
         for word, dist in level:
             for sym in p.alphabet:
-                entry = (word + (sym,), mat_vec(p.matrices[sym], dist))
+                child = mat_vec(p.matrices[sym], dist)
+                if child in seen:
+                    continue
+                seen.add(child)
+                entry = (word + (sym,), child)
                 nxt.append(entry)
                 yield entry
         level = nxt
@@ -290,6 +313,11 @@ def brute_force_value(p: Pfa, max_len: int, budget: int = DEFAULT_SEARCH_BUDGET)
     """Exact maximum of value over all words of length <= max_len.
 
     Ties break toward the shortest word, then lexicographic in alphabet order.
+    The walk visits each distinct distribution once, at its least word in
+    that order; every other word repeats the value of an earlier word, so it
+    is never a strict improvement and the result equals a scan of every
+    word.  The budget still bounds the number of words, checked before any
+    work.
     """
     check_pfa(p)
     _check_budget(p, max_len, budget)

@@ -32,13 +32,24 @@ def naive_value(automaton, word) -> Fraction:
     return total
 
 
+def naive_mat_vec(m, u) -> list:
+    """Matrix-vector product by the nested loop over every entry, zeros
+    included."""
+    n = len(u)
+    out = []
+    for i in range(n):
+        acc = Fraction(0)
+        for j in range(n):
+            acc += m[i][j] * u[j]
+        out.append(acc)
+    return out
+
+
 def naive_reach(automaton, src, word, dst) -> Fraction:
     """Same nested-loop product, but from a point mass on src."""
-    n = len(automaton.states)
     dist = [Fraction(int(s == src)) for s in automaton.states]
     for sym in word:
-        m = automaton.matrices[sym]
-        dist = [sum((m[i][j] * dist[j] for j in range(n)), Fraction(0)) for i in range(n)]
+        dist = naive_mat_vec(automaton.matrices[sym], dist)
     return dist[automaton.states.index(dst)]
 
 

@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fsmcap.pfa import (BudgetError, PfaError, brute_force_value,
                         detect_freeze_reset, emptiness_semidecide, evolve,
-                        gamma, iter_words, make_pfa, reach_prob,
+                        gamma, iter_words, make_pfa, mat_vec, reach_prob,
                         reduce_extended_word, validate_pfa, value)
-from oracles import naive_reach, naive_value
+from oracles import naive_mat_vec, naive_reach, naive_value
 
 F = Fraction
 H = F(1, 2)
@@ -203,3 +205,76 @@ def test_iter_words_order():
     words = list(iter_words(("0", "1"), 2))
     assert words == [(), ("0",), ("1",), ("0", "0"), ("0", "1"),
                      ("1", "0"), ("1", "1")]
+
+
+SPARSE_ENTRIES = st.sampled_from([F(0), F(0), F(0), F(1), H, F(1, 3), F(3, 4)])
+
+
+@st.composite
+def sparse_products(draw):
+    n = draw(st.integers(1, 5))
+    m = tuple(tuple(draw(SPARSE_ENTRIES) for _ in range(n)) for _ in range(n))
+    u = tuple(draw(SPARSE_ENTRIES) for _ in range(n))
+    return m, u
+
+
+ZERO_COLUMN = ((F(0), H, F(0)), (F(0), H, F(0)), (F(1), F(0), F(0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_products())
+@example((ZERO_COLUMN, (F(0), F(0), F(0))))     # the all-zero vector
+@example((ZERO_COLUMN, (F(0), F(0), F(1))))     # mass only on the zero column
+@example((ZERO_COLUMN, (H, F(0), H)))
+def test_mat_vec_matches_nested_loop(mu):
+    m, u = mu
+    out = mat_vec(m, u)
+    assert type(out) is tuple and all(type(e) is F for e in out)
+    assert list(out) == naive_mat_vec(m, u)
+
+
+@st.composite
+def stochastic_columns(draw, n):
+    q = draw(st.integers(1, 4))
+    hits = draw(st.lists(st.integers(0, n - 1), min_size=q, max_size=q))
+    return [F(hits.count(i), q) for i in range(n)]
+
+
+@st.composite
+def small_pfas(draw):
+    """2-4 states, 2-3 symbols, denominators <= 4.  Some draws make the last
+    symbol the identity or a copy of the first, forcing repeated
+    distributions and value ties."""
+    n = draw(st.integers(2, 4))
+    states = [f"q{i}" for i in range(n)]
+    alphabet = ["a", "b", "c"][:draw(st.integers(2, 3))]
+    matrices = {}
+    for sym in alphabet:
+        cols = [draw(stochastic_columns(n)) for _ in range(n)]
+        matrices[sym] = [[cols[j][i] for j in range(n)] for i in range(n)]
+    repeat = draw(st.sampled_from(["none", "identity", "copy"]))
+    if repeat == "identity":
+        matrices[alphabet[-1]] = [[int(i == j) for j in range(n)] for i in range(n)]
+    elif repeat == "copy":
+        matrices[alphabet[-1]] = matrices[alphabet[0]]
+    initial = draw(stochastic_columns(n))
+    accepting = [s for s in states if draw(st.booleans())]
+    return make_pfa(states, alphabet, matrices, initial, accepting)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_pfas(), st.integers(0, 5),
+       st.fractions(min_value=0, max_value=1, max_denominator=8))
+def test_search_matches_full_enumeration(p, max_len, y):
+    # Reference: every word, shortest first then lex, scored by the oracle.
+    scored = [(w, naive_value(p, w)) for w in iter_words(p.alphabet, max_len)]
+    best_word, best_value = scored[0]
+    for w, v in scored:
+        if v > best_value:
+            best_word, best_value = w, v
+    result = brute_force_value(p, max_len)
+    assert (result.best_word, result.best_value) == (best_word, best_value)
+    # The drawn threshold plus every attained value, so ties are exercised.
+    for threshold in {y} | {v for _, v in scored}:
+        expected = next((w for w, v in scored if v > threshold), None)
+        assert emptiness_semidecide(p, threshold, max_len) == expected
