@@ -226,11 +226,18 @@ class _VStructure:
     s0: int
 
 
+_FORWARDED = {"0": (ONE, ZERO), "1": (ZERO, ONE)}
+
+
 def _v_structure(ch: Fsmc) -> _VStructure:
+    """Read the automaton back out of a lifted channel, checking every
+    input's output law: the data bit is forwarded from accepting states and
+    replaced by a fair coin elsewhere, for both bits and every control."""
     if tuple(ch.outputs) != ("0", "1"):
         raise FsmcError("expected a binary-output channel")
     controls = []
     matrices = {}
+    noiseless: dict[int, tuple[str, bool]] = {}
     for sym in ch.inputs:
         bit, control = split_v_input(sym)
         other = ("1" if bit == "0" else "0") + ":" + control
@@ -241,16 +248,23 @@ def _v_structure(ch: Fsmc) -> _VStructure:
         if control not in matrices:
             controls.append(control)
             matrices[control] = ch.state_law[sym]
-    accepting = []
-    probe = ch.output_law["0:" + controls[0]]
-    for j in range(ch.n_states):
-        col = (probe[0][j], probe[1][j])
-        if col == (ONE, ZERO):
-            accepting.append(j)
-        elif col != (HALF, HALF):
-            raise FsmcError(f"state {ch.states[j]!r} is neither noiseless nor uniform")
+        law = ch.output_law[sym]
+        for j, state in enumerate(ch.states):
+            col = (law[0][j], law[1][j])
+            if col == _FORWARDED[bit]:
+                flag = True
+            elif col == (HALF, HALF):
+                flag = False
+            else:
+                raise FsmcError(f"output law of input {sym!r} in state {state!r} neither "
+                                "forwards the data bit nor is uniform")
+            first_sym, first_flag = noiseless.setdefault(j, (sym, flag))
+            if flag != first_flag:
+                raise FsmcError(f"state {state!r} forwards the data bit under only one "
+                                f"of the inputs {first_sym!r} and {sym!r}")
+    accepting = tuple(j for j in range(ch.n_states) if noiseless[j][1])
     return _VStructure(states=ch.states, controls=tuple(controls), matrices=matrices,
-                       accepting=tuple(accepting), s0=ch.state_index(ch.initial))
+                       accepting=accepting, s0=ch.state_index(ch.initial))
 
 
 def _v_pfa(vs: _VStructure) -> Pfa:
@@ -266,6 +280,42 @@ def _word_value(vs: _VStructure, controls: Sequence[str]) -> Fraction:
     return sum((dist[i] for i in vs.accepting), ZERO)
 
 
+def _pattern_step(vs: _VStructure, frontier: dict[int, Vector], t: int,
+                  control: str) -> dict[int, Vector]:
+    """One slot of the joint law of (acceptance mask so far, state): split
+    each state vector on whether the state before slot t accepts, then move
+    both parts by the control's matrix."""
+    m = vs.matrices[control]
+    acc_set = set(vs.accepting)
+    n = len(vs.states)
+    nxt: dict[int, Vector] = {}
+    for mask, vec in frontier.items():
+        acc = tuple(vec[i] if i in acc_set else ZERO for i in range(n))
+        non = tuple(vec[i] if i not in acc_set else ZERO for i in range(n))
+        if any(acc):
+            nxt[mask | (1 << t)] = mat_vec(m, acc)
+        if any(non):
+            nxt[mask] = mat_vec(m, non)
+    return nxt
+
+
+def _masses(frontier: dict[int, Vector]) -> dict[int, Fraction]:
+    return {mask: sum(vec, ZERO) for mask, vec in frontier.items()}
+
+
+def _pattern_law(vs: _VStructure, controls: Sequence[str],
+                 start: Optional[Vector] = None) -> tuple[dict[int, Fraction], Vector]:
+    """Acceptance-pattern law along `controls` and the state distribution
+    after the last slot (the frontier's vectors summed over masks)."""
+    if start is None:
+        start = tuple(ONE if i == vs.s0 else ZERO for i in range(len(vs.states)))
+    frontier: dict[int, Vector] = {0: tuple(start)}
+    for t, c in enumerate(controls):
+        frontier = _pattern_step(vs, frontier, t, c)
+    end = tuple(sum(col, ZERO) for col in zip(*frontier.values()))
+    return _masses(frontier), end
+
+
 def accept_pattern_dist(ch: Fsmc, controls: Sequence[str],
                         start: Optional[Vector] = None) -> dict[int, Fraction]:
     """Exact law of the per-slot acceptance indicators along a control word.
@@ -274,57 +324,41 @@ def accept_pattern_dist(ch: Fsmc, controls: Sequence[str],
     accepting.  The state trajectory ignores the data input, so this is the
     whole memory the block channel has.
     """
-    vs = _v_structure(ch)
-    n = len(vs.states)
-    if start is None:
-        start = tuple(ONE if i == vs.s0 else ZERO for i in range(n))
-    frontier: dict[int, Vector] = {0: tuple(start)}
-    for t, c in enumerate(controls):
-        m = vs.matrices[c]
-        acc_set = set(vs.accepting)
-        nxt: dict[int, Vector] = {}
-        for mask, vec in frontier.items():
-            acc = tuple(vec[i] if i in acc_set else ZERO for i in range(n))
-            non = tuple(vec[i] if i not in acc_set else ZERO for i in range(n))
-            if any(acc):
-                nxt[mask | (1 << t)] = mat_vec(m, acc)
-            if any(non):
-                nxt[mask] = mat_vec(m, non)
-        frontier = nxt
-    return {mask: sum(vec, ZERO) for mask, vec in frontier.items()}
+    return _pattern_law(_v_structure(ch), controls, start)[0]
 
 
 def agreement_profile(pattern_dist: dict[int, Fraction], length: int) -> list[Fraction]:
     """g[E] = p(y|x) for any x, y agreeing exactly on the slot set E:
-    2^-L sum over patterns inside E of P(pattern) 2^{|pattern|}."""
+    2^-L sum over patterns inside E of P(pattern) 2^{|pattern|}.
+
+    The subset-sum transform runs on integer numerators over one common
+    denominator, so no step pays for a gcd."""
     size = 1 << length
-    g = [ZERO] * size
+    lcm = math.lcm(*(pr.denominator for pr in pattern_dist.values()))
+    g = [0] * size
     for mask, pr in pattern_dist.items():
-        g[mask] = pr * (1 << bin(mask).count("1"))
+        g[mask] = pr.numerator * (lcm // pr.denominator) << bin(mask).count("1")
     for bit in range(length):
         step = 1 << bit
         for e in range(size):
             if e & step:
                 g[e] += g[e ^ step]
-    scale = Fraction(1, size)
-    return [x * scale for x in g]
+    den = lcm * size
+    return [Fraction(x, den) for x in g]
 
 
 def block_profile(ch: Fsmc, sched: ControlSchedule,
                   max_period: int = DEFAULT_BLOCK_BUDGET) -> list[Fraction]:
     """Agreement profile of one schedule period, with the block-stationarity
-    check: the law of the second period must equal the first exactly."""
+    check: the law of the second period, started from the state law the
+    first period ends in, must equal the first exactly."""
     n = sched.period
     if n > max_period:
         raise CapacityError(f"period {n} exceeds the block budget {max_period}")
     controls = sched.controls()
     vs = _v_structure(ch)
-    first = accept_pattern_dist(ch, controls)
-    start = tuple(ONE if i == vs.s0 else ZERO for i in range(len(vs.states)))
-    end = start
-    for c in controls:
-        end = mat_vec(vs.matrices[c], end)
-    second = accept_pattern_dist(ch, controls, start=end)
+    first, end = _pattern_law(vs, controls)
+    second, _ = _pattern_law(vs, controls, start=end)
     if first != second:
         raise CapacityError("consecutive blocks are not identically distributed "
                             "(schedule does not end in a reset?)")
@@ -359,10 +393,11 @@ def block_rate_uniform(ch: Fsmc, sched: ControlSchedule,
     (period - row entropy) / period; uniform data achieves the block
     capacity.
     """
-    prof = block_profile(ch, sched, max_period=max_period)
-    n = sched.period
-    row = _row_distribution(prof, n)
-    return (n - entropy(row)) / n
+    return _uniform_rate(block_profile(ch, sched, max_period=max_period), sched.period)
+
+
+def _uniform_rate(prof: Sequence[Fraction], n: int) -> float:
+    return (n - entropy(_row_distribution(prof, n))) / n
 
 
 @dataclass(frozen=True)
@@ -390,7 +425,11 @@ class ChainReport:
 def achievability_chain(ch: Fsmc, sched: ControlSchedule,
                         max_period: int = DEFAULT_BLOCK_BUDGET) -> ChainReport:
     prof = block_profile(ch, sched, max_period=max_period)
-    vs = _v_structure(ch)
+    return _chain_report(_v_structure(ch), sched, prof)
+
+
+def _chain_report(vs: _VStructure, sched: ControlSchedule,
+                  prof: Sequence[Fraction]) -> ChainReport:
     m = len(sched.word)
     n_free = sched.free_slots
     period = sched.period
@@ -420,11 +459,11 @@ def achievable_rate(ch: Fsmc, word: Sequence[str], free_slots: int,
     """
     sched = ControlSchedule(word=tuple(word), free_slots=free_slots)
     if input_mode == "uniform":
-        rate = block_rate_uniform(ch, sched, max_period=max_period)
-        chain = achievability_chain(ch, sched, max_period=max_period)
+        prof = block_profile(ch, sched, max_period=max_period)
+        chain = _chain_report(_v_structure(ch), sched, prof)
         if not chain.chain_holds:
             raise CapacityError(f"entropy chain violated: {chain}")
-        return rate
+        return _uniform_rate(prof, sched.period)
     if input_mode == "ba":
         block = induced_block_channel(ch, sched, max_period=max_period)
         result = blahut_arimoto(block, tol=ba_tol * sched.period)
@@ -454,46 +493,92 @@ class ConverseReport:
         return self.violations == 0
 
 
-def _converse_trial_stats(ch: Fsmc, n: int, trials: int, seed: int):
-    """Conditional entropies and rates for random product input laws."""
-    vs = _v_structure(ch)
-    controls = vs.controls
-    n_c = len(controls)
-    import itertools
-    control_words = list(itertools.product(range(n_c), repeat=n))
-    rows = {}
-    g_tables = {}
-    full = (1 << n) - 1
-    for cw in control_words:
-        prof = agreement_profile(
-            accept_pattern_dist(ch, [controls[i] for i in cw]), n)
-        gf = np.array([float(x) for x in prof])
-        d = np.arange(1 << n)
-        g_tables[cw] = gf[(~(d[:, None] ^ d[None, :])) & full]
-        rows[cw] = entropy(_row_distribution(prof, n))
+# The converse's float pass takes trials in chunks whose largest
+# intermediate holds about this many float64 entries (128 KiB), or one
+# trial's worth where that is more (512 KiB at n = 6 with four controls).
+_CONVERSE_CHUNK_ENTRIES = 1 << 14
+
+
+def _control_pattern_laws(vs: _VStructure, n: int) -> np.ndarray:
+    """laws[w, A]: law of the acceptance mask A along each control word w of
+    length n, exact until the final float conversion.  The slot-0 control is
+    w's most significant base-|C| digit.  Words that share a prefix share
+    its walk: level t holds the (mask, state) frontier of every length-t
+    prefix."""
+    start = tuple(ONE if i == vs.s0 else ZERO for i in range(len(vs.states)))
+    level = [{0: start}]
+    for t in range(n - 1):
+        level = [_pattern_step(vs, frontier, t, c) for frontier in level for c in vs.controls]
+    # the last control moves the state only after the last output, so every
+    # choice of it gives the same mask law: step with one, copy for all
+    laws = np.zeros((len(level), 1 << n))
+    for w, frontier in enumerate(level):
+        for mask, mass in _masses(_pattern_step(vs, frontier, n - 1, vs.controls[0])).items():
+            laws[w, mask] = float(mass)
+    return np.repeat(laws, len(vs.controls), axis=0)
+
+
+def _row_entropies(p: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of a nonnegative array, 0 log 0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.where(p > 0, p * np.log2(p), 0.0).sum(axis=-1)
+
+
+def _converse_trial_stats(vs: _VStructure, n: int, trials: int, seed: int):
+    """H(Y|X,C) and rate (H(Y) - H(Y|X,C))/n for random product input laws.
+
+    Trial k draws, per slot t, a joint law slots[k, t, d, c] over (data bit,
+    control).  Given the control word w, the acceptance mask A does not
+    depend on the data, and slot t outputs the data bit when t is in A and a
+    fair coin otherwise.  The joint law over (control word, data word) is a
+    product across slots, so
+
+        p(y) = sum over (w, A) of P_w(A) prod_t phi_t(c_t, a_t)[y_t],
+
+    with phi_t(c, 1) = slots[k, t, :, c] and phi_t(c, 0) uniform with mass
+    slots[k, t, :, c].sum().  That sum is contracted one slot at a time.
+    """
+    n_c = len(vs.controls)
+    m = 2 * n_c
+    laws = _control_pattern_laws(vs, n)
+    # agreement profiles g[w, E] by the subset-sum transform; each row of the
+    # block channel for word w permutes g[w], so H(Y|X, C=w) is its entropy
+    popcount = np.array([bin(mask).count("1") for mask in range(1 << n)])
+    g = laws * np.exp2(popcount)
+    for bit in range(n):
+        half = g.reshape(len(g), -1, 2, 1 << bit)
+        half[:, :, 1, :] += half[:, :, 0, :]
+    rows = _row_entropies(g / (1 << n))
+    # joint[(c_0, a_0), ..., (c_{n-1}, a_{n-1})] = P_w(A), slot 0 most significant
+    axes = [ax for t in range(n) for ax in (t, 2 * n - 1 - t)]
+    joint = laws.reshape((n_c,) * n + (2,) * n).transpose(axes).reshape(-1, m)
+
     rng = np.random.default_rng(seed)
-    stats = []
-    for _ in range(trials):
-        # per-slot joint law over (data bit, control symbol)
-        slot = rng.random((n, 2, n_c))
-        slot /= slot.sum(axis=(1, 2), keepdims=True)
-        h_y_given_x = 0.0
-        p_y = np.zeros(1 << n)
-        for cw, g in g_tables.items():
-            p_c = 1.0
-            p_d = np.ones(1)
-            for t in range(n):
-                p_c *= slot[t, :, cw[t]].sum()
-                p_d = np.concatenate([p_d * (slot[t, 0, cw[t]] / slot[t, :, cw[t]].sum()),
-                                      p_d * (slot[t, 1, cw[t]] / slot[t, :, cw[t]].sum())])
-            # p_d indexes data words with slot t at bit t (LSB first)
-            if p_c <= 0:
-                continue
-            h_y_given_x += p_c * rows[cw]
-            p_y += p_c * (p_d @ g)
-        h_y = entropy(p_y)
-        stats.append((h_y_given_x, (h_y - h_y_given_x) / n))
-    return stats
+    slots = rng.random((trials, n, 2, n_c))      # the per-trial draws, in stream order
+    slots /= slots.sum(axis=(2, 3), keepdims=True)
+    marginal = slots.sum(axis=2)                 # (trial, slot, control)
+    phi = np.empty((trials, n, 2, n_c, 2))
+    phi[..., 1] = slots
+    phi[..., 0] = marginal[:, :, None, :] / 2
+    phi = phi.reshape(trials, n, 2, m)
+
+    h_y_given_x = np.empty(trials)
+    h_y = np.empty(trials)
+    chunk = max(1, _CONVERSE_CHUNK_ENTRIES // max(2 * m ** (n - 1), n_c ** n))
+    for lo in range(0, trials, chunk):
+        f = phi[lo:lo + chunk]
+        k = len(f)
+        p_c = np.ones((k, 1))
+        for t in range(n):
+            p_c = (p_c[:, :, None] * marginal[lo:lo + k, t, None, :]).reshape(k, -1)
+        h_y_given_x[lo:lo + k] = p_c @ rows
+        # p_y[k, r, y]: slots t.. contracted into y, slots ..t-1 still in r
+        p_y = np.einsum("rm,kzm->krz", joint, f[:, n - 1])
+        for t in reversed(range(n - 1)):
+            p_y = np.einsum("krmy,kzm->krzy", p_y.reshape(k, m ** t, m, -1), f[:, t])
+            p_y = p_y.reshape(k, m ** t, -1)
+        h_y[lo:lo + k] = _row_entropies(p_y.reshape(k, -1))
+    return list(zip(h_y_given_x.tolist(), ((h_y - h_y_given_x) / n).tolist()))
 
 
 def converse_check(ch: Fsmc, n: int, trials: int, seed: int = 0,
@@ -505,13 +590,16 @@ def converse_check(ch: Fsmc, n: int, trials: int, seed: int = 0,
     wrong; the report re-runs the search with a deeper horizon to tell the
     two apart.
     """
+    if n < 1 or trials < 1:
+        raise CapacityError(f"converse check needs n >= 1 and trials >= 1, "
+                            f"got n={n}, trials={trials}")
     if n > 6:
         raise CapacityError(f"converse check is exact-enumeration only (n <= 6), got {n}")
     vs = _v_structure(ch)
     pfa = _v_pfa(vs)
     horizon = n if horizon is None else horizon
     val = float(brute_force_value(pfa, horizon).best_value)
-    stats = _converse_trial_stats(ch, n, trials, seed)
+    stats = _converse_trial_stats(vs, n, trials, seed)
     bound = n * (1 - val)
     violations = sum(1 for h, rate in stats
                      if h < bound - tol or rate > val + tol)

@@ -188,10 +188,6 @@ def load_pfa(path) -> Pfa:
     return parse_pfa(path.read_text(), source=str(path))
 
 
-def save_pfa(p: Pfa, path) -> None:
-    Path(path).write_text(serialize_pfa(p))
-
-
 def parse_fsmc(text: str, source: str = "<string>") -> Fsmc:
     reader = _Reader(text, source)
     _, inputs = reader.take_section("inputs")
@@ -259,10 +255,6 @@ def serialize_fsmc(ch: Fsmc) -> str:
 def load_fsmc(path) -> Fsmc:
     path = Path(path)
     return parse_fsmc(path.read_text(), source=str(path))
-
-
-def save_fsmc(ch: Fsmc, path) -> None:
-    Path(path).write_text(serialize_fsmc(ch))
 
 
 def parse_dmc(text: str, source: str = "<string>"):

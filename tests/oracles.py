@@ -53,6 +53,19 @@ def naive_reach(automaton, src, word, dst) -> Fraction:
     return dist[automaton.states.index(dst)]
 
 
+def naive_agreement_profile(pattern_dist, length) -> list:
+    """g[E] = 2^-L sum over patterns inside E of P(pattern) 2^|pattern|,
+    as a Fraction sum over every (E, pattern) pair."""
+    out = []
+    for e in range(1 << length):
+        acc = Fraction(0)
+        for mask, pr in pattern_dist.items():
+            if mask & e == mask:
+                acc += Fraction(pr) * 2 ** bin(mask).count("1")
+        out.append(acc / 2 ** length)
+    return out
+
+
 def enum_paths_joint(ch, xs):
     """Joint law of (outputs, terminal state) by brute force over every
     (output sequence, state sequence) path."""
@@ -100,3 +113,52 @@ def mp_partial_sum_bound(x, lengths):
         xm = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
         b = mpmath.log(1 - xm) / mpmath.log(xm)
         return sum(xm ** (b * n) for n in lengths), b
+
+
+def naive_converse_trial_stats(ch, n, trials, seed):
+    """Converse trial statistics by the per-trial loop over every control
+    word: for each trial, p(y) and H(Y|X,C) accumulate word by word from
+    the word's full block table.  Controls are taken in order of first
+    appearance among the channel's `d:c` inputs."""
+    import itertools
+
+    import numpy as np
+
+    from fsmcap.capacity import accept_pattern_dist, agreement_profile
+
+    def entropy(p):
+        nz = p[p > 0]
+        return float(-(nz * np.log2(nz)).sum())
+
+    controls = list(dict.fromkeys(sym.partition(":")[2] for sym in ch.inputs))
+    n_c = len(controls)
+    full = (1 << n) - 1
+    d = np.arange(1 << n)
+    rows = {}
+    g_tables = {}
+    for cw in itertools.product(range(n_c), repeat=n):
+        prof = agreement_profile(accept_pattern_dist(ch, [controls[i] for i in cw]), n)
+        gf = np.array([float(x) for x in prof])
+        # g_tables[cw][x, y] = p(y|x) for data word x, output word y
+        g_tables[cw] = gf[(~(d[:, None] ^ d[None, :])) & full]
+        rows[cw] = entropy(g_tables[cw][0])
+    rng = np.random.default_rng(seed)
+    stats = []
+    for _ in range(trials):
+        # per-slot joint law over (data bit, control symbol)
+        slot = rng.random((n, 2, n_c))
+        slot /= slot.sum(axis=(1, 2), keepdims=True)
+        h_y_given_x = 0.0
+        p_y = np.zeros(1 << n)
+        for cw, g in g_tables.items():
+            p_c = 1.0
+            p_d = np.ones(1)
+            for t in range(n):
+                col = slot[t, :, cw[t]]
+                p_c *= col.sum()
+                # data words index slot t at bit t (LSB first)
+                p_d = np.concatenate([p_d * (col[0] / col.sum()), p_d * (col[1] / col.sum())])
+            h_y_given_x += p_c * rows[cw]
+            p_y += p_c * (p_d @ g)
+        stats.append((h_y_given_x, (entropy(p_y) - h_y_given_x) / n))
+    return stats

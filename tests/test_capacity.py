@@ -1,8 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsmcap.capacity import (BracketBudget, CapacityError, ControlSchedule,
                              DiscreteChannel, achievability_chain,
@@ -336,3 +339,115 @@ def test_demo_stage_guard(always_accept):
     with pytest.raises(CapacityError):
         spectrum_concentration_demo(ch, sched, m_blocks=4, eta=2, delta=0.1,
                                     samples=10, seed=0, t=3)
+
+
+# ---------------------------------------------------------------------------
+# Lift structure, converse engine and block-profile reuse.
+# ---------------------------------------------------------------------------
+
+def _data_blind(ch):
+    """The lift with every `1:c` output law replaced by the `0:c` one: the
+    output no longer depends on the data bit."""
+    laws = dict(ch.output_law)
+    for sym in ch.inputs:
+        if sym.startswith("1:"):
+            laws[sym] = ch.output_law["0:" + sym[2:]]
+    return dataclasses.replace(ch, output_law=laws)
+
+
+def test_data_blind_output_rejected(d_34):
+    from fsmcap.fsmc import FsmcError, validate_fsmc
+    blind = _data_blind(build_V(gamma(d_34)))
+    # a well-formed channel, but not the lift of any automaton
+    assert validate_fsmc(blind) == []
+    with pytest.raises(FsmcError):
+        block_rate_uniform(blind, ControlSchedule(("a", "b"), 7))
+    with pytest.raises(FsmcError):
+        converse_check(blind, n=2, trials=3)
+    # forwarding under one control and a fair coin under another
+    lift = build_V(gamma(d_34))
+    coin = tuple(tuple(H for _ in row) for row in lift.output_law["0:b"])
+    mixed = dataclasses.replace(lift, output_law={**lift.output_law, "0:b": coin, "1:b": coin})
+    with pytest.raises(FsmcError):
+        block_rate_uniform(mixed, ControlSchedule(("a", "b"), 7))
+
+
+def test_converse_rejects_empty_sizes(d_25):
+    ch = build_V(gamma(d_25))
+    for n, trials in ((0, 10), (-1, 10), (3, 0), (3, -2)):
+        with pytest.raises(CapacityError):
+            converse_check(ch, n=n, trials=trials)
+
+
+@pytest.mark.parametrize("name", ["d_25", "d_34", "always_accept", "never_accept"])
+def test_converse_trials_match_naive_loop(name, request):
+    from oracles import naive_converse_trial_stats
+
+    from fsmcap.capacity import _converse_trial_stats, _v_structure
+    ch = build_V(gamma(request.getfixturevalue(name)))
+    # 20 trials span more than one chunk of the vectorised pass at n = 4
+    for n in (1, 2, 3, 4):
+        for seed in (0, 5, 11):
+            got = _converse_trial_stats(_v_structure(ch), n, 20, seed)
+            want = naive_converse_trial_stats(ch, n, 20, seed)
+            assert len(got) == len(want) == 20
+            for (h, rate), (h_ref, rate_ref) in zip(got, want):
+                assert abs(h - h_ref) <= 1e-12 and abs(rate - rate_ref) <= 1e-12
+
+
+PROBS = st.fractions(min_value=0, max_value=1, max_denominator=97)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda length: st.tuples(
+    st.just(length),
+    st.dictionaries(st.integers(0, (1 << length) - 1), PROBS, max_size=12))))
+def test_agreement_profile_matches_naive_sum(case):
+    from oracles import naive_agreement_profile
+
+    from fsmcap.capacity import agreement_profile
+    length, pattern_dist = case
+    got = agreement_profile(pattern_dist, length)
+    assert got == naive_agreement_profile(pattern_dist, length)
+    assert all(type(g) is Fraction for g in got)
+
+
+def _count_calls(monkeypatch, name):
+    import fsmcap.capacity as capacity
+    calls = []
+    original = getattr(capacity, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(capacity, name, counted)
+    return calls
+
+
+def test_uniform_rate_builds_one_block_profile(monkeypatch, d_34):
+    ch = build_V(gamma(d_34))
+    calls = _count_calls(monkeypatch, "block_profile")
+    achievable_rate(ch, ("a", "b"), 7)
+    assert len(calls) == 1
+
+
+def test_converse_derives_structure_once(monkeypatch, d_25):
+    ch = build_V(gamma(d_25))
+    calls = _count_calls(monkeypatch, "_v_structure")
+    converse_check(ch, n=3, trials=5, seed=1)
+    assert len(calls) == 1
+
+
+def test_converse_n6_within_memory_bound(d_25):
+    import tracemalloc
+    ch = build_V(gamma(d_25))
+    tracemalloc.start()
+    try:
+        report = converse_check(ch, n=6, trials=100, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.trials == 100
+    # every intermediate is live inside this peak
+    assert peak < 64 * 2 ** 20

@@ -154,3 +154,14 @@ def test_capacity_converse_cli(capsys, tmp_path):
                            "--n", "3", "--trials", "10", "--seed", "1")
     assert code == 0
     assert "violations: 0/10" in out
+
+
+def test_capacity_converse_cli_rejects_zero_trials(capsys, tmp_path):
+    d25 = tmp_path / "d25.pfa"
+    d25.write_text(fixtures.fixture_text("d_25.pfa"))
+    code, out, err = run_cli(capsys, "capacity", "converse", "--pfa", d25,
+                             "--n", "3", "--trials", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "trials" in err
