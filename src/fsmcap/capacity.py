@@ -15,13 +15,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fsmc import Fsmc, FsmcError, split_v_input
-from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Matrix, Pfa, Vector,
-                  brute_force_value, mat_vec)
+from .fsmc import Fsmc, lift, unlift
+from .pfa import FREEZE_SYMBOL, RESET_SYMBOL, Pfa, Vector, brute_force_value, mat_vec, value
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 DEFAULT_BLOCK_BUDGET = 14
 
@@ -161,6 +158,8 @@ def blahut_arimoto(ch: DiscreteChannel, tol: float = 1e-9,
     is the final lower bound, hence within tol of the true capacity."""
     if tol <= 0:
         raise CapacityError(f"tolerance {tol} must be positive")
+    if max_iters < 1:
+        raise CapacityError(f"need max_iters >= 1, got {max_iters}")
     P = ch.matrix
     n_in = ch.n_inputs
     r = np.full(n_in, 1.0 / n_in)
@@ -214,80 +213,14 @@ class ControlSchedule:
                 + (RESET_SYMBOL,))
 
 
-@dataclass(frozen=True)
-class _VStructure:
-    """Automaton view of a lifted channel: binary output, data forwarded
-    noiselessly from accepting states, state law independent of the data."""
-
-    states: tuple[str, ...]
-    controls: tuple[str, ...]
-    matrices: dict[str, Matrix]
-    accepting: tuple[int, ...]
-    s0: int
-
-
-_FORWARDED = {"0": (ONE, ZERO), "1": (ZERO, ONE)}
-
-
-def _v_structure(ch: Fsmc) -> _VStructure:
-    """Read the automaton back out of a lifted channel, checking every
-    input's output law: the data bit is forwarded from accepting states and
-    replaced by a fair coin elsewhere, for both bits and every control."""
-    if tuple(ch.outputs) != ("0", "1"):
-        raise FsmcError("expected a binary-output channel")
-    controls = []
-    matrices = {}
-    noiseless: dict[int, tuple[str, bool]] = {}
-    for sym in ch.inputs:
-        bit, control = split_v_input(sym)
-        other = ("1" if bit == "0" else "0") + ":" + control
-        if other not in ch.inputs:
-            raise FsmcError(f"input {other!r} missing: not a data/control product")
-        if ch.state_law[sym] != ch.state_law[other]:
-            raise FsmcError(f"state law for control {control!r} depends on the data bit")
-        if control not in matrices:
-            controls.append(control)
-            matrices[control] = ch.state_law[sym]
-        law = ch.output_law[sym]
-        for j, state in enumerate(ch.states):
-            col = (law[0][j], law[1][j])
-            if col == _FORWARDED[bit]:
-                flag = True
-            elif col == (HALF, HALF):
-                flag = False
-            else:
-                raise FsmcError(f"output law of input {sym!r} in state {state!r} neither "
-                                "forwards the data bit nor is uniform")
-            first_sym, first_flag = noiseless.setdefault(j, (sym, flag))
-            if flag != first_flag:
-                raise FsmcError(f"state {state!r} forwards the data bit under only one "
-                                f"of the inputs {first_sym!r} and {sym!r}")
-    accepting = tuple(j for j in range(ch.n_states) if noiseless[j][1])
-    return _VStructure(states=ch.states, controls=tuple(controls), matrices=matrices,
-                       accepting=accepting, s0=ch.state_index(ch.initial))
-
-
-def _v_pfa(vs: _VStructure) -> Pfa:
-    initial = tuple(ONE if i == vs.s0 else ZERO for i in range(len(vs.states)))
-    return Pfa(states=vs.states, alphabet=vs.controls, matrices=dict(vs.matrices),
-               initial=initial, accepting=frozenset(vs.states[i] for i in vs.accepting))
-
-
-def _word_value(vs: _VStructure, controls: Sequence[str]) -> Fraction:
-    dist = tuple(ONE if i == vs.s0 else ZERO for i in range(len(vs.states)))
-    for c in controls:
-        dist = mat_vec(vs.matrices[c], dist)
-    return sum((dist[i] for i in vs.accepting), ZERO)
-
-
-def _pattern_step(vs: _VStructure, frontier: dict[int, Vector], t: int,
+def _pattern_step(a: Pfa, frontier: dict[int, Vector], t: int,
                   control: str) -> dict[int, Vector]:
     """One slot of the joint law of (acceptance mask so far, state): split
     each state vector on whether the state before slot t accepts, then move
     both parts by the control's matrix."""
-    m = vs.matrices[control]
-    acc_set = set(vs.accepting)
-    n = len(vs.states)
+    m = a.matrix(control)
+    acc_set = set(a.accept_indices())
+    n = a.n_states
     nxt: dict[int, Vector] = {}
     for mask, vec in frontier.items():
         acc = tuple(vec[i] if i in acc_set else ZERO for i in range(n))
@@ -303,15 +236,13 @@ def _masses(frontier: dict[int, Vector]) -> dict[int, Fraction]:
     return {mask: sum(vec, ZERO) for mask, vec in frontier.items()}
 
 
-def _pattern_law(vs: _VStructure, controls: Sequence[str],
+def _pattern_law(a: Pfa, controls: Sequence[str],
                  start: Optional[Vector] = None) -> tuple[dict[int, Fraction], Vector]:
     """Acceptance-pattern law along `controls` and the state distribution
     after the last slot (the frontier's vectors summed over masks)."""
-    if start is None:
-        start = tuple(ONE if i == vs.s0 else ZERO for i in range(len(vs.states)))
-    frontier: dict[int, Vector] = {0: tuple(start)}
+    frontier: dict[int, Vector] = {0: a.initial if start is None else tuple(start)}
     for t, c in enumerate(controls):
-        frontier = _pattern_step(vs, frontier, t, c)
+        frontier = _pattern_step(a, frontier, t, c)
     end = tuple(sum(col, ZERO) for col in zip(*frontier.values()))
     return _masses(frontier), end
 
@@ -324,7 +255,7 @@ def accept_pattern_dist(ch: Fsmc, controls: Sequence[str],
     accepting.  The state trajectory ignores the data input, so this is the
     whole memory the block channel has.
     """
-    return _pattern_law(_v_structure(ch), controls, start)[0]
+    return _pattern_law(unlift(ch), controls, start)[0]
 
 
 def agreement_profile(pattern_dist: dict[int, Fraction], length: int) -> list[Fraction]:
@@ -356,9 +287,9 @@ def block_profile(ch: Fsmc, sched: ControlSchedule,
     if n > max_period:
         raise CapacityError(f"period {n} exceeds the block budget {max_period}")
     controls = sched.controls()
-    vs = _v_structure(ch)
-    first, end = _pattern_law(vs, controls)
-    second, _ = _pattern_law(vs, controls, start=end)
+    a = unlift(ch)
+    first, end = _pattern_law(a, controls)
+    second, _ = _pattern_law(a, controls, start=end)
     if first != second:
         raise CapacityError("consecutive blocks are not identically distributed "
                             "(schedule does not end in a reset?)")
@@ -425,10 +356,10 @@ class ChainReport:
 def achievability_chain(ch: Fsmc, sched: ControlSchedule,
                         max_period: int = DEFAULT_BLOCK_BUDGET) -> ChainReport:
     prof = block_profile(ch, sched, max_period=max_period)
-    return _chain_report(_v_structure(ch), sched, prof)
+    return _chain_report(unlift(ch), sched, prof)
 
 
-def _chain_report(vs: _VStructure, sched: ControlSchedule,
+def _chain_report(a: Pfa, sched: ControlSchedule,
                   prof: Sequence[Fraction]) -> ChainReport:
     m = len(sched.word)
     n_free = sched.free_slots
@@ -441,7 +372,7 @@ def _chain_report(vs: _VStructure, sched: ControlSchedule,
     suffix_marginal = table.sum(axis=1)
     h_prefix = entropy(prefix_marginal)
     h_suffix = entropy(suffix_marginal)
-    val_w = float(_word_value(vs, sched.word))
+    val_w = float(value(a, sched.word))
     return ChainReport(m=m, n=n_free, word_value=val_w, h_total=h_total,
                        h_prefix=h_prefix, h_suffix_given_prefix=h_total - h_prefix,
                        h_suffix=h_suffix, final_bound=1 + (1 - val_w) * n_free)
@@ -460,7 +391,7 @@ def achievable_rate(ch: Fsmc, word: Sequence[str], free_slots: int,
     sched = ControlSchedule(word=tuple(word), free_slots=free_slots)
     if input_mode == "uniform":
         prof = block_profile(ch, sched, max_period=max_period)
-        chain = _chain_report(_v_structure(ch), sched, prof)
+        chain = _chain_report(unlift(ch), sched, prof)
         if not chain.chain_holds:
             raise CapacityError(f"entropy chain violated: {chain}")
         return _uniform_rate(prof, sched.period)
@@ -499,23 +430,22 @@ class ConverseReport:
 _CONVERSE_CHUNK_ENTRIES = 1 << 14
 
 
-def _control_pattern_laws(vs: _VStructure, n: int) -> np.ndarray:
+def _control_pattern_laws(a: Pfa, n: int) -> np.ndarray:
     """laws[w, A]: law of the acceptance mask A along each control word w of
     length n, exact until the final float conversion.  The slot-0 control is
     w's most significant base-|C| digit.  Words that share a prefix share
     its walk: level t holds the (mask, state) frontier of every length-t
     prefix."""
-    start = tuple(ONE if i == vs.s0 else ZERO for i in range(len(vs.states)))
-    level = [{0: start}]
+    level = [{0: a.initial}]
     for t in range(n - 1):
-        level = [_pattern_step(vs, frontier, t, c) for frontier in level for c in vs.controls]
+        level = [_pattern_step(a, frontier, t, c) for frontier in level for c in a.alphabet]
     # the last control moves the state only after the last output, so every
     # choice of it gives the same mask law: step with one, copy for all
     laws = np.zeros((len(level), 1 << n))
     for w, frontier in enumerate(level):
-        for mask, mass in _masses(_pattern_step(vs, frontier, n - 1, vs.controls[0])).items():
+        for mask, mass in _masses(_pattern_step(a, frontier, n - 1, a.alphabet[0])).items():
             laws[w, mask] = float(mass)
-    return np.repeat(laws, len(vs.controls), axis=0)
+    return np.repeat(laws, len(a.alphabet), axis=0)
 
 
 def _row_entropies(p: np.ndarray) -> np.ndarray:
@@ -524,7 +454,7 @@ def _row_entropies(p: np.ndarray) -> np.ndarray:
         return -np.where(p > 0, p * np.log2(p), 0.0).sum(axis=-1)
 
 
-def _converse_trial_stats(vs: _VStructure, n: int, trials: int, seed: int):
+def _converse_trial_stats(a: Pfa, n: int, trials: int, seed: int):
     """H(Y|X,C) and rate (H(Y) - H(Y|X,C))/n for random product input laws.
 
     Trial k draws, per slot t, a joint law slots[k, t, d, c] over (data bit,
@@ -538,9 +468,9 @@ def _converse_trial_stats(vs: _VStructure, n: int, trials: int, seed: int):
     with phi_t(c, 1) = slots[k, t, :, c] and phi_t(c, 0) uniform with mass
     slots[k, t, :, c].sum().  That sum is contracted one slot at a time.
     """
-    n_c = len(vs.controls)
+    n_c = len(a.alphabet)
     m = 2 * n_c
-    laws = _control_pattern_laws(vs, n)
+    laws = _control_pattern_laws(a, n)
     # agreement profiles g[w, E] by the subset-sum transform; each row of the
     # block channel for word w permutes g[w], so H(Y|X, C=w) is its entropy
     popcount = np.array([bin(mask).count("1") for mask in range(1 << n)])
@@ -595,18 +525,19 @@ def converse_check(ch: Fsmc, n: int, trials: int, seed: int = 0,
                             f"got n={n}, trials={trials}")
     if n > 6:
         raise CapacityError(f"converse check is exact-enumeration only (n <= 6), got {n}")
-    vs = _v_structure(ch)
-    pfa = _v_pfa(vs)
+    if seed < 0:
+        raise CapacityError(f"seed {seed} must be >= 0")
+    a = unlift(ch)
     horizon = n if horizon is None else horizon
-    val = float(brute_force_value(pfa, horizon).best_value)
-    stats = _converse_trial_stats(vs, n, trials, seed)
+    val = float(brute_force_value(a, horizon).best_value)
+    stats = _converse_trial_stats(a, n, trials, seed)
     bound = n * (1 - val)
     violations = sum(1 for h, rate in stats
                      if h < bound - tol or rate > val + tol)
     raised_horizon = raised_val = None
     if violations:
         raised_horizon = horizon + 2
-        raised_val = float(brute_force_value(pfa, raised_horizon).best_value)
+        raised_val = float(brute_force_value(a, raised_horizon).best_value)
     return ConverseReport(
         n=n, trials=trials, horizon=horizon, val_horizon=val,
         entropy_bound=bound,
@@ -647,12 +578,9 @@ def capacity_bracket(a: Pfa, delta, budget: BracketBudget = BracketBudget(),
     bound their parameters prove).  The raw search value is reported as the
     heuristic estimate either way.
     """
-    from .fsmc import build_V
-    from .pfa import gamma as lift_gamma
-
     delta = float(delta)
-    if delta <= 0:
-        raise CapacityError(f"delta {delta} must be positive")
+    if not 0 < delta < math.inf:
+        raise CapacityError(f"delta {delta} must be positive and finite")
     search_len = min(budget.word_len, max(0, budget.block - 1))
     result = brute_force_value(a, search_len, budget=budget.words)
     val_estimate = float(result.best_value)
@@ -666,10 +594,7 @@ def capacity_bracket(a: Pfa, delta, budget: BracketBudget = BracketBudget(),
     else:
         upper, certificate = 1.0, "trivial"
 
-    lifted = a
-    if FREEZE_SYMBOL not in a.alphabet or RESET_SYMBOL not in a.alphabet:
-        lifted = lift_gamma(a)
-    ch = build_V(lifted)
+    ch = lift(a)
 
     word = result.best_word
     m = len(word)
@@ -724,8 +649,8 @@ def stability_schedule(val, delta, n_list: Sequence[int]) -> StabilitySchedule:
     delta = float(delta)
     if not (0 < val <= 1):
         raise CapacityError(f"val {val} outside (0, 1]")
-    if delta <= 0:
-        raise CapacityError(f"delta {delta} must be positive")
+    if not 0 < delta < math.inf:
+        raise CapacityError(f"delta {delta} must be positive and finite")
     n_list = [int(n) for n in n_list]
     if len(n_list) < 2:
         raise CapacityError("need n_t for at least two stages (t and t+1)")
@@ -800,6 +725,8 @@ def spectrum_concentration_demo(ch: Fsmc, sched: ControlSchedule, m_blocks: int,
         raise CapacityError("demo is restricted to stages t <= 2")
     if m_blocks < 1 or samples < 1:
         raise CapacityError("need at least one block and one sample")
+    if seed < 0:
+        raise CapacityError(f"seed {seed} must be >= 0")
     eta = float(eta)
     delta = float(delta)
     values, probs = block_spectrum(ch, sched, max_period=max_period)
@@ -809,6 +736,9 @@ def spectrum_concentration_demo(ch: Fsmc, sched: ControlSchedule, m_blocks: int,
     if val is None:
         val = c_n
     val = float(val)
+    if not (c_n > 0 and val > 0):
+        raise CapacityError(f"the tails are normalized by the block rate {c_n} and the value "
+                            f"{val}; both must be positive")
     n_total = m_blocks * n_block
     rng = np.random.default_rng(seed)
     sums = np.zeros(samples)

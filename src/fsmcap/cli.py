@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, capacity, fixtures, formats, fsmc, gadgets, pfa, witness
@@ -32,6 +31,14 @@ def _real(x) -> str:
 
 def _rat(x) -> str:
     return formats.format_rational(x)
+
+
+def _number(kind, token: str, what: str):
+    """int(token) or float(token), with a malformed token as a CliError."""
+    try:
+        return kind(token)
+    except ValueError:
+        raise CliError(f"{what}: {token!r} is not a valid {kind.__name__}") from None
 
 
 def parse_word(text: str, alphabet) -> tuple[str, ...]:
@@ -103,12 +110,7 @@ def _emit_pfa(run: Run, automaton: pfa.Pfa, out) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_pfa_validate(run: Run, args) -> int:
-    automaton = formats.load_pfa(run.input_file(args.pfa))
-    violations = pfa.validate_pfa(automaton)
-    if violations:
-        for v in violations:
-            print(v)
-        return 1
+    _load_pfa(run, args.pfa)   # the parser raises the first violation, line-anchored
     print("valid")
     return 0
 
@@ -123,7 +125,7 @@ def cmd_pfa_value(run: Run, args) -> int:
 def cmd_pfa_search(run: Run, args) -> int:
     automaton = _load_pfa(run, args.pfa)
     if args.above is not None:
-        witness_word = pfa.emptiness_semidecide(automaton, Fraction(args.above),
+        witness_word = pfa.emptiness_semidecide(automaton, pfa.frac(args.above),
                                                 args.max_len, budget=args.budget)
         if witness_word is None:
             print(f"no word of length <= {args.max_len} has value > {args.above}")
@@ -141,20 +143,20 @@ def cmd_gadget(run: Run, args) -> int:
     kind = args.gadget_kind
     if kind == "dxy":
         run.param(x=args.x, y=args.y)
-        out_pfa = gadgets.build_D_xy(Fraction(args.x), Fraction(args.y))
+        out_pfa = gadgets.build_D_xy(pfa.frac(args.x), pfa.frac(args.y))
     elif kind == "day":
         run.param(y=args.y)
         inner = _load_pfa(run, args.pfa)
-        out_pfa = gadgets.build_D_Ay(inner, Fraction(args.y))
+        out_pfa = gadgets.build_D_Ay(inner, pfa.frac(args.y))
     elif kind in ("bp", "cp"):
         run.param(p=args.p)
         inner = _load_pfa(run, args.pfa)
         build = gadgets.build_B_p if kind == "bp" else gadgets.build_C_p
-        out_pfa = build(inner, Fraction(args.p))
+        out_pfa = build(inner, pfa.frac(args.p))
     else:  # family
         run.param(lam=args.lam)
         inner = _load_pfa(run, args.pfa)
-        out_pfa = gadgets.build_family_member(inner, Fraction(args.lam))
+        out_pfa = gadgets.build_family_member(inner, pfa.frac(args.lam))
         expected = gadgets.gadget_state_count(inner.n_states)
         note = ""
         if inner.n_states == gadgets.FAMILY_INNER_STATES:
@@ -168,7 +170,7 @@ def cmd_gadget(run: Run, args) -> int:
 
 def cmd_witness(run: Run, args) -> int:
     run.param(x=args.x, eps=args.eps, k=args.k, y=args.y, word=args.word)
-    kwargs = dict(eps=Fraction(args.eps), y=Fraction(args.y))
+    kwargs = dict(eps=pfa.frac(args.eps), y=pfa.frac(args.y))
     if args.pfa:
         inner = _load_pfa(run, args.pfa)
         kwargs["inner"] = inner
@@ -176,10 +178,10 @@ def cmd_witness(run: Run, args) -> int:
     else:
         if args.x is None:
             raise CliError("plain mode needs --x")
-        kwargs["x"] = Fraction(args.x)
+        kwargs["x"] = pfa.frac(args.x)
     rows = ["k,p_q1_q3,p_q4_q6"]
-    report = None
-    for k in range(2, args.k + 1):
+    # k < 2 runs once, so that the library rejects it
+    for k in range(min(args.k, 2), args.k + 1):
         report = witness.synthesize_word(k=k, **kwargs)
         rows.append(f"{k},{_real(report.p_q1_q3)},{_real(report.p_q4_q6)}")
     print(f"x: {_rat(report.x)}  eps: {_rat(report.eps)}  y: {_rat(report.y)}  k: {report.k}")
@@ -232,8 +234,8 @@ def cmd_capacity_bracket(run: Run, args) -> int:
     budget = capacity.BracketBudget(word_len=args.max_word_len, block=args.block)
     bracket = capacity.capacity_bracket(
         automaton, args.delta, budget,
-        val_bound=Fraction(args.val_bound) if args.val_bound else None,
-        val_exact=Fraction(args.val_exact) if args.val_exact else None)
+        val_bound=pfa.frac(args.val_bound) if args.val_bound else None,
+        val_exact=pfa.frac(args.val_exact) if args.val_exact else None)
     print(f"lower: {_real(bracket.lower)}  (m={bracket.provenance['m']},"
           f" n={bracket.provenance['n']}, delta={_real(args.delta)})")
     print(f"upper: {_real(bracket.upper)}  [{bracket.certificate}]")
@@ -264,10 +266,7 @@ def cmd_capacity_converse(run: Run, args) -> int:
     automaton = _load_pfa(run, args.pfa)
     run.param(n=args.n, trials=args.trials, horizon=args.horizon)
     run.seed = args.seed
-    lifted = automaton
-    if pfa.FREEZE_SYMBOL not in automaton.alphabet:
-        lifted = pfa.gamma(automaton)
-    ch = fsmc.build_V(lifted)
+    ch = fsmc.lift(automaton)
     report = capacity.converse_check(ch, args.n, args.trials, seed=args.seed,
                                      horizon=args.horizon)
     print(f"value at horizon {report.horizon}: {_real(report.val_horizon)}")
@@ -282,7 +281,7 @@ def cmd_capacity_converse(run: Run, args) -> int:
 
 
 def cmd_capacity_stability(run: Run, args) -> int:
-    n_list = [int(tok) for tok in args.n_list.replace(",", " ").split()]
+    n_list = [_number(int, tok, "--n-list") for tok in args.n_list.replace(",", " ").split()]
     run.param(val=args.val, delta=args.delta, n_list=n_list)
     schedule = capacity.stability_schedule(args.val, args.delta, n_list)
     print("t,n_t,m_t,m_formula,m_floor")
@@ -293,9 +292,8 @@ def cmd_capacity_stability(run: Run, args) -> int:
     if not args.pfa:
         raise CliError("--demo needs --pfa (and usually --word/--free)")
     automaton = _load_pfa(run, args.pfa)
-    lifted = automaton if pfa.FREEZE_SYMBOL in automaton.alphabet else pfa.gamma(automaton)
-    ch = fsmc.build_V(lifted)
-    word = parse_word(args.word, lifted.alphabet) if args.word else ()
+    ch = fsmc.lift(automaton)
+    word = parse_word(args.word, fsmc.unlift(ch).alphabet) if args.word else ()
     sched = capacity.ControlSchedule(word=word, free_slots=args.free)
     run.param(word=args.word, free=args.free, etas=args.etas, samples=args.samples)
     run.seed = args.seed
@@ -303,7 +301,7 @@ def cmd_capacity_stability(run: Run, args) -> int:
     rows = ["eta,empirical,analytic"]
     for eta_tok in args.etas.replace(",", " ").split():
         rep = capacity.spectrum_concentration_demo(
-            ch, sched, m_blocks, float(eta_tok), args.delta,
+            ch, sched, m_blocks, _number(float, eta_tok, "--etas"), args.delta,
             samples=args.samples, seed=args.seed, val=args.val)
         rows.append(f"{_real(rep.eta)},{_real(rep.empirical_tail_val)},{_real(rep.analytic_val)}")
         print(f"eta={_real(rep.eta)}: n={rep.n_total} block_rate={_real(rep.block_rate)} "
@@ -315,10 +313,11 @@ def cmd_capacity_stability(run: Run, args) -> int:
 
 def cmd_sigma(run: Run, args) -> int:
     if args.sigma_kind == "encode":
-        code = gadgets.sigma_encode([Fraction(tok) for tok in args.rationals])
+        code = gadgets.sigma_encode([pfa.frac(tok) for tok in args.rationals])
         print(code.value)
     else:
-        values = gadgets.sigma_decode(gadgets.SigmaCode(value=int(args.value), arity=args.arity))
+        code = gadgets.SigmaCode(value=_number(int, args.value, "sigma code"), arity=args.arity)
+        values = gadgets.sigma_decode(code)
         print(" ".join(_rat(v) for v in values))
     return 0
 
@@ -451,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 DOMAIN_ERRORS = (CliError, pfa.PfaError, pfa.BudgetError, gadgets.SigmaError,
                  witness.WitnessError, witness.ClosedFormMismatch,
                  fsmc.FsmcError, capacity.CapacityError, formats.FormatError,
-                 FileNotFoundError, ValueError, ZeroDivisionError)
+                 FileNotFoundError)
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,9 @@ Rationals are written ``p/q`` or as integers.  Matrices are row-major;
 columns index the source state, rows the target state.  Channel files mirror
 the layout with ``output <x>:`` (|Y| x |S| table of p(y|x,s')) and
 ``state <x>:`` (|S| x |S| table of p(s|x,s')) sections per input symbol.
-Every invariant violation is rejected with a line-anchored message.
+Every invariant violation is rejected with a line-anchored message: each
+section is checked as it is read, by the same checks as ``validate_pfa`` and
+``validate_fsmc``, so the first violation in file order is reported.
 """
 
 from __future__ import annotations
@@ -23,21 +25,13 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
-from .fsmc import Fsmc, validate_fsmc
-from .pfa import Pfa, validate_pfa
-
-ZERO = Fraction(0)
+from .fsmc import Fsmc
+from .pfa import (Pfa, PfaError, duplicate_violations, frac, initial_violations,
+                  membership_violations, table_violations)
 
 
 class FormatError(ValueError):
     """Malformed or invalid file content, annotated with source:line."""
-
-
-def parse_rational(token: str) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {token!r}") from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -61,6 +55,17 @@ class _Reader:
     def error(self, lineno: int, message: str) -> FormatError:
         return FormatError(f"{self.source}:{lineno}: {message}")
 
+    def check(self, lineno: int, violations: list[str]) -> None:
+        """Raise the first violation found in the section starting at lineno."""
+        if violations:
+            raise self.error(lineno, violations[0])
+
+    def rationals(self, lineno: int, tokens: list[str], what: str) -> list[Fraction]:
+        try:
+            return [frac(tok) for tok in tokens]
+        except PfaError as exc:
+            raise self.error(lineno, f"{what}: {exc}") from None
+
     def done(self) -> bool:
         return self.pos >= len(self.lines)
 
@@ -81,7 +86,7 @@ class _Reader:
             raise self.error(lineno, f"expected '{keyword}:', found {line!r}")
         return lineno, rest.split()
 
-    def take_rational_rows(self, n_rows: int, n_cols: int, what: str) -> list[list[Fraction]]:
+    def take_rational_rows(self, n_rows: int, n_cols: int, what: str) -> list[tuple[Fraction, ...]]:
         rows = []
         for _ in range(n_rows):
             if self.done():
@@ -90,27 +95,8 @@ class _Reader:
             tokens = line.split()
             if len(tokens) != n_cols:
                 raise self.error(lineno, f"{what}: expected {n_cols} entries, found {len(tokens)}")
-            row = []
-            for tok in tokens:
-                try:
-                    row.append(parse_rational(tok))
-                except ValueError as exc:
-                    raise self.error(lineno, f"{what}: {exc}") from None
-            rows.append(row)
+            rows.append(tuple(self.rationals(lineno, tokens, what)))
         return rows
-
-
-def _check_columns(reader: _Reader, lineno: int, rows, names, what: str) -> None:
-    n = len(rows)
-    for i, row in enumerate(rows):
-        for j, e in enumerate(row):
-            if e < 0:
-                raise reader.error(lineno, f"{what} entry ({i},{j}) = {e} is negative")
-    for j in range(len(rows[0]) if rows else 0):
-        col_sum = sum((rows[i][j] for i in range(n)), ZERO)
-        if col_sum != 1:
-            label = f" ({names[j]!r})" if names else ""
-            raise reader.error(lineno, f"{what} column {j}{label} sums to {col_sum}")
 
 
 def parse_pfa(text: str, source: str = "<string>") -> Pfa:
@@ -118,28 +104,16 @@ def parse_pfa(text: str, source: str = "<string>") -> Pfa:
     states_line, states = reader.take_section("states")
     if not states:
         raise reader.error(states_line, "no states given")
-    if len(set(states)) != len(states):
-        raise reader.error(states_line, "duplicate state names")
+    reader.check(states_line, duplicate_violations(states, "state names"))
     alpha_line, alphabet = reader.take_section("alphabet")
-    if len(set(alphabet)) != len(alphabet):
-        raise reader.error(alpha_line, "duplicate alphabet symbols")
+    reader.check(alpha_line, duplicate_violations(alphabet, "alphabet symbols"))
     init_line, init_tokens = reader.take_section("initial")
     if len(init_tokens) != len(states):
         raise reader.error(init_line, f"initial: expected {len(states)} entries, found {len(init_tokens)}")
-    try:
-        initial = [parse_rational(t) for t in init_tokens]
-    except ValueError as exc:
-        raise reader.error(init_line, f"initial: {exc}") from None
-    for j, e in enumerate(initial):
-        if e < 0:
-            raise reader.error(init_line, f"initial entry {j} = {e} is negative")
-    total = sum(initial, ZERO)
-    if total != 1:
-        raise reader.error(init_line, f"initial distribution sums to {total}")
+    initial = reader.rationals(init_line, init_tokens, "initial")
+    reader.check(init_line, initial_violations(initial, len(states)))
     acc_line, accepting = reader.take_section("accepting")
-    for s in accepting:
-        if s not in states:
-            raise reader.error(acc_line, f"accepting state {s!r} is not a state")
+    reader.check(acc_line, membership_violations(accepting, states, "accepting state"))
 
     matrices = {}
     n = len(states)
@@ -155,18 +129,14 @@ def parse_pfa(text: str, source: str = "<string>") -> Pfa:
         if sym in matrices:
             raise reader.error(lineno, f"duplicate matrix for symbol {sym!r}")
         rows = reader.take_rational_rows(n, n, f"matrix {sym!r}")
-        _check_columns(reader, lineno, rows, states, f"matrix {sym!r}")
-        matrices[sym] = tuple(tuple(row) for row in rows)
+        reader.check(lineno, table_violations(f"matrix {sym!r}", rows, n, states))
+        matrices[sym] = tuple(rows)
     for sym in alphabet:
         if sym not in matrices:
             raise FormatError(f"{source}: no matrix for symbol {sym!r}")
 
-    pfa = Pfa(states=tuple(states), alphabet=tuple(alphabet), matrices=matrices,
-              initial=tuple(initial), accepting=frozenset(accepting))
-    leftovers = validate_pfa(pfa)
-    if leftovers:
-        raise FormatError(f"{source}: " + "; ".join(leftovers))
-    return pfa
+    return Pfa(states=tuple(states), alphabet=tuple(alphabet), matrices=matrices,
+               initial=tuple(initial), accepting=frozenset(accepting))
 
 
 def serialize_pfa(p: Pfa) -> str:
@@ -183,16 +153,22 @@ def serialize_pfa(p: Pfa) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
+
+
 def load_pfa(path) -> Pfa:
     path = Path(path)
-    return parse_pfa(path.read_text(), source=str(path))
+    return parse_pfa(_read_text(path), source=str(path))
 
 
 def parse_fsmc(text: str, source: str = "<string>") -> Fsmc:
     reader = _Reader(text, source)
-    _, inputs = reader.take_section("inputs")
-    if len(set(inputs)) != len(inputs):
-        raise FormatError(f"{source}: duplicate input symbols")
+    inputs_line, inputs = reader.take_section("inputs")
+    reader.check(inputs_line, duplicate_violations(inputs, "input symbols"))
     _, outputs = reader.take_section("outputs")
     states_line, states = reader.take_section("states")
     if not states:
@@ -200,8 +176,7 @@ def parse_fsmc(text: str, source: str = "<string>") -> Fsmc:
     init_line, init_tokens = reader.take_section("initial")
     if len(init_tokens) != 1:
         raise reader.error(init_line, "initial: expected a single state name")
-    if init_tokens[0] not in states:
-        raise reader.error(init_line, f"initial state {init_tokens[0]!r} is not a state")
+    reader.check(init_line, membership_violations(init_tokens, states, "initial state"))
 
     output_law = {}
     state_law = {}
@@ -218,21 +193,18 @@ def parse_fsmc(text: str, source: str = "<string>") -> Fsmc:
         if sym in target:
             raise reader.error(lineno, f"duplicate {kind} table for input {sym!r}")
         n_rows = len(outputs) if kind == "output" else len(states)
-        rows = reader.take_rational_rows(n_rows, len(states), f"{kind} table {sym!r}")
-        _check_columns(reader, lineno, rows, states, f"{kind} table {sym!r}")
-        target[sym] = tuple(tuple(row) for row in rows)
+        what = f"{kind} table {sym!r}"
+        rows = reader.take_rational_rows(n_rows, len(states), what)
+        reader.check(lineno, table_violations(what, rows, n_rows, states))
+        target[sym] = tuple(rows)
     for sym in inputs:
         if sym not in output_law:
             raise FormatError(f"{source}: no output table for input {sym!r}")
         if sym not in state_law:
             raise FormatError(f"{source}: no state table for input {sym!r}")
 
-    ch = Fsmc(inputs=tuple(inputs), outputs=tuple(outputs), states=tuple(states),
-              output_law=output_law, state_law=state_law, initial=init_tokens[0])
-    leftovers = validate_fsmc(ch)
-    if leftovers:
-        raise FormatError(f"{source}: " + "; ".join(leftovers))
-    return ch
+    return Fsmc(inputs=tuple(inputs), outputs=tuple(outputs), states=tuple(states),
+                output_law=output_law, state_law=state_law, initial=init_tokens[0])
 
 
 def serialize_fsmc(ch: Fsmc) -> str:
@@ -254,7 +226,7 @@ def serialize_fsmc(ch: Fsmc) -> str:
 
 def load_fsmc(path) -> Fsmc:
     path = Path(path)
-    return parse_fsmc(path.read_text(), source=str(path))
+    return parse_fsmc(_read_text(path), source=str(path))
 
 
 def parse_dmc(text: str, source: str = "<string>"):
@@ -285,4 +257,4 @@ def parse_dmc(text: str, source: str = "<string>"):
 
 def load_dmc(path):
     path = Path(path)
-    return parse_dmc(path.read_text(), source=str(path))
+    return parse_dmc(_read_text(path), source=str(path))

@@ -3,7 +3,7 @@
 Includes the lift that turns an automaton into a channel whose data bit is
 forwarded noiselessly while the automaton sits in an accepting state and
 replaced by a fair coin otherwise, with the control input driving the
-automaton.
+automaton, and its inverse, which reads the automaton back from the channel.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .pfa import Matrix, Pfa, PfaError, Vector, check_pfa, frac
+from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Matrix, Pfa, PfaError, _columns_equal,
+                  _is_identity, check_pfa, duplicate_violations, gamma,
+                  membership_violations, table_violations)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -61,27 +63,15 @@ class Fsmc:
 
 
 def validate_fsmc(ch: Fsmc) -> list[str]:
-    out = []
-    n_s, n_y = len(ch.states), len(ch.outputs)
-    if ch.initial not in ch.states:
-        out.append(f"initial state {ch.initial!r} is not a state")
+    out = duplicate_violations(ch.inputs, "input symbols")
+    out += membership_violations([ch.initial], ch.states, "initial state")
     for sym in ch.inputs:
-        for kind, table, n_rows in (("output", ch.output_law, n_y), ("state", ch.state_law, n_s)):
-            m = table.get(sym)
-            if m is None:
+        for kind, table, n_rows in (("output", ch.output_law, len(ch.outputs)),
+                                    ("state", ch.state_law, ch.n_states)):
+            if sym in table:
+                out += table_violations(f"{kind} table {sym!r}", table[sym], n_rows, ch.states)
+            else:
                 out.append(f"no {kind} table for input {sym!r}")
-                continue
-            if len(m) != n_rows or any(len(row) != n_s for row in m):
-                out.append(f"{kind} table {sym!r} is not {n_rows}x{n_s}")
-                continue
-            for i, row in enumerate(m):
-                for j, e in enumerate(row):
-                    if e < 0:
-                        out.append(f"{kind} table {sym!r} entry ({i},{j}) is negative")
-            for j in range(n_s):
-                col = sum((m[i][j] for i in range(n_rows)), ZERO)
-                if col != 1:
-                    out.append(f"{kind} table {sym!r} column {j} ({ch.states[j]!r}) sums to {col}")
     return out
 
 
@@ -103,6 +93,10 @@ def split_v_input(sym: str) -> tuple[str, str]:
     return bit, control
 
 
+# p(y | data bit) where the data bit is forwarded
+_FORWARDED = {"0": (ONE, ZERO), "1": (ZERO, ONE)}
+
+
 def build_V(p: Pfa) -> Fsmc:
     """Channel lift of an automaton.
 
@@ -122,10 +116,7 @@ def build_V(p: Pfa) -> Fsmc:
     output_law = {}
     state_law = {}
     for d in ("0", "1"):
-        row_if_acc = {"0": (ONE, ZERO), "1": (ZERO, ONE)}[d]
-        out_cols = tuple(
-            (row_if_acc[0] if accepting[j] else HALF, row_if_acc[1] if accepting[j] else HALF)
-            for j in range(n))
+        out_cols = [_FORWARDED[d] if accepting[j] else (HALF, HALF) for j in range(n)]
         table = tuple(tuple(out_cols[j][y] for j in range(n)) for y in range(2))
         for c in p.alphabet:
             sym = v_input(d, c)
@@ -133,6 +124,66 @@ def build_V(p: Pfa) -> Fsmc:
             state_law[sym] = p.matrices[c]
     return Fsmc(inputs=inputs, outputs=("0", "1"), states=p.states,
                 output_law=output_law, state_law=state_law, initial=s0)
+
+
+def unlift(ch: Fsmc) -> Pfa:
+    """Inverse of build_V: read the automaton back out of a lifted channel.
+
+    Checks that the outputs are bits, the inputs are a ``d:c`` product, the
+    state law ignores the data bit, and every input's output law forwards the
+    data bit from accepting states and is a fair coin elsewhere, with each
+    state forwarding under every input or under none.  Controls keep the
+    order of their first appearance among the inputs.
+    """
+    if tuple(ch.outputs) != ("0", "1"):
+        raise FsmcError("expected a binary-output channel")
+    if not ch.inputs:
+        raise FsmcError("a lifted channel needs at least one input")
+    matrices = {}
+    noiseless: dict[int, tuple[str, bool]] = {}
+    for sym in ch.inputs:
+        bit, control = split_v_input(sym)
+        other = v_input("1" if bit == "0" else "0", control)
+        if other not in ch.inputs:
+            raise FsmcError(f"input {other!r} missing: not a data/control product")
+        if ch.state_law[sym] != ch.state_law[other]:
+            raise FsmcError(f"state law for control {control!r} depends on the data bit")
+        matrices.setdefault(control, ch.state_law[sym])
+        law = ch.output_law[sym]
+        for j, state in enumerate(ch.states):
+            col = (law[0][j], law[1][j])
+            if col == _FORWARDED[bit]:
+                flag = True
+            elif col == (HALF, HALF):
+                flag = False
+            else:
+                raise FsmcError(f"output law of input {sym!r} in state {state!r} neither "
+                                "forwards the data bit nor is uniform")
+            first_sym, first_flag = noiseless.setdefault(j, (sym, flag))
+            if flag != first_flag:
+                raise FsmcError(f"state {state!r} forwards the data bit under only one "
+                                f"of the inputs {first_sym!r} and {sym!r}")
+    s0 = ch.state_index(ch.initial)
+    return Pfa(states=ch.states, alphabet=tuple(matrices), matrices=matrices,
+               initial=tuple(ONE if i == s0 else ZERO for i in range(ch.n_states)),
+               accepting=frozenset(s for j, s in enumerate(ch.states) if noiseless[j][1]))
+
+
+def lift(p: Pfa) -> Fsmc:
+    """Channel lift of `p` extended by freeze and reset symbols.
+
+    The extension is gamma(p), unless `p` already has both reserved symbols,
+    in which case they must be the identity and the reset to the initial law.
+    An automaton with only one of them is refused by gamma.
+    """
+    if FREEZE_SYMBOL not in p.alphabet or RESET_SYMBOL not in p.alphabet:
+        return build_V(gamma(p))
+    ch = build_V(p)
+    if not (_is_identity(p.matrices[FREEZE_SYMBOL])
+            and _columns_equal(p.matrices[RESET_SYMBOL], p.initial)):
+        raise PfaError(f"symbols {FREEZE_SYMBOL!r} and {RESET_SYMBOL!r} are not the freeze "
+                       "and the reset of the automaton")
+    return ch
 
 
 @dataclass

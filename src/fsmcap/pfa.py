@@ -95,47 +95,51 @@ def make_pfa(states, alphabet, matrices, initial, accepting) -> Pfa:
     )
 
 
+def duplicate_violations(names: Sequence[str], what: str) -> list[str]:
+    return [f"duplicate {what}"] if len(set(names)) != len(names) else []
+
+
+def membership_violations(names: Iterable[str], states: Sequence[str], what: str) -> list[str]:
+    return [f"{what} {s!r} is not a state" for s in names if s not in states]
+
+
+def table_violations(what: str, m, n_rows: int, states: Sequence[str]) -> list[str]:
+    """Shape, negative entries and column sums of a table whose columns are
+    laws over `n_rows` outcomes, one column per state."""
+    n = len(states)
+    if len(m) != n_rows or any(len(row) != n for row in m):
+        return [f"{what} is not {n_rows}x{n}"]
+    out = [f"{what} entry ({i},{j}) = {e} is negative"
+           for i, row in enumerate(m) for j, e in enumerate(row) if e < 0]
+    for j, state in enumerate(states):
+        total = sum((row[j] for row in m), ZERO)
+        if total != 1:
+            out.append(f"{what} column {j} ({state!r}) sums to {total}")
+    return out
+
+
+def initial_violations(initial: Sequence[Fraction], n: int) -> list[str]:
+    if len(initial) != n:
+        return [f"initial distribution has {len(initial)} entries, expected {n}"]
+    out = [f"initial entry {j} = {e} is negative" for j, e in enumerate(initial) if e < 0]
+    total = sum(initial, ZERO)
+    if total != 1:
+        out.append(f"initial distribution sums to {total}")
+    return out
+
+
 def validate_pfa(p: Pfa) -> list[str]:
     """Return every invariant violation, with its location; empty means valid."""
-    out = []
-    n = p.n_states
-    if len(set(p.states)) != n:
-        out.append("duplicate state names")
-    if len(set(p.alphabet)) != len(p.alphabet):
-        out.append("duplicate alphabet symbols")
+    out = duplicate_violations(p.states, "state names")
+    out += duplicate_violations(p.alphabet, "alphabet symbols")
+    out += [f"no matrix for symbol {sym!r}" for sym in p.alphabet if sym not in p.matrices]
+    out += [f"matrix for symbol {sym!r} not in the alphabet"
+            for sym in p.matrices if sym not in p.alphabet]
     for sym in p.alphabet:
-        if sym not in p.matrices:
-            out.append(f"no matrix for symbol {sym!r}")
-    for sym in p.matrices:
-        if sym not in p.alphabet:
-            out.append(f"matrix for symbol {sym!r} not in the alphabet")
-    for sym in p.alphabet:
-        m = p.matrices.get(sym)
-        if m is None:
-            continue
-        if len(m) != n or any(len(row) != n for row in m):
-            out.append(f"matrix {sym!r} is not {n}x{n}")
-            continue
-        for i, row in enumerate(m):
-            for j, e in enumerate(row):
-                if e < 0:
-                    out.append(f"matrix {sym!r} entry ({i},{j}) = {e} is negative")
-        for j in range(n):
-            col_sum = sum((m[i][j] for i in range(n)), ZERO)
-            if col_sum != 1:
-                out.append(f"matrix {sym!r} column {j} ({p.states[j]!r}) sums to {col_sum}")
-    if len(p.initial) != n:
-        out.append(f"initial distribution has {len(p.initial)} entries, expected {n}")
-    else:
-        for j, e in enumerate(p.initial):
-            if e < 0:
-                out.append(f"initial entry {j} = {e} is negative")
-        total = sum(p.initial, ZERO)
-        if total != 1:
-            out.append(f"initial distribution sums to {total}")
-    for s in sorted(p.accepting):
-        if s not in p.states:
-            out.append(f"accepting state {s!r} is not a state")
+        if sym in p.matrices:
+            out += table_violations(f"matrix {sym!r}", p.matrices[sym], p.n_states, p.states)
+    out += initial_violations(p.initial, p.n_states)
+    out += membership_violations(sorted(p.accepting), p.states, "accepting state")
     return out
 
 
@@ -274,6 +278,8 @@ class SearchResult:
 
 
 def _check_budget(p: Pfa, max_len: int, budget: int) -> None:
+    if max_len < 0:
+        raise PfaError(f"maximum word length {max_len} must be >= 0")
     if count_words(len(p.alphabet), max_len) > budget:
         raise BudgetError(
             f"{count_words(len(p.alphabet), max_len)} words of length <= {max_len} "

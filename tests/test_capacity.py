@@ -14,7 +14,7 @@ from fsmcap.capacity import (BracketBudget, CapacityError, ControlSchedule,
                              converse_check, entropy, induced_block_channel,
                              information_spectrum, mutual_information,
                              spectrum_concentration_demo, stability_schedule)
-from fsmcap.fsmc import build_V
+from fsmcap.fsmc import build_V, unlift
 from fsmcap.gadgets import build_D_xy
 from fsmcap.pfa import gamma, make_pfa
 
@@ -109,6 +109,8 @@ def test_ba_iteration_cap():
     ch = DiscreteChannel(np.array([[1.0, 0.0], [0.3, 0.7]]))
     r = blahut_arimoto(ch, tol=1e-300, max_iters=3)
     assert not r.converged and r.iterations == 3 and r.gap > 0
+    with pytest.raises(CapacityError):
+        blahut_arimoto(ch, max_iters=0)
 
 
 def test_channel_validation():
@@ -333,12 +335,19 @@ def test_demo_toy_below_analytic():
     assert rep.block_rate > 0.5
 
 
-def test_demo_stage_guard(always_accept):
+def test_demo_stage_guard(always_accept, never_accept):
     ch = build_V(gamma(always_accept))
     sched = ControlSchedule(word=(), free_slots=4)
     with pytest.raises(CapacityError):
         spectrum_concentration_demo(ch, sched, m_blocks=4, eta=2, delta=0.1,
                                     samples=10, seed=0, t=3)
+    with pytest.raises(CapacityError):
+        spectrum_concentration_demo(ch, sched, m_blocks=4, eta=2, delta=0.1,
+                                    samples=10, seed=-1)
+    # a zero block rate leaves nothing to normalize the tails by
+    with pytest.raises(CapacityError):
+        spectrum_concentration_demo(build_V(gamma(never_accept)), sched, m_blocks=4,
+                                    eta=2, delta=0.1, samples=10, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +386,20 @@ def test_converse_rejects_empty_sizes(d_25):
     for n, trials in ((0, 10), (-1, 10), (3, 0), (3, -2)):
         with pytest.raises(CapacityError):
             converse_check(ch, n=n, trials=trials)
+    with pytest.raises(CapacityError):
+        converse_check(ch, n=3, trials=10, seed=-1)
 
 
 @pytest.mark.parametrize("name", ["d_25", "d_34", "always_accept", "never_accept"])
 def test_converse_trials_match_naive_loop(name, request):
     from oracles import naive_converse_trial_stats
 
-    from fsmcap.capacity import _converse_trial_stats, _v_structure
+    from fsmcap.capacity import _converse_trial_stats
     ch = build_V(gamma(request.getfixturevalue(name)))
     # 20 trials span more than one chunk of the vectorised pass at n = 4
     for n in (1, 2, 3, 4):
         for seed in (0, 5, 11):
-            got = _converse_trial_stats(_v_structure(ch), n, 20, seed)
+            got = _converse_trial_stats(unlift(ch), n, 20, seed)
             want = naive_converse_trial_stats(ch, n, 20, seed)
             assert len(got) == len(want) == 20
             for (h, rate), (h_ref, rate_ref) in zip(got, want):
@@ -434,7 +445,7 @@ def test_uniform_rate_builds_one_block_profile(monkeypatch, d_34):
 
 def test_converse_derives_structure_once(monkeypatch, d_25):
     ch = build_V(gamma(d_25))
-    calls = _count_calls(monkeypatch, "_v_structure")
+    calls = _count_calls(monkeypatch, "unlift")
     converse_check(ch, n=3, trials=5, seed=1)
     assert len(calls) == 1
 

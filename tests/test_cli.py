@@ -64,6 +64,14 @@ def test_validate_reports_violations(capsys, tmp_path, example1):
     assert code == 0 and out.strip() == "valid"
 
 
+def test_validate_reports_first_violation_line(capsys, tmp_path, example1):
+    bad = tmp_path / "bad.pfa"
+    bad.write_text(serialize_pfa(example1).replace("accepting: q3", "accepting: q9"))
+    code, out, err = run_cli(capsys, "pfa", "validate", "--pfa", bad)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {bad}:4:") and err.count("\n") == 1
+
+
 def test_gadget_emission_round_trips(capsys, tmp_path):
     out_file = tmp_path / "d.pfa"
     code, _, _ = run_cli(capsys, "gadget", "dxy", "--x", "3/4", "--y", "1/2",
@@ -165,3 +173,88 @@ def test_capacity_converse_cli_rejects_zero_trials(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "trials" in err
+
+
+def _assert_one_error_line(code, err, fragment):
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+
+
+ID_ONLY = """\
+states: q1 q2
+alphabet: a b id
+initial: 1 0
+accepting: q2
+matrix a:
+0 0
+1 1
+matrix b:
+1/2 0
+1/2 1
+matrix id:
+1 0
+0 1
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["capacity", "converse", "--n", "2", "--trials", "3"],
+    ["capacity", "stability", "--val", "0.55", "--delta", "0.1", "--n-list", "4,4", "--demo",
+     "--word", "b", "--free", "3", "--samples", "100"],
+])
+def test_lift_refuses_a_partial_freeze_reset(capsys, tmp_path, command):
+    id_only = tmp_path / "id_only.pfa"
+    id_only.write_text(ID_ONLY)
+    code, out, err = run_cli(capsys, *command, "--pfa", id_only)
+    _assert_one_error_line(code, err, "reserved symbol 'id'")
+    family3 = tmp_path / "family3.pfa"
+    family3.write_text(fixtures.fixture_text("family3.pfa"))
+    code, out, err = run_cli(capsys, *command, "--pfa", family3)
+    assert code == 0 and err == ""
+
+
+def test_malformed_rational_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "gadget", "dxy", "--x", "1/0", "--y", "1/2")
+    _assert_one_error_line(code, err, "not a rational")
+
+
+def test_internal_value_error_is_not_a_domain_error(monkeypatch, tmp_path):
+    from fsmcap import capacity
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(capacity, "converse_check", broken)
+    d25 = tmp_path / "d25.pfa"
+    d25.write_text(fixtures.fixture_text("d_25.pfa"))
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["capacity", "converse", "--pfa", str(d25), "--n", "2", "--trials", "3"])
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["witness", "--x", "3/4", "--eps", "1/10", "--k", "1"], "need k >= 2"),
+    (["capacity", "ba", "--channel", "bsc11.dmc", "--max-iters", "0"], "max_iters"),
+    (["pfa", "search", "--pfa", "d_25.pfa", "--max-len", "-1"], "-1"),
+    (["capacity", "converse", "--pfa", "d_25.pfa", "--n", "2", "--trials", "3",
+      "--horizon", "-1"], "-1"),
+    (["capacity", "converse", "--pfa", "d_25.pfa", "--n", "2", "--trials", "3",
+      "--seed", "-1"], "seed"),
+    (["capacity", "stability", "--val", "0.55", "--delta", "0.1", "--n-list", "8,x"], "--n-list"),
+    (["sigma", "decode", "x", "--arity", "1"], "sigma code"),
+    (["capacity", "stability", "--val", "0.55", "--delta", "nan", "--n-list", "8,8"], "delta"),
+    (["capacity", "bracket", "--pfa", "d_25.pfa", "--delta", "inf"], "delta"),
+])
+def test_out_of_range_arguments_exit_1(capsys, tmp_path, monkeypatch, argv, fragment):
+    for name in ("d_25.pfa", "bsc11.dmc"):
+        (tmp_path / name).write_text(fixtures.fixture_text(name))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert out == ""
+    _assert_one_error_line(code, err, fragment)
+
+
+def test_binary_input_file_is_a_domain_error(capsys, tmp_path):
+    binary = tmp_path / "binary.pfa"
+    binary.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run_cli(capsys, "pfa", "validate", "--pfa", binary)
+    _assert_one_error_line(code, err, "not a UTF-8 text file")

@@ -1,10 +1,13 @@
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
 from fsmcap import fixtures
 from fsmcap.formats import (FormatError, load_pfa, parse_dmc, parse_fsmc,
                             parse_pfa, serialize_fsmc, serialize_pfa)
-from fsmcap.fsmc import build_V
-from fsmcap.pfa import gamma, validate_pfa
+from fsmcap.fsmc import build_V, validate_fsmc
+from fsmcap.pfa import gamma, make_matrix, validate_pfa
 
 GOOD = """\
 # worked example
@@ -100,6 +103,48 @@ def test_fsmc_bad_table_rejected(example1):
     lines[idx] = "1 1 1"
     with pytest.raises(FormatError):
         parse_fsmc("\n".join(lines))
+
+
+# (old text, new text, line of the violation, the same change on the parsed
+# automaton): each leaves exactly one violation.
+SINGLE_VIOLATIONS = {
+    "column sum": ("0 0 1/2\nmatrix b", "0 0 1/10\nmatrix b", 6,
+                   lambda p: dataclasses.replace(p, matrices={**p.matrices, "a": make_matrix(
+                       [[Fraction(1, 2), 1, 0], [Fraction(1, 2), 0, Fraction(1, 2)],
+                        [0, 0, Fraction(1, 10)]])})),
+    "negative entry": ("1/2 1 0\n1/2 0 1/2", "-1/2 1 0\n3/2 0 1/2", 6,
+                       lambda p: dataclasses.replace(p, matrices={**p.matrices, "a": make_matrix(
+                           [[Fraction(-1, 2), 1, 0], [Fraction(3, 2), 0, Fraction(1, 2)],
+                            [0, 0, Fraction(1, 2)]])})),
+    "initial sum": ("initial: 1 0 0", "initial: 1 0 1", 4,
+                    lambda p: dataclasses.replace(p, initial=(1, 0, 1))),
+    "unknown accepting state": ("accepting: q3", "accepting: q9", 5,
+                                lambda p: dataclasses.replace(p, accepting=frozenset({"q9"}))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINGLE_VIOLATIONS))
+def test_parser_reports_the_validator_message(case):
+    old, new, line, change = SINGLE_VIOLATIONS[case]
+    (violation,) = validate_pfa(change(parse_pfa(GOOD)))
+    with pytest.raises(FormatError) as err:
+        parse_pfa(GOOD.replace(old, new), source="bad.pfa")
+    assert str(err.value) == f"bad.pfa:{line}: {violation}"
+
+
+@pytest.mark.parametrize("rows", [("1/2 1/2 1/2", "1/2 1/2 0"),     # column sum
+                                  ("-1/2 1/2 1", "3/2 1/2 0")])     # negative entry
+def test_fsmc_parser_reports_the_validator_message(example1, rows):
+    ch = build_V(gamma(example1))
+    lines = serialize_fsmc(ch).splitlines()
+    header = lines.index("output 0:a:")
+    lines[header + 1:header + 3] = rows
+    bad_table = make_matrix([row.split() for row in rows])
+    (violation,) = validate_fsmc(dataclasses.replace(
+        ch, output_law={**ch.output_law, "0:a": bad_table}))
+    with pytest.raises(FormatError) as err:
+        parse_fsmc("\n".join(lines), source="bad.fsmc")
+    assert str(err.value) == f"bad.fsmc:{header + 1}: {violation}"
 
 
 def test_dmc_parse():

@@ -1,13 +1,17 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fsmcap.fsmc import (Fsmc, FsmcError, build_V, joint_seq_dist, sample,
-                         validate_fsmc)
+from fsmcap.fsmc import (Fsmc, FsmcError, build_V, joint_seq_dist, lift, sample,
+                         unlift, validate_fsmc)
 from fsmcap.gadgets import build_family_member
-from fsmcap.pfa import gamma, make_pfa
+from fsmcap.pfa import PfaError, gamma, make_pfa
 from oracles import enum_paths_joint
+from test_pfa import small_pfas
 
 F = Fraction
 H = F(1, 2)
@@ -74,6 +78,39 @@ def test_build_v_rejects_split_initial():
     split = make_pfa(["s", "t"], ["a"], {"a": [[1, 1], [0, 0]]}, [H, H], ["t"])
     with pytest.raises(FsmcError):
         build_V(split)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_pfas(), st.data())
+def test_unlift_inverts_build_v(p, data):
+    start = data.draw(st.integers(0, p.n_states - 1))
+    p = dataclasses.replace(p, initial=tuple(F(int(i == start)) for i in range(p.n_states)))
+    assert unlift(build_V(p)) == p
+
+
+@pytest.mark.parametrize("name", ["example1", "amp3", "d_34", "d_25", "family3"])
+def test_unlift_inverts_build_v_on_fixtures(name, request):
+    p = request.getfixturevalue(name)
+    assert unlift(build_V(p)) == p
+    if "id" not in p.alphabet:
+        assert unlift(build_V(gamma(p))) == gamma(p)
+
+
+def test_lift_applies_gamma_unless_present(example1, family3):
+    assert lift(example1) == build_V(gamma(example1))
+    assert lift(family3) == build_V(family3)
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    id_only = make_pfa(example1.states, example1.alphabet + ("id",),
+                       {**example1.matrices, "id": identity}, example1.initial,
+                       example1.accepting)
+    with pytest.raises(PfaError):
+        lift(id_only)
+    extended = gamma(example1)
+    not_a_reset = make_pfa(extended.states, extended.alphabet,
+                           {**extended.matrices, "rt": identity}, extended.initial,
+                           extended.accepting)
+    with pytest.raises(PfaError):
+        lift(not_a_reset)
 
 
 def test_joint_one_step_accepting_start():

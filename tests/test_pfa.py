@@ -186,6 +186,13 @@ def test_brute_force_budget(example1):
         brute_force_value(example1, 30, budget=100)
 
 
+def test_search_rejects_negative_length(example1):
+    with pytest.raises(PfaError):
+        brute_force_value(example1, -1)
+    with pytest.raises(PfaError):
+        emptiness_semidecide(example1, H, -1)
+
+
 def test_brute_force_tie_break_shortest_then_lex():
     # both symbols reach the accepting state in one step; 'a' wins the tie
     p = make_pfa(["u", "v"], ["a", "b"],
