@@ -16,10 +16,10 @@ from .witness import (ClosedFormMismatch, WitnessError, WitnessReport,
                       zeta_tail_bound)
 from .fsmc import (Fsmc, FsmcError, SequenceDist, build_V, joint_seq_dist,
                    sample, validate_fsmc)
-from .capacity import (BaResult, BracketBudget, CapacityBracket, CapacityError,
-                       ControlSchedule, DiscreteChannel, SpectrumSample,
-                       achievable_rate, binary_entropy, blahut_arimoto, bsc,
-                       capacity_bracket, converse_check, entropy,
-                       induced_block_channel, information_spectrum,
+from .capacity import (BaResult, BlockChannel, BracketBudget, CapacityBracket,
+                       CapacityError, ControlSchedule, DiscreteChannel,
+                       SpectrumSample, achievable_rate, binary_entropy,
+                       blahut_arimoto, bsc, capacity_bracket, converse_check,
+                       entropy, induced_block_channel, information_spectrum,
                        mutual_information, spectrum_concentration_demo,
                        stability_schedule)

@@ -109,6 +109,19 @@ def information_spectrum(joint) -> list[SpectrumSample]:
 # Memoryless channels and Blahut-Arimoto.
 # ---------------------------------------------------------------------------
 
+def _stochastic_rows(m: np.ndarray) -> np.ndarray:
+    """m with tiny negative rounding clipped to 0, after checking that every
+    entry is finite and at least -1e-12 and every row sums to 1 within 1e-12."""
+    if not np.all(np.isfinite(m)):
+        raise CapacityError("channel table has non-finite entries")
+    if np.any(m < -1e-12):
+        raise CapacityError("channel table has negative entries")
+    rows = m.sum(axis=1)
+    if np.any(np.abs(rows - 1.0) > 1e-12):
+        raise CapacityError(f"channel rows sum to {rows.min()}..{rows.max()}")
+    return np.clip(m, 0.0, None)
+
+
 @dataclass(frozen=True)
 class DiscreteChannel:
     """Row-stochastic table p[y|x]; rows are inputs."""
@@ -119,12 +132,7 @@ class DiscreteChannel:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] < 1:
             raise CapacityError("channel table must be a 2-d array")
-        if np.any(m < -1e-12):
-            raise CapacityError("channel table has negative entries")
-        rows = m.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > 1e-12):
-            raise CapacityError(f"channel rows sum to {rows.min()}..{rows.max()}")
-        object.__setattr__(self, "matrix", np.clip(m, 0.0, None))
+        object.__setattr__(self, "matrix", _stochastic_rows(m))
 
     @property
     def n_inputs(self) -> int:
@@ -133,6 +141,78 @@ class DiscreteChannel:
     @property
     def n_outputs(self) -> int:
         return self.matrix.shape[1]
+
+    def output_law(self, r: np.ndarray) -> np.ndarray:
+        """q = r P, the output law under the input law r."""
+        return r @ self.matrix
+
+    def divergences(self, q: np.ndarray) -> np.ndarray:
+        """D(x) = sum_y P[x, y] log2(P[x, y] / q[y]), with 0 log 0 = 0."""
+        P = self.matrix
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where((P > 0) & (q > 0), P / np.where(q > 0, q, 1.0), 1.0)
+            return np.where(P > 0, P * np.log2(np.where(P > 0, ratio, 1.0)), 0.0).sum(axis=1)
+
+
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform of a vector of 2^n floats, in
+    n butterfly passes; applying it twice multiplies by 2^n."""
+    a = np.array(a, dtype=float)
+    half = 1
+    while half < a.size:
+        v = a.reshape(-1, 2, half)
+        v[:, 0], v[:, 1] = v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]
+        half *= 2
+    return a
+
+
+@dataclass(frozen=True)
+class BlockChannel:
+    """Memoryless channel on blocks of `period` bits (bit t for slot t) whose
+    law depends only on the slots where input and output agree:
+    p[y|x] = profile[~(x ^ y)].
+
+    Every row and column permutes the profile, so both Blahut-Arimoto
+    contractions are XOR convolutions with h[z] = profile[full ^ z], each
+    done by fast Walsh-Hadamard transforms in O(period 2^period) time and
+    O(2^period) memory."""
+
+    profile: np.ndarray
+    _h_hat: np.ndarray = field(init=False, repr=False, compare=False)
+    _h_log_h: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        g = np.asarray(self.profile, dtype=float)
+        if g.ndim != 1 or g.size < 2 or g.size & (g.size - 1):
+            raise CapacityError("agreement profile must hold 2^period entries, period >= 1")
+        g = _stochastic_rows(g[None, :])[0]   # the x = 0 row is the profile reversed
+        h = g[::-1]
+        nz = h[h > 0]
+        object.__setattr__(self, "profile", g)
+        object.__setattr__(self, "_h_hat", _fwht(h))
+        object.__setattr__(self, "_h_log_h", float((nz * np.log2(nz)).sum()))
+
+    @property
+    def n_inputs(self) -> int:
+        return self.profile.size
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense table p[y|x], 4^period floats, built on each access."""
+        idx = np.arange(self.n_inputs)
+        return self.profile[(~(idx[:, None] ^ idx[None, :])) & (self.n_inputs - 1)]
+
+    def _convolve(self, a: np.ndarray) -> np.ndarray:
+        """(a * h)[x] = sum_y a[y] h[x ^ y]."""
+        return _fwht(_fwht(a) * self._h_hat) / self.n_inputs
+
+    def output_law(self, r: np.ndarray) -> np.ndarray:
+        """q = r P, the output law under the input law r."""
+        return self._convolve(r)
+
+    def divergences(self, q: np.ndarray) -> np.ndarray:
+        """D(x) = sum_y h[x ^ y] log2(h[x ^ y] / q[y]), for q > 0."""
+        return self._h_log_h - self._convolve(np.log2(q))
 
 
 def bsc(eps) -> DiscreteChannel:
@@ -150,38 +230,37 @@ class BaResult:
     lower_bounds: tuple[float, ...]
 
 
-def blahut_arimoto(ch: DiscreteChannel, tol: float = 1e-9,
+def blahut_arimoto(ch: DiscreteChannel | BlockChannel, tol: float = 1e-9,
                    max_iters: int = 10_000) -> BaResult:
     """Alternating maximization with the classical stopping rule: iterate
     until max_x D(x) - log2 sum_x r(x) 2^{D(x)} <= tol, where D(x) is the
     divergence of row x against the output mixture.  The returned capacity
-    is the final lower bound, hence within tol of the true capacity."""
+    is the final lower bound, hence within tol of the true capacity.
+
+    The channel supplies the two contractions, `output_law` and
+    `divergences`; a block channel does them without a dense table."""
     if tol <= 0:
         raise CapacityError(f"tolerance {tol} must be positive")
     if max_iters < 1:
         raise CapacityError(f"need max_iters >= 1, got {max_iters}")
-    P = ch.matrix
     n_in = ch.n_inputs
     r = np.full(n_in, 1.0 / n_in)
     lower_bounds = []
     gap = math.inf
     iterations = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for iterations in range(1, max_iters + 1):
-            q = r @ P
-            ratio = np.where((P > 0) & (q > 0), P / np.where(q > 0, q, 1.0), 1.0)
-            D = np.where(P > 0, P * np.log2(np.where(P > 0, ratio, 1.0)), 0.0).sum(axis=1)
-            weights = r * np.exp2(D)
-            total = weights.sum()
-            lower = math.log2(total) if total > 0 else 0.0
-            upper = float(D.max())
-            lower_bounds.append(lower)
-            gap = upper - lower
-            if gap <= tol:
-                return BaResult(capacity=lower, input_dist=r, gap=gap,
-                                iterations=iterations, converged=True,
-                                lower_bounds=tuple(lower_bounds))
-            r = weights / total
+    for iterations in range(1, max_iters + 1):
+        D = ch.divergences(ch.output_law(r))
+        weights = r * np.exp2(D)
+        total = weights.sum()
+        lower = math.log2(total) if total > 0 else 0.0
+        upper = float(D.max())
+        lower_bounds.append(lower)
+        gap = upper - lower
+        if gap <= tol:
+            return BaResult(capacity=lower, input_dist=r, gap=gap,
+                            iterations=iterations, converged=True,
+                            lower_bounds=tuple(lower_bounds))
+        r = weights / total
     return BaResult(capacity=lower_bounds[-1], input_dist=r, gap=gap,
                     iterations=iterations, converged=False,
                     lower_bounds=tuple(lower_bounds))
@@ -297,16 +376,13 @@ def block_profile(ch: Fsmc, sched: ControlSchedule,
 
 
 def induced_block_channel(ch: Fsmc, sched: ControlSchedule,
-                          max_period: int = DEFAULT_BLOCK_BUDGET) -> DiscreteChannel:
+                          max_period: int = DEFAULT_BLOCK_BUDGET) -> BlockChannel:
     """Memoryless channel on data blocks of one schedule period: inputs and
     outputs are bit sequences of length m+n, transition probabilities exact
-    until the final float conversion.  Memory grows as 4^(m+n)."""
+    until the final float conversion of the agreement profile.  Memory grows
+    as 2^(m+n); only its `matrix` holds 4^(m+n) entries."""
     prof = block_profile(ch, sched, max_period=max_period)
-    n = sched.period
-    gf = np.array([float(x) for x in prof])
-    idx = np.arange(1 << n)
-    agree = (~(idx[:, None] ^ idx[None, :])) & ((1 << n) - 1)
-    return DiscreteChannel(gf[agree])
+    return BlockChannel(np.array([float(x) for x in prof]))
 
 
 def _row_distribution(prof: Sequence[Fraction], n: int) -> np.ndarray:
@@ -385,8 +461,8 @@ def achievable_rate(ch: Fsmc, word: Sequence[str], free_slots: int,
     """Block mutual information per use for the schedule (word, free_slots).
 
     'uniform' evaluates the exact symmetric-channel formula and verifies the
-    entropy chain bound; 'ba' materializes the block table and optimizes the
-    input, which can only improve the rate.
+    entropy chain bound; 'ba' optimizes the input on the block channel, which
+    can only improve the rate.
     """
     sched = ControlSchedule(word=tuple(word), free_slots=free_slots)
     if input_mode == "uniform":

@@ -72,7 +72,10 @@ class Run:
 
     def input_file(self, path) -> Path:
         path = Path(path)
-        self.inputs[str(path)] = _sha256(path)
+        try:
+            self.inputs[str(path)] = _sha256(path)
+        except OSError as exc:
+            raise CliError(f"{path}: cannot read ({exc.strerror})") from None
         return path
 
     def manifest(self) -> dict:
@@ -88,9 +91,12 @@ class Run:
 
     def write_output(self, path, text: str) -> None:
         path = Path(path)
-        path.write_text(text)
         manifest_path = Path(str(path) + ".manifest.json")
-        manifest_path.write_text(json.dumps(self.manifest(), indent=2, sort_keys=True) + "\n")
+        try:
+            path.write_text(text)
+            manifest_path.write_text(json.dumps(self.manifest(), indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise CliError(f"{exc.filename}: cannot write ({exc.strerror})") from None
 
 
 def _load_pfa(run: Run, path) -> pfa.Pfa:
@@ -449,8 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 DOMAIN_ERRORS = (CliError, pfa.PfaError, pfa.BudgetError, gadgets.SigmaError,
                  witness.WitnessError, witness.ClosedFormMismatch,
-                 fsmc.FsmcError, capacity.CapacityError, formats.FormatError,
-                 FileNotFoundError)
+                 fsmc.FsmcError, capacity.CapacityError, formats.FormatError)
 
 
 def main(argv=None) -> int:

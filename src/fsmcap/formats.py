@@ -22,6 +22,7 @@ section is checked as it is read, by the same checks as ``validate_pfa`` and
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -158,6 +159,8 @@ def _read_text(path: Path) -> str:
         return path.read_text()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read ({exc.strerror})") from None
 
 
 def load_pfa(path) -> Pfa:
@@ -243,12 +246,15 @@ def parse_dmc(text: str, source: str = "<string>"):
         row = []
         for tok in tokens:
             try:
-                row.append(float(Fraction(tok)))
-            except (ValueError, ZeroDivisionError):
+                entry = float(Fraction(tok))
+            except (ValueError, ZeroDivisionError, OverflowError):
                 try:
-                    row.append(float(tok))
+                    entry = float(tok)
                 except ValueError:
                     raise FormatError(f"{source}:{lineno}: not a number: {tok!r}") from None
+            if not math.isfinite(entry):
+                raise FormatError(f"{source}:{lineno}: not a finite number: {tok!r}")
+            row.append(entry)
         rows.append(row)
     if not rows:
         raise FormatError(f"{source}: empty channel table")

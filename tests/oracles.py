@@ -66,6 +66,18 @@ def naive_agreement_profile(pattern_dist, length) -> list:
     return out
 
 
+def naive_block_table(prof, length):
+    """The dense block table p[y|x] = g[~(x ^ y)] as it was built before
+    block channels were structured: the float profile indexed by the
+    agreement mask of every (x, y) pair."""
+    import numpy as np
+
+    gf = np.array([float(x) for x in prof])
+    idx = np.arange(1 << length)
+    agree = (~(idx[:, None] ^ idx[None, :])) & ((1 << length) - 1)
+    return gf[agree]
+
+
 def enum_paths_joint(ch, xs):
     """Joint law of (outputs, terminal state) by brute force over every
     (output sequence, state sequence) path."""
@@ -132,15 +144,12 @@ def naive_converse_trial_stats(ch, n, trials, seed):
 
     controls = list(dict.fromkeys(sym.partition(":")[2] for sym in ch.inputs))
     n_c = len(controls)
-    full = (1 << n) - 1
-    d = np.arange(1 << n)
     rows = {}
     g_tables = {}
     for cw in itertools.product(range(n_c), repeat=n):
         prof = agreement_profile(accept_pattern_dist(ch, [controls[i] for i in cw]), n)
-        gf = np.array([float(x) for x in prof])
         # g_tables[cw][x, y] = p(y|x) for data word x, output word y
-        g_tables[cw] = gf[(~(d[:, None] ^ d[None, :])) & full]
+        g_tables[cw] = naive_block_table(prof, n)
         rows[cw] = entropy(g_tables[cw][0])
     rng = np.random.default_rng(seed)
     stats = []

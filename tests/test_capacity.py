@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsmcap.capacity import (BracketBudget, CapacityError, ControlSchedule,
-                             DiscreteChannel, achievability_chain,
+from fsmcap.capacity import (BlockChannel, BracketBudget, CapacityError,
+                             ControlSchedule, DiscreteChannel,
+                             achievability_chain, block_profile,
                              achievable_rate, binary_entropy, blahut_arimoto,
                              block_rate_uniform, bsc, capacity_bracket,
                              converse_check, entropy, induced_block_channel,
@@ -17,6 +19,7 @@ from fsmcap.capacity import (BracketBudget, CapacityError, ControlSchedule,
 from fsmcap.fsmc import build_V, unlift
 from fsmcap.gadgets import build_D_xy
 from fsmcap.pfa import gamma, make_pfa
+from oracles import naive_block_table
 
 F = Fraction
 H = F(1, 2)
@@ -114,8 +117,54 @@ def test_ba_iteration_cap():
 
 
 def test_channel_validation():
-    with pytest.raises(CapacityError):
-        DiscreteChannel(np.array([[0.5, 0.4], [0.5, 0.5]]))
+    for rows in ([[0.5, 0.4], [0.5, 0.5]], [[math.nan, 1.0], [0.5, 0.5]],
+                 [[math.inf, 1.0], [0.5, 0.5]]):
+        with pytest.raises(CapacityError):
+            DiscreteChannel(np.array(rows))
+        with pytest.raises(CapacityError):
+            BlockChannel(np.array(rows[0]))
+
+
+def test_block_channel_validation():
+    for bad in ([1.0], [0.25, 0.25, 0.5], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]):
+        with pytest.raises(CapacityError):
+            BlockChannel(np.array(bad))
+
+
+def _profiles():
+    """Nonnegative agreement profiles of period 1-6, with zeros, point
+    masses and the uniform profile among them."""
+    def normalised(weights):
+        w = np.array(weights, dtype=float)
+        return w / w.sum()
+    period = st.integers(1, 6)
+    weighted = period.flatmap(lambda n: st.lists(
+        st.integers(0, 1000) | st.just(0), min_size=1 << n, max_size=1 << n)
+        .filter(any).map(normalised))
+    point = period.flatmap(lambda n: st.integers(0, (1 << n) - 1).map(
+        lambda k: normalised([int(i == k) for i in range(1 << n)])))
+    uniform = period.map(lambda n: np.full(1 << n, 1.0 / (1 << n)))
+    return weighted | point | uniform
+
+
+@settings(max_examples=150, deadline=None)
+@given(_profiles())
+def test_structured_ba_matches_dense(g):
+    block = BlockChannel(g)
+    table = DiscreteChannel(block.matrix)
+    # BA stops at the uniform input on these symmetric channels, so check
+    # both contractions at a skewed input law as well
+    r = np.random.default_rng(g.size).random(g.size) + 0.1
+    r /= r.sum()
+    q = table.output_law(r)
+    assert np.abs(block.output_law(r) - q).max() <= 1e-12
+    assert np.abs(block.divergences(q) - table.divergences(q)).max() <= 1e-12
+    structured = blahut_arimoto(block, tol=1e-9)
+    dense = blahut_arimoto(table, tol=1e-9)
+    assert structured.iterations == dense.iterations
+    assert structured.converged == dense.converged
+    assert abs(structured.capacity - dense.capacity) <= 1e-12
+    assert abs(structured.gap - dense.gap) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +189,31 @@ def test_block_uniform_for_never_accepting(never_accept):
     ch = build_V(gamma(never_accept))
     block = induced_block_channel(ch, ControlSchedule(word=(), free_slots=3))
     assert np.allclose(block.matrix, np.full((8, 8), 1 / 8))
+
+
+def test_block_matrix_matches_the_naive_table(example1, d_25, d_34, always_accept, never_accept):
+    for automaton, word, free in ((example1, ("b",), 5), (d_25, ("b", "b"), 4),
+                                  (d_34, ("a", "a", "b"), 3), (always_accept, (), 3),
+                                  (never_accept, (), 3)):
+        ch = build_V(gamma(automaton))
+        sched = ControlSchedule(word=word, free_slots=free)
+        want = naive_block_table(block_profile(ch, sched), sched.period)
+        got = induced_block_channel(ch, sched).matrix
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_ba_rate_at_the_block_budget(d_25):
+    ch = build_V(gamma(d_25))
+    uniform = achievable_rate(ch, ("b", "b"), 12)
+    tracemalloc.start()
+    try:
+        rate = achievable_rate(ch, ("b", "b"), 12, input_mode="ba")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the dense 2^14 x 2^14 table alone would take 2 GiB
+    assert peak < 16 * 2 ** 20
+    assert abs(rate - uniform) <= 1e-6 * 14
 
 
 def test_block_budget_guard(always_accept):

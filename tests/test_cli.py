@@ -258,3 +258,21 @@ def test_binary_input_file_is_a_domain_error(capsys, tmp_path):
     binary.write_bytes(b"\xff\xfe\x00")
     code, _, err = run_cli(capsys, "pfa", "validate", "--pfa", binary)
     _assert_one_error_line(code, err, "not a UTF-8 text file")
+
+
+def test_non_finite_channel_entry_is_a_domain_error(capsys, tmp_path):
+    bad = tmp_path / "nan.dmc"
+    bad.write_text("nan 1\n0 1\n")
+    code, out, err = run_cli(capsys, "capacity", "ba", "--channel", bad)
+    assert out == ""
+    _assert_one_error_line(code, err, f"{bad}:1: not a finite number: 'nan'")
+
+
+@pytest.mark.parametrize("argv", [
+    ["pfa", "value", "--pfa", "{dir}", "--word", "a"],
+    ["gadget", "dxy", "--x", "3/4", "--y", "1/2", "--out", "{dir}"],
+])
+def test_unusable_path_is_a_domain_error(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *(tok.format(dir=tmp_path) for tok in argv))
+    assert out == ""
+    _assert_one_error_line(code, err, f"{tmp_path}: cannot")

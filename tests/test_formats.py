@@ -155,6 +155,18 @@ def test_dmc_parse():
         parse_dmc("1/2 1/2\n1/2\n")
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+def test_dmc_rejects_non_finite_entries(token):
+    with pytest.raises(FormatError) as err:
+        parse_dmc(f"1/2 1/2\n{token} 1\n", source="bad.dmc")
+    assert str(err.value) == f"bad.dmc:2: not a finite number: {token!r}"
+
+
+def test_unreadable_path_is_a_format_error(tmp_path):
+    with pytest.raises(FormatError, match=f"{tmp_path}: cannot read"):
+        load_pfa(tmp_path)
+
+
 def test_bsc11_fixture():
     rows = fixtures.bsc11_rows()
     assert rows == [[0.89, 0.11], [0.11, 0.89]]
