@@ -12,8 +12,8 @@ from .gadgets import (GadgetError, SigmaCode, SigmaError, build_B_p, build_C_p,
                       dxy_block_word, dxy_reach_closed_form, sigma_decode,
                       sigma_encode)
 from .witness import (ClosedFormMismatch, WitnessError, WitnessReport,
-                      c_epsilon, solve_b, synthesize_word, witness_lengths,
-                      zeta_tail_bound)
+                      c_epsilon, solve_b, synthesize_word, synthesize_words,
+                      witness_lengths, zeta_tail_bound)
 from .fsmc import (Fsmc, FsmcError, SequenceDist, build_V, joint_seq_dist,
                    sample, validate_fsmc)
 from .capacity import (BaResult, BlockChannel, BracketBudget, CapacityBracket,

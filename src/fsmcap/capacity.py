@@ -9,6 +9,7 @@ operation.  All rates and entropies are in bits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -16,7 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fsmc import Fsmc, lift, unlift
-from .pfa import FREEZE_SYMBOL, RESET_SYMBOL, Pfa, Vector, brute_force_value, mat_vec, value
+from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Pfa, Vector, _is_identity, brute_force_value,
+                  mat_vec, value)
 
 ZERO = Fraction(0)
 
@@ -357,22 +359,57 @@ def agreement_profile(pattern_dist: dict[int, Fraction], length: int) -> list[Fr
     return [Fraction(x, den) for x in g]
 
 
-def block_profile(ch: Fsmc, sched: ControlSchedule,
-                  max_period: int = DEFAULT_BLOCK_BUDGET) -> list[Fraction]:
-    """Agreement profile of one schedule period, with the block-stationarity
-    check: the law of the second period, started from the state law the
-    first period ends in, must equal the first exactly."""
-    n = sched.period
-    if n > max_period:
-        raise CapacityError(f"period {n} exceeds the block budget {max_period}")
-    controls = sched.controls()
-    a = unlift(ch)
+def _prefix_profiles(a: Pfa, sched: ControlSchedule,
+                     max_period: int) -> tuple[list[Fraction], list[Fraction]]:
+    """(G0, G1) of a freeze/reset schedule with word length m and n free
+    slots, after the block-stationarity check.
+
+    Every free slot sees the state s_m the word leads to, so the period's
+    acceptance mask is the word's m-bit prefix mask plus n copies of
+    acc(s_m), and its agreement profile factors exactly as
+
+        g[E] = 2^-n G0[E_pre] + [E_suf = full] G1[E_pre],
+
+    with E_pre the low m bits of E, E_suf the high n, and G_b the m-bit
+    agreement profile of P(prefix mask, acc(s_m) = b).  The cost is O(2^m)
+    exact work, whatever n.  The check walks the word again from the state
+    law the period ends in; both prefix laws must be equal."""
+    period = sched.period
+    if period > max_period:
+        raise CapacityError(f"period {period} exceeds the block budget {max_period}")
+    if sched.free_slots > 1 and not _is_identity(a.matrix(FREEZE_SYMBOL)):
+        raise CapacityError(f"control {FREEZE_SYMBOL!r} is not the identity, so the free "
+                            "slots do not hold the state the word reaches")
+    m = len(sched.word)
+    # slot m outputs by acc(s_m); its control, the reset, moves the state
+    # after that, to where the period ends
+    controls = tuple(sched.word) + (RESET_SYMBOL,)
     first, end = _pattern_law(a, controls)
     second, _ = _pattern_law(a, controls, start=end)
     if first != second:
         raise CapacityError("consecutive blocks are not identically distributed "
                             "(schedule does not end in a reset?)")
-    return agreement_profile(first, n)
+    laws: tuple[dict[int, Fraction], dict[int, Fraction]] = ({}, {})
+    for mask, pr in first.items():
+        laws[mask >> m][mask & ((1 << m) - 1)] = pr
+    return agreement_profile(laws[0], m), agreement_profile(laws[1], m)
+
+
+def _float_prefix_profiles(a: Pfa, sched: ControlSchedule,
+                           max_period: int) -> tuple[np.ndarray, np.ndarray]:
+    return tuple(np.array([float(x) for x in g])
+                 for g in _prefix_profiles(a, sched, max_period))
+
+
+def block_profile(ch: Fsmc, sched: ControlSchedule,
+                  max_period: int = DEFAULT_BLOCK_BUDGET) -> list[Fraction]:
+    """Agreement profile of one schedule period, all 2^period entries,
+    expanded from the factored law (see `_prefix_profiles`), with the same
+    block-stationarity check.  Slot t is bit t, so E = E_pre + 2^m E_suf."""
+    g0, g1 = _prefix_profiles(unlift(ch), sched, max_period)
+    scale = 1 << sched.free_slots
+    low = [x / scale for x in g0]
+    return low * (scale - 1) + [x + y for x, y in zip(low, g1)]
 
 
 def induced_block_channel(ch: Fsmc, sched: ControlSchedule,
@@ -385,10 +422,15 @@ def induced_block_channel(ch: Fsmc, sched: ControlSchedule,
     return BlockChannel(np.array([float(x) for x in prof]))
 
 
-def _row_distribution(prof: Sequence[Fraction], n: int) -> np.ndarray:
-    """p(y|x=0...0) over outputs y encoded as bit masks (slot t = bit t)."""
-    full = (1 << n) - 1
-    return np.array([float(prof[(~y) & full]) for y in range(1 << n)])
+def _row_entropy(g0: np.ndarray, g1: np.ndarray, n: int) -> float:
+    """Entropy in bits of a block-channel row: 2^n - 1 copies of each
+    2^-n g0[e], and each 2^-n g0[e] + g1[e] once.  2^-n x log2(2^-n x) is
+    written through log2 x - n, so nothing overflows or underflows at any n."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = np.where(g0 > 0, g0 * (n - np.log2(g0)), 0.0)
+        full = g1 + np.ldexp(g0, -n)
+        last = np.where(g1 > 0, -full * np.log2(full), np.ldexp(spread, -n))
+    return float((1.0 - math.ldexp(1.0, -n)) * spread.sum() + last.sum())
 
 
 def block_rate_uniform(ch: Fsmc, sched: ControlSchedule,
@@ -400,11 +442,12 @@ def block_rate_uniform(ch: Fsmc, sched: ControlSchedule,
     (period - row entropy) / period; uniform data achieves the block
     capacity.
     """
-    return _uniform_rate(block_profile(ch, sched, max_period=max_period), sched.period)
+    return _uniform_rate(*_float_prefix_profiles(unlift(ch), sched, max_period), sched)
 
 
-def _uniform_rate(prof: Sequence[Fraction], n: int) -> float:
-    return (n - entropy(_row_distribution(prof, n))) / n
+def _uniform_rate(g0: np.ndarray, g1: np.ndarray, sched: ControlSchedule) -> float:
+    period = sched.period
+    return (period - _row_entropy(g0, g1, sched.free_slots)) / period
 
 
 @dataclass(frozen=True)
@@ -431,25 +474,23 @@ class ChainReport:
 
 def achievability_chain(ch: Fsmc, sched: ControlSchedule,
                         max_period: int = DEFAULT_BLOCK_BUDGET) -> ChainReport:
-    prof = block_profile(ch, sched, max_period=max_period)
-    return _chain_report(unlift(ch), sched, prof)
+    a = unlift(ch)
+    return _chain_report(a, sched, *_float_prefix_profiles(a, sched, max_period))
 
 
 def _chain_report(a: Pfa, sched: ControlSchedule,
-                  prof: Sequence[Fraction]) -> ChainReport:
-    m = len(sched.word)
+                  g0: np.ndarray, g1: np.ndarray) -> ChainReport:
+    """The chain from the factored law.  Summing the n suffix slots out of
+    the row leaves G0 + G1 on the prefix; summing the prefix out leaves
+    2^n - 1 suffix outcomes of mass 2^-n (1 - v) and one of 2^-n (1 - v) + v,
+    a row of the same shape with m = 0."""
     n_free = sched.free_slots
-    period = sched.period
-    row = _row_distribution(prof, period)
-    # slot t is bit t, so the word prefix is the low m bits
-    table = row.reshape(1 << n_free, 1 << m)   # axis 0: suffix, axis 1: prefix
-    h_total = entropy(row)
-    prefix_marginal = table.sum(axis=0)
-    suffix_marginal = table.sum(axis=1)
-    h_prefix = entropy(prefix_marginal)
-    h_suffix = entropy(suffix_marginal)
-    val_w = float(value(a, sched.word))
-    return ChainReport(m=m, n=n_free, word_value=val_w, h_total=h_total,
+    v = value(a, sched.word)
+    h_total = _row_entropy(g0, g1, n_free)
+    h_prefix = entropy(g0 + g1)
+    h_suffix = _row_entropy(np.array([float(1 - v)]), np.array([float(v)]), n_free)
+    val_w = float(v)
+    return ChainReport(m=len(sched.word), n=n_free, word_value=val_w, h_total=h_total,
                        h_prefix=h_prefix, h_suffix_given_prefix=h_total - h_prefix,
                        h_suffix=h_suffix, final_bound=1 + (1 - val_w) * n_free)
 
@@ -466,11 +507,12 @@ def achievable_rate(ch: Fsmc, word: Sequence[str], free_slots: int,
     """
     sched = ControlSchedule(word=tuple(word), free_slots=free_slots)
     if input_mode == "uniform":
-        prof = block_profile(ch, sched, max_period=max_period)
-        chain = _chain_report(unlift(ch), sched, prof)
+        a = unlift(ch)
+        g0, g1 = _float_prefix_profiles(a, sched, max_period)
+        chain = _chain_report(a, sched, g0, g1)
         if not chain.chain_holds:
             raise CapacityError(f"entropy chain violated: {chain}")
-        return _uniform_rate(prof, sched.period)
+        return _uniform_rate(g0, g1, sched)
     if input_mode == "ba":
         block = induced_block_channel(ch, sched, max_period=max_period)
         result = blahut_arimoto(block, tol=ba_tol * sched.period)
@@ -753,17 +795,33 @@ def block_spectrum(ch: Fsmc, sched: ControlSchedule,
                    max_period: int = DEFAULT_BLOCK_BUDGET):
     """Information-density atoms of one block under uniform data: the output
     is uniform, so the density at agreement set E is period + log2 g(E) with
-    probability g(E)."""
-    prof = block_profile(ch, sched, max_period=max_period)
-    n = sched.period
-    groups: dict[Fraction, Fraction] = {}
-    for g in prof:
-        if g > 0:
-            groups[g] = groups.get(g, ZERO) + g
-    values = np.array([n + math.log2(float(g)) for g in groups])
-    probs = np.array([float(p) for p in groups.values()])
-    probs = probs / probs.sum()
-    return values, probs
+    probability g(E).  Equal g(E) form one atom, in order of their first E.
+    By the factored law the rows E_suf != full repeat 2^-n G0 (2^n - 1
+    times) and the last row is 2^-n G0 + G1, so the atoms come from 2^m
+    values of each kind, whatever n.  An atom whose g(E) leaves the normal
+    float range raises CapacityError."""
+    g0, g1 = _prefix_profiles(unlift(ch), sched, max_period)
+    n = sched.free_slots
+    scale = 1 << n
+    counts: dict[Fraction, int] = {}     # 2^n g(E), exact -> number of such E
+    for x in g0:
+        if x:
+            counts[x] = counts.get(x, 0) + scale - 1
+    for x, y in zip(g0, g1):
+        key = x + y * scale
+        if key:
+            counts[key] = counts.get(key, 0) + 1
+    values, probs = [], []
+    for key, count in counts.items():
+        den = key.denominator << n
+        g = key.numerator / den
+        if g < sys.float_info.min:
+            raise CapacityError(f"an information-density atom at free length {n} "
+                                "underflows a float")
+        values.append(sched.period + math.log2(g))
+        probs.append(key.numerator * count / den)
+    probs = np.array(probs)
+    return np.array(values), probs / probs.sum()
 
 
 @dataclass(frozen=True)

@@ -186,10 +186,8 @@ def cmd_witness(run: Run, args) -> int:
             raise CliError("plain mode needs --x")
         kwargs["x"] = pfa.frac(args.x)
     rows = ["k,p_q1_q3,p_q4_q6"]
-    # k < 2 runs once, so that the library rejects it
-    for k in range(min(args.k, 2), args.k + 1):
-        report = witness.synthesize_word(k=k, **kwargs)
-        rows.append(f"{k},{_real(report.p_q1_q3)},{_real(report.p_q4_q6)}")
+    for report in witness.synthesize_words(k=args.k, **kwargs):
+        rows.append(f"{report.k},{_real(report.p_q1_q3)},{_real(report.p_q4_q6)}")
     print(f"x: {_rat(report.x)}  eps: {_rat(report.eps)}  y: {_rat(report.y)}  k: {report.k}")
     if report.b is not None:
         print(f"b: {_real(report.b)}  zeta tail bound: {_real(witness.zeta_tail_bound(report.b))}")

@@ -130,11 +130,15 @@ def build_D_Ay(a: Pfa, y) -> Pfa:
     trailing group optionally unterminated, the branches race exactly as in
     the coin gadget with x = value(a, w) per group, so the value stays <= y
     whenever every inner value is <= 1/2 and climbs to 2y when some inner
-    value exceeds 1/2.  Off-protocol words are weaker: held mass shielded
-    inside a copy survives separator pairs, so an inner automaton with
-    positive values <= 1/2 admits words above y (value('acabbc') = 3y/2 on
-    the two-state uniform mixer).  The all-words bound <= y is guaranteed
-    only when the inner automaton has no positive-value word at all.
+    value exceeds 1/2.  Off-protocol words are not capped: held mass
+    shielded inside a copy survives separator pairs, and each further
+    (a a c) round moves a share of the remaining mass into the hold class,
+    so the values climb to 2y for an inner automaton with any
+    positive-value word.  On the unary mixer (value 1/2 on every nonempty
+    word), acaabbc (aac)^k has value y (2 - 2^-(k+1)).  The all-words
+    bound <= y is guaranteed only when the inner automaton has no
+    positive-value word at all; a value bound of y supplied for any other
+    member is unsound.
     """
     check_pfa(a)
     y = _check_y(frac(y))

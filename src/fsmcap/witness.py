@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import gadgets
-from .pfa import Pfa, PfaError, Word, frac, reach_mass, reach_prob, value
+from .pfa import Pfa, Word, accept_mass, evolve, frac, point_dist, value
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -138,6 +138,20 @@ def synthesize_word(x=None, eps=None, k: int = 2, y=HALF,
     a b inside a block would recall held mass mid-block and no closed form
     describes that.  Any simulation/closed-form disagreement raises.
     """
+    *_, last = synthesize_words(x, eps, k, y, inner, inner_word)
+    return last
+
+
+def synthesize_words(x=None, eps=None, k: int = 2, y=HALF,
+                     inner: Optional[Pfa] = None,
+                     inner_word: Optional[Sequence[str]] = None) -> Iterator[WitnessReport]:
+    """The reports `synthesize_word` gives for 2, 3, ..., k, from one pass.
+
+    The block lengths n_i do not depend on k, so word k+1 is word k, a
+    separator and one more block.  The pass advances the laws from q1, from
+    q4 and from the initial state block by block and checks each k against
+    the closed forms for that k.  Arguments are checked before the first
+    report is asked for."""
     eps = frac(eps)
     y = frac(y)
     if inner is not None:
@@ -161,45 +175,54 @@ def synthesize_word(x=None, eps=None, k: int = 2, y=HALF,
     if not (0 < eps < x):
         raise WitnessError(f"tolerance {eps} outside (0, x)")
     if x == 1:
-        b = None
-        lengths = [1] * (k - 1 if k >= 2 else 0)
         if k < 2:
             raise WitnessError(f"need k >= 2, got {k}")
+        b = None
+        lengths = [1] * (k - 1)
     else:
         b = solve_b(x)
         lengths = witness_lengths(x, eps, k, b=b)
+    return _reports(gadget, block, lengths, x, eps, y, b)
 
-    pieces: list[str] = []
+
+def _reports(gadget: Pfa, block: Word, lengths: Sequence[int], x: Fraction,
+             eps: Fraction, y: Fraction, b: Optional[float]) -> Iterator[WitnessReport]:
+    top = [gadget.state_index(s) for s in gadgets.TOP_SUCCESS_CLASS]
+    sink = gadget.state_index(gadgets.BOTTOM_FAIL_STATE)
+    hold = [gadget.state_index(s) for s in gadgets.BOTTOM_HOLD_CLASS]
+    from_q1, from_q4 = point_dist(gadget, "q1"), point_dist(gadget, "q4")
+    from_start = gadget.initial
+    word: Word = ()
     for i, n in enumerate(lengths):
-        if i:
-            pieces.append("b")
-        pieces.extend(block * n)
-    word = tuple(pieces)
+        piece = (("b",) if i else ()) + block * n
+        word += piece
+        from_q1 = evolve(gadget, piece, start=from_q1)
+        from_q4 = evolve(gadget, piece, start=from_q4)
+        from_start = evolve(gadget, piece, start=from_start)
+        p_top = sum((from_q1[j] for j in top), ZERO)
+        p_sink = from_q4[sink]
+        p_hold = sum((from_q4[j] for j in hold), ZERO)
+        val = accept_mass(gadget, from_start)
 
-    p_top = reach_mass(gadget, "q1", word, gadgets.TOP_SUCCESS_CLASS)
-    p_sink = reach_prob(gadget, "q4", word, gadgets.BOTTOM_FAIL_STATE)
-    p_hold = reach_mass(gadget, "q4", word, gadgets.BOTTOM_HOLD_CLASS)
-    val = value(gadget, word)
+        cf_top, cf_sink, cf_hold, cf_val = _closed_forms(x, y, lengths[:i + 1])
+        mismatches = [
+            (name, got, want)
+            for name, got, want in (
+                ("success class from q1", p_top, cf_top),
+                ("failure sink from q4", p_sink, cf_sink),
+                ("hold mass from q4", p_hold, cf_hold),
+                ("word value", val, cf_val),
+            )
+            if got != want
+        ]
+        if mismatches:
+            detail = "; ".join(f"{name}: simulated {got}, closed form {want}"
+                               for name, got, want in mismatches)
+            raise ClosedFormMismatch(detail)
 
-    cf_top, cf_sink, cf_hold, cf_val = _closed_forms(x, y, lengths)
-    mismatches = [
-        (name, got, want)
-        for name, got, want in (
-            ("success class from q1", p_top, cf_top),
-            ("failure sink from q4", p_sink, cf_sink),
-            ("hold mass from q4", p_hold, cf_hold),
-            ("word value", val, cf_val),
-        )
-        if got != want
-    ]
-    if mismatches:
-        detail = "; ".join(f"{name}: simulated {got}, closed form {want}"
-                           for name, got, want in mismatches)
-        raise ClosedFormMismatch(detail)
-
-    return WitnessReport(
-        lengths=tuple(lengths), word=word,
-        p_q1_q3=p_top, p_q4_q6=p_sink, p_q4_hold=p_hold, value=val,
-        requirement1_met=p_sink <= eps,
-        requirement2_met=p_top >= 1 - eps,
-        x=x, eps=eps, y=y, k=k, b=b)
+        yield WitnessReport(
+            lengths=tuple(lengths[:i + 1]), word=word,
+            p_q1_q3=p_top, p_q4_q6=p_sink, p_q4_hold=p_hold, value=val,
+            requirement1_met=p_sink <= eps,
+            requirement2_met=p_top >= 1 - eps,
+            x=x, eps=eps, y=y, k=i + 2, b=b)

@@ -171,3 +171,66 @@ def naive_converse_trial_stats(ch, n, trials, seed):
             p_y += p_c * (p_d @ g)
         stats.append((h_y_given_x, (entropy(p_y) - h_y_given_x) / n))
     return stats
+
+
+def naive_block_profile(ch, sched, max_period=14):
+    """Agreement profile of one schedule period by walking the whole period
+    twice, as block profiles were built before the factored law: the law of
+    the second period, started from the state law the first period ends in,
+    must equal the first exactly."""
+    from fsmcap.capacity import CapacityError, _pattern_law, agreement_profile
+    from fsmcap.fsmc import unlift
+
+    n = sched.period
+    if n > max_period:
+        raise CapacityError(f"period {n} exceeds the block budget {max_period}")
+    controls = sched.controls()
+    a = unlift(ch)
+    first, end = _pattern_law(a, controls)
+    second, _ = _pattern_law(a, controls, start=end)
+    if first != second:
+        raise CapacityError("consecutive blocks are not identically distributed "
+                            "(schedule does not end in a reset?)")
+    return agreement_profile(first, n)
+
+
+def _naive_row(prof, n):
+    """p(y|x=0...0) over outputs y encoded as bit masks (slot t = bit t)."""
+    import numpy as np
+
+    full = (1 << n) - 1
+    return np.array([float(prof[(~y) & full]) for y in range(1 << n)])
+
+
+def naive_uniform_rate(prof, n):
+    """(period - row entropy) / period from the expanded row."""
+    from fsmcap.capacity import entropy
+
+    return (n - entropy(_naive_row(prof, n))) / n
+
+
+def naive_chain_fields(prof, sched):
+    """(h_total, h_prefix, h_suffix) with the marginals summed out of the
+    expanded 2^n_free x 2^m table."""
+    from fsmcap.capacity import entropy
+
+    m = len(sched.word)
+    row = _naive_row(prof, sched.period)
+    table = row.reshape(1 << sched.free_slots, 1 << m)   # axis 0: suffix, axis 1: prefix
+    return entropy(row), entropy(table.sum(axis=0)), entropy(table.sum(axis=1))
+
+
+def naive_block_spectrum(prof, n):
+    """Density atoms grouped by equal profile value in order of first
+    appearance, from the expanded profile."""
+    import math
+
+    import numpy as np
+
+    groups = {}
+    for g in prof:
+        if g > 0:
+            groups[g] = groups.get(g, Fraction(0)) + g
+    values = np.array([n + math.log2(float(g)) for g in groups])
+    probs = np.array([float(p) for p in groups.values()])
+    return values, probs / probs.sum()

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -12,14 +13,15 @@ from fsmcap.capacity import (BlockChannel, BracketBudget, CapacityError,
                              ControlSchedule, DiscreteChannel,
                              achievability_chain, block_profile,
                              achievable_rate, binary_entropy, blahut_arimoto,
-                             block_rate_uniform, bsc, capacity_bracket,
+                             block_rate_uniform, block_spectrum, bsc, capacity_bracket,
                              converse_check, entropy, induced_block_channel,
                              information_spectrum, mutual_information,
                              spectrum_concentration_demo, stability_schedule)
-from fsmcap.fsmc import build_V, unlift
+from fsmcap.fsmc import build_V, lift, unlift
 from fsmcap.gadgets import build_D_xy
 from fsmcap.pfa import gamma, make_pfa
 from oracles import naive_block_table
+from test_pfa import small_pfas
 
 F = Fraction
 H = F(1, 2)
@@ -293,6 +295,92 @@ def test_witness_block_rate_bracket(d_34):
 
 
 # ---------------------------------------------------------------------------
+# The factored freeze/reset law against the two-walk oracle.
+# ---------------------------------------------------------------------------
+
+def _agrees_with_the_oracle(ch, sched):
+    """Same profile Fractions and spectrum atoms as the two-walk oracle, and
+    the rate and the chain within 1e-12."""
+    from oracles import (naive_block_profile, naive_block_spectrum, naive_chain_fields,
+                         naive_uniform_rate)
+    want = naive_block_profile(ch, sched)
+    assert block_profile(ch, sched) == want
+    for got, ref in zip(block_spectrum(ch, sched), naive_block_spectrum(want, sched.period)):
+        assert np.array_equal(got, ref)
+    assert abs(block_rate_uniform(ch, sched) - naive_uniform_rate(want, sched.period)) <= 1e-12
+    chain = achievability_chain(ch, sched)
+    got = (chain.h_total, chain.h_prefix, chain.h_suffix)
+    for g, r in zip(got, naive_chain_fields(want, sched)):
+        assert abs(g - r) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["example1", "amp3", "d_34", "d_25", "family3",
+                                  "always_accept", "never_accept"])
+def test_factored_law_matches_the_two_walk_oracle(name, request):
+    a = request.getfixturevalue(name)
+    ch = lift(a)
+    symbols = [s for s in a.alphabet if s not in ("id", "rt")]
+    for m in range(4):
+        words = list(itertools.islice(itertools.product(symbols, repeat=m), 3))
+        # three words at short free lengths, one at the block budget
+        for word, free in [(w, f) for w in words for f in (1, 2, 5)] + [(words[0], 14 - m)]:
+            _agrees_with_the_oracle(ch, ControlSchedule(word=word, free_slots=free))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_pfas(), st.data())
+def test_factored_law_matches_the_oracle_on_random_automata(p, data):
+    start = data.draw(st.integers(0, p.n_states - 1))
+    p = dataclasses.replace(p, initial=tuple(F(int(i == start)) for i in range(p.n_states)))
+    word = tuple(data.draw(st.lists(st.sampled_from(p.alphabet), max_size=4)))
+    sched = ControlSchedule(word=word, free_slots=data.draw(st.integers(1, 5)))
+    _agrees_with_the_oracle(lift(p), sched)
+
+
+def test_rates_at_long_free_lengths(d_25):
+    # word b has value 1/2; the rate climbs toward it as n grows, each rate
+    # from O(2^m) exact work
+    from fsmcap.pfa import value as pfa_value
+    ch = lift(d_25)
+    word = ("b",)
+    v = float(pfa_value(d_25, word))
+    rates = []
+    for n in (100, 1000, 10_000):
+        rate = achievable_rate(ch, word, n, max_period=n + 1)
+        chain = achievability_chain(ch, ControlSchedule(word, n), max_period=n + 1)
+        assert math.isfinite(rate) and chain.chain_holds
+        assert rate >= (n * v - 1) / (len(word) + n) - 1e-12
+        rates.append(rate)
+    assert rates[0] < rates[1] < rates[2] < v
+    # the budget still guards the period, whatever the cost
+    with pytest.raises(CapacityError, match="block budget"):
+        achievable_rate(ch, word, 10_000)
+
+
+def test_factored_law_guards(d_25):
+    lifted = gamma(d_25)
+    sched = ControlSchedule(word=("b",), free_slots=3)
+    # a freeze that moves the state breaks the factored law
+    moving = build_V(dataclasses.replace(
+        lifted, matrices={**lifted.matrices, "id": lifted.matrices["b"]}))
+    with pytest.raises(CapacityError, match="not the identity") as err:
+        achievable_rate(moving, ("b",), 3)
+    assert "\n" not in str(err.value)
+    # a reset that keeps the state makes consecutive blocks differ
+    sticky = build_V(dataclasses.replace(
+        lifted, matrices={**lifted.matrices, "rt": lifted.matrices["id"]}))
+    for call in (block_rate_uniform, block_profile, block_spectrum):
+        with pytest.raises(CapacityError, match="not identically distributed"):
+            call(sticky, sched)
+    # an atom 2^-n g below the float range is an error, not a math domain error
+    ch = build_V(lifted)
+    with pytest.raises(CapacityError, match="underflows"):
+        block_spectrum(ch, ControlSchedule(("b",), 1100), max_period=1101)
+    values, probs = block_spectrum(ch, ControlSchedule(("b",), 1000), max_period=1001)
+    assert np.all(np.isfinite(values)) and abs(probs.sum() - 1) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # Converse and brackets.
 # ---------------------------------------------------------------------------
 
@@ -511,10 +599,12 @@ def _count_calls(monkeypatch, name):
 
 
 def test_uniform_rate_builds_one_block_profile(monkeypatch, d_34):
+    # the profile is built once, in factored form, and never expanded
     ch = build_V(gamma(d_34))
-    calls = _count_calls(monkeypatch, "block_profile")
+    factored = _count_calls(monkeypatch, "_prefix_profiles")
+    expanded = _count_calls(monkeypatch, "block_profile")
     achievable_rate(ch, ("a", "b"), 7)
-    assert len(calls) == 1
+    assert len(factored) == 1 and not expanded
 
 
 def test_converse_derives_structure_once(monkeypatch, d_25):

@@ -152,6 +152,18 @@ def test_day_off_protocol_boundary(uniform_mixer):
     assert value(g, tuple("acabbc")) == F(3, 4)
 
 
+def test_day_off_protocol_values_climb_to_2y():
+    # characterization of the same defect: on the unary mixer every
+    # (a a c) round after the separator pair moves half of the remaining
+    # mass into the hold class, so the value tends to 2y
+    m = [[H, H], [H, H]]
+    unary_mixer = make_pfa(["r", "g"], ["a"], {"a": m}, [1, 0], ["g"])
+    y = F(1, 4)
+    g = build_D_Ay(unary_mixer, y)
+    for k in range(6):
+        assert value(g, tuple("acaabbc" + "aac" * k)) == y * (2 - F(1, 2 ** (k + 1)))
+
+
 # ---------------------------------------------------------------------------
 # Amplifiers.
 # ---------------------------------------------------------------------------

@@ -134,3 +134,34 @@ def test_synthesize_lifted_rejects_separator_in_inner_word(example1):
 def test_synthesize_lifted_rejects_low_inner_value(uniform_mixer):
     with pytest.raises(WitnessError):
         synthesize_word(eps=F(1, 10), k=3, inner=uniform_mixer, inner_word=("a",))
+
+
+def test_incremental_reports_match_direct_simulation(always_accept):
+    # every report of the one-pass walk equals a fresh simulation of its word
+    from fsmcap import gadgets
+    from fsmcap.pfa import make_pfa, reach_mass, reach_prob, value
+    from fsmcap.witness import synthesize_words
+    inner = make_pfa(["g", "h"], ["a"],
+                     {"a": [[F(1, 4), F(1, 4)], [F(3, 4), F(3, 4)]]},
+                     [1, 0], ["h"])
+    cases = ((dict(x=F(3, 4)), gadgets.build_D_xy(F(3, 4), H)),
+             (dict(inner=inner, inner_word=("a",)), gadgets.build_D_Ay(inner, H)),
+             (dict(inner=always_accept, inner_word=("a",)), gadgets.build_D_Ay(always_accept, H)))
+    for kwargs, gadget in cases:
+        reports = list(synthesize_words(eps=F(1, 10), k=9, **kwargs))
+        assert [r.k for r in reports] == list(range(2, 10))
+        final = synthesize_word(eps=F(1, 10), k=9, **kwargs)
+        assert reports[-1] == final
+        for r in reports:
+            assert r.lengths == final.lengths[:r.k - 1]
+            assert r.p_q1_q3 == reach_mass(gadget, "q1", r.word, gadgets.TOP_SUCCESS_CLASS)
+            assert r.p_q4_q6 == reach_prob(gadget, "q4", r.word, gadgets.BOTTOM_FAIL_STATE)
+            assert r.p_q4_hold == reach_mass(gadget, "q4", r.word, gadgets.BOTTOM_HOLD_CLASS)
+            assert r.value == value(gadget, r.word)
+
+
+def test_synthesize_words_checks_arguments_eagerly():
+    from fsmcap.witness import synthesize_words
+    for kwargs in (dict(x=F(3, 4), k=1), dict(x=F(1), k=1), dict(x=H, k=4)):
+        with pytest.raises(WitnessError):
+            synthesize_words(eps=F(1, 10), **kwargs)
