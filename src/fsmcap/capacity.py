@@ -495,6 +495,16 @@ def _chain_report(a: Pfa, sched: ControlSchedule,
                        h_suffix=h_suffix, final_bound=1 + (1 - val_w) * n_free)
 
 
+def _chained_uniform_rate(a: Pfa, sched: ControlSchedule,
+                          g0: np.ndarray, g1: np.ndarray) -> float:
+    """The uniform block rate from the factored law, after the entropy
+    chain check."""
+    chain = _chain_report(a, sched, g0, g1)
+    if not chain.chain_holds:
+        raise CapacityError(f"entropy chain violated: {chain}")
+    return _uniform_rate(g0, g1, sched)
+
+
 def achievable_rate(ch: Fsmc, word: Sequence[str], free_slots: int,
                     input_mode: str = "uniform",
                     max_period: int = DEFAULT_BLOCK_BUDGET,
@@ -508,11 +518,7 @@ def achievable_rate(ch: Fsmc, word: Sequence[str], free_slots: int,
     sched = ControlSchedule(word=tuple(word), free_slots=free_slots)
     if input_mode == "uniform":
         a = unlift(ch)
-        g0, g1 = _float_prefix_profiles(a, sched, max_period)
-        chain = _chain_report(a, sched, g0, g1)
-        if not chain.chain_holds:
-            raise CapacityError(f"entropy chain violated: {chain}")
-        return _uniform_rate(g0, g1, sched)
+        return _chained_uniform_rate(a, sched, *_float_prefix_profiles(a, sched, max_period))
     if input_mode == "ba":
         block = induced_block_channel(ch, sched, max_period=max_period)
         result = blahut_arimoto(block, tol=ba_tol * sched.period)
@@ -712,8 +718,6 @@ def capacity_bracket(a: Pfa, delta, budget: BracketBudget = BracketBudget(),
     else:
         upper, certificate = 1.0, "trivial"
 
-    ch = lift(a)
-
     word = result.best_word
     m = len(word)
     v = val_estimate
@@ -721,12 +725,18 @@ def capacity_bracket(a: Pfa, delta, budget: BracketBudget = BracketBudget(),
     candidates = {n_max}
     suggested = math.ceil((1 + max(0.0, v - 2 * delta) * m) / delta)
     candidates.add(max(1, min(n_max, suggested)))
+    # the factored law depends on the word alone; building it for the
+    # longest schedule runs the period and freeze guards once for all
+    extended = unlift(lift(a))
+    g0, g1 = _float_prefix_profiles(
+        extended, ControlSchedule(word=word, free_slots=max(candidates)), budget.block)
     lower = 0.0
     provenance = {"m": m, "n": 0, "delta": delta, "word": "".join(word)}
     for n_free in sorted(candidates):
         if n_free < 1:
             continue
-        rate = achievable_rate(ch, word, n_free, max_period=budget.block)
+        rate = _chained_uniform_rate(extended, ControlSchedule(word=word, free_slots=n_free),
+                                     g0, g1)
         if rate > lower:
             lower = rate
             provenance = {"m": m, "n": n_free, "delta": delta, "word": "".join(word)}
@@ -828,7 +838,6 @@ def block_spectrum(ch: Fsmc, sched: ControlSchedule,
 class SpectrumDemoReport:
     eta: float
     delta: float
-    t: int
     n_total: int
     samples: int
     block_rate: float            # exact block mutual information per use
@@ -839,9 +848,8 @@ class SpectrumDemoReport:
     analytic_rate: float
 
 
-def _hoeffding_bound(n: int, c_n: float, delta: float, eta: float,
-                     val: float, t: int) -> float:
-    margin = eta - 1.0 / (val * 2.0 ** (t - 1))
+def _hoeffding_bound(n: int, c_n: float, delta: float, eta: float, val: float) -> float:
+    margin = eta - 1.0 / val
     if margin <= 0:
         return 2.0
     return min(2.0, 2.0 * math.exp(-2.0 * (n * c_n * delta * margin) ** 2 / n ** 1.5))
@@ -849,14 +857,13 @@ def _hoeffding_bound(n: int, c_n: float, delta: float, eta: float,
 
 def spectrum_concentration_demo(ch: Fsmc, sched: ControlSchedule, m_blocks: int,
                                 eta, delta, samples: int, seed: int,
-                                val: Optional[float] = None, t: int = 1,
+                                val: Optional[float] = None,
                                 max_period: int = DEFAULT_BLOCK_BUDGET) -> SpectrumDemoReport:
-    """Sample the staged source's information density (t=1 prefix: m_blocks
-    i.i.d. copies of one block) and compare the deviation tail against the
-    two-sided Hoeffding expression, normalized both by the supplied value
-    and by the exact block rate."""
-    if t > 2:
-        raise CapacityError("demo is restricted to stages t <= 2")
+    """Sample the information density of the staged source's first stage
+    (m_blocks i.i.d. copies of one block) and compare the deviation tail
+    against the two-sided Hoeffding expression with the stage-1 margin
+    eta - 1/val, normalized both by the supplied value and by the exact
+    block rate."""
     if m_blocks < 1 or samples < 1:
         raise CapacityError("need at least one block and one sample")
     if seed < 0:
@@ -886,8 +893,8 @@ def spectrum_concentration_demo(ch: Fsmc, sched: ControlSchedule, m_blocks: int,
     tail_val = float(np.mean(np.abs(sums / (n_total * val) - 1.0) >= eta * delta))
     tail_rate = float(np.mean(np.abs(sums / (n_total * c_n) - 1.0) >= eta * delta))
     return SpectrumDemoReport(
-        eta=eta, delta=delta, t=t, n_total=n_total, samples=samples,
+        eta=eta, delta=delta, n_total=n_total, samples=samples,
         block_rate=c_n, val=val,
         empirical_tail_val=tail_val, empirical_tail_rate=tail_rate,
-        analytic_val=_hoeffding_bound(n_total, c_n, delta, eta, val, t),
-        analytic_rate=_hoeffding_bound(n_total, c_n, delta, eta, c_n, t))
+        analytic_val=_hoeffding_bound(n_total, c_n, delta, eta, val),
+        analytic_rate=_hoeffding_bound(n_total, c_n, delta, eta, c_n))

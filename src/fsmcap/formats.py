@@ -70,9 +70,6 @@ class _Reader:
     def done(self) -> bool:
         return self.pos >= len(self.lines)
 
-    def peek(self):
-        return self.lines[self.pos]
-
     def take(self):
         item = self.lines[self.pos]
         self.pos += 1

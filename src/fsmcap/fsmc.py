@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Matrix, Pfa, PfaError, _columns_equal,
-                  _is_identity, check_pfa, duplicate_violations, gamma,
+                  _is_identity, duplicate_violations, gamma,
                   membership_violations, table_violations)
 
 ZERO = Fraction(0)
@@ -35,7 +35,8 @@ class Fsmc:
     """Channel with finite input/output alphabets and internal states.
 
     ``output_law[x][y][s']`` is p(y | x, s') and ``state_law[x][s][s']`` is
-    p(s | x, s'); both tables are column-stochastic in s'.
+    p(s | x, s'); both tables are column-stochastic in s'.  Construction
+    checks every invariant and raises FsmcError listing the violations.
     """
 
     inputs: tuple[str, ...]
@@ -44,6 +45,9 @@ class Fsmc:
     output_law: dict[str, Matrix]
     state_law: dict[str, Matrix]
     initial: str
+
+    def __post_init__(self):
+        check_fsmc(self)
 
     @property
     def n_states(self) -> int:
@@ -105,7 +109,6 @@ def build_V(p: Pfa) -> Fsmc:
     a fair coin otherwise; the state moves by the control symbol's matrix.
     Requires a deterministic initial distribution.
     """
-    check_pfa(p)
     support = [i for i, e in enumerate(p.initial) if e]
     if len(support) != 1 or p.initial[support[0]] != 1:
         raise FsmcError("channel lift needs a deterministic initial distribution")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .pfa import Matrix, Pfa, PfaError, Vector, check_pfa, frac, gamma
+from .pfa import Matrix, Pfa, PfaError, Vector, frac, gamma
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -112,8 +112,8 @@ def build_D_xy(x, y) -> Pfa:
         cols[sym]["q0"] = _blend((HALF, cols[sym]["q1"]), (HALF, cols[sym]["q4"]))
     matrices = {sym: _columns_to_matrix(SKELETON_STATES, c) for sym, c in cols.items()}
     initial = tuple(ONE if s == "q0" else ZERO for s in SKELETON_STATES)
-    return check_pfa(Pfa(states=SKELETON_STATES, alphabet=("a", "b"), matrices=matrices,
-                         initial=initial, accepting=frozenset({"q3", "q5a"})))
+    return Pfa(states=SKELETON_STATES, alphabet=("a", "b"), matrices=matrices,
+               initial=initial, accepting=frozenset({"q3", "q5a"}))
 
 
 def build_D_Ay(a: Pfa, y) -> Pfa:
@@ -140,7 +140,6 @@ def build_D_Ay(a: Pfa, y) -> Pfa:
     positive-value word at all; a value bound of y supplied for any other
     member is unsound.
     """
-    check_pfa(a)
     y = _check_y(frac(y))
     if not set(a.alphabet) <= {"a", "b"}:
         raise GadgetError(f"inner alphabet {a.alphabet} must be a subset of {{a, b}}")
@@ -187,8 +186,8 @@ def build_D_Ay(a: Pfa, y) -> Pfa:
         cols["q0"] = _blend((HALF, cols["q1"]), (HALF, cols["q4"]))
         matrices[sym] = _columns_to_matrix(states, cols)
     initial = tuple(ONE if s == "q0" else ZERO for s in states)
-    return check_pfa(Pfa(states=states, alphabet=("a", "b", "c"), matrices=matrices,
-                         initial=initial, accepting=frozenset({"q3", "q5a"})))
+    return Pfa(states=states, alphabet=("a", "b", "c"), matrices=matrices,
+               initial=initial, accepting=frozenset({"q3", "q5a"}))
 
 
 def gadget_state_count(n_inner: int) -> int:
@@ -202,7 +201,6 @@ def _fresh(name: str, taken) -> str:
 
 
 def _amplifier(a: Pfa, p: Fraction, sink_accepting: bool) -> Pfa:
-    check_pfa(a)
     if not (0 < p < 1):
         raise GadgetError(f"amplification weight {p} outside (0, 1)")
     init = _fresh("init", a.states)
@@ -224,8 +222,8 @@ def _amplifier(a: Pfa, p: Fraction, sink_accepting: bool) -> Pfa:
     accepting = set(a.accepting)
     if sink_accepting:
         accepting.add(sink)
-    return check_pfa(Pfa(states=states, alphabet=a.alphabet, matrices=matrices,
-                         initial=initial, accepting=frozenset(accepting)))
+    return Pfa(states=states, alphabet=a.alphabet, matrices=matrices,
+               initial=initial, accepting=frozenset(accepting))
 
 
 def build_B_p(a: Pfa, p) -> Pfa:

@@ -9,6 +9,7 @@ to M @ u.  All arithmetic is exact; floats are rejected at the boundary.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -24,6 +25,8 @@ Word = tuple[str, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+_EXACT_TYPES = {int, Fraction}
 
 
 class PfaError(ValueError):
@@ -57,13 +60,18 @@ def make_matrix(rows) -> Matrix:
 @dataclass(frozen=True)
 class Pfa:
     """Automaton (states, alphabet, one column-stochastic matrix per symbol,
-    initial distribution, accepting subset)."""
+    initial distribution, accepting subset).  Construction checks every
+    invariant and raises PfaError listing the violations, so every Pfa is
+    valid."""
 
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
     matrices: dict[str, Matrix]
     initial: Vector
     accepting: frozenset[str]
+
+    def __post_init__(self):
+        check_pfa(self)
 
     @property
     def n_states(self) -> int:
@@ -103,28 +111,57 @@ def membership_violations(names: Iterable[str], states: Sequence[str], what: str
     return [f"{what} {s!r} is not a state" for s in names if s not in states]
 
 
+def _first_inexact(entries: Sequence) -> Optional[int]:
+    """Index of the first entry that is neither an int nor a Fraction."""
+    if set(map(type, entries)) <= _EXACT_TYPES:
+        return None
+    return next((k for k, e in enumerate(entries) if not isinstance(e, (int, Fraction))), None)
+
+
+def _column_sums(ratios: Sequence[tuple[int, int]], n: int) -> tuple[list[int], int]:
+    """Sums of the n interleaved columns of row-major (numerator,
+    denominator) pairs, as integer numerators over one common denominator."""
+    den = math.lcm(*{d for _, d in ratios})
+    totals = [0] * n
+    for k, (x, d) in enumerate(ratios):
+        if x:
+            totals[k % n] += x * (den // d)
+    return totals, den
+
+
 def table_violations(what: str, m, n_rows: int, states: Sequence[str]) -> list[str]:
-    """Shape, negative entries and column sums of a table whose columns are
-    laws over `n_rows` outcomes, one column per state."""
+    """Shape, entry types, negative entries and column sums of a table whose
+    columns are laws over `n_rows` outcomes, one column per state.  Signs and
+    sums are read off integer numerators; a Fraction is built only for a
+    message."""
     n = len(states)
     if len(m) != n_rows or any(len(row) != n for row in m):
         return [f"{what} is not {n_rows}x{n}"]
-    out = [f"{what} entry ({i},{j}) = {e} is negative"
-           for i, row in enumerate(m) for j, e in enumerate(row) if e < 0]
-    for j, state in enumerate(states):
-        total = sum((row[j] for row in m), ZERO)
-        if total != 1:
-            out.append(f"{what} column {j} ({state!r}) sums to {total}")
+    entries = [e for row in m for e in row]
+    k = _first_inexact(entries)
+    if k is not None:
+        return [f"{what} entry ({k // n},{k % n}) = {entries[k]!r} is not an int or a Fraction"]
+    ratios = [e.as_integer_ratio() for e in entries]
+    out = [f"{what} entry ({k // n},{k % n}) = {entries[k]} is negative"
+           for k, (x, _) in enumerate(ratios) if x < 0]
+    totals, den = _column_sums(ratios, n)
+    out += [f"{what} column {j} ({state!r}) sums to {Fraction(totals[j], den)}"
+            for j, state in enumerate(states) if totals[j] != den]
     return out
 
 
 def initial_violations(initial: Sequence[Fraction], n: int) -> list[str]:
     if len(initial) != n:
         return [f"initial distribution has {len(initial)} entries, expected {n}"]
-    out = [f"initial entry {j} = {e} is negative" for j, e in enumerate(initial) if e < 0]
-    total = sum(initial, ZERO)
-    if total != 1:
-        out.append(f"initial distribution sums to {total}")
+    j = _first_inexact(initial)
+    if j is not None:
+        return [f"initial entry {j} = {initial[j]!r} is not an int or a Fraction"]
+    ratios = [e.as_integer_ratio() for e in initial]
+    out = [f"initial entry {j} = {initial[j]} is negative"
+           for j, (x, _) in enumerate(ratios) if x < 0]
+    (total,), den = _column_sums(ratios, 1)
+    if total != den:
+        out.append(f"initial distribution sums to {Fraction(total, den)}")
     return out
 
 
@@ -325,7 +362,6 @@ def brute_force_value(p: Pfa, max_len: int, budget: int = DEFAULT_SEARCH_BUDGET)
     word.  The budget still bounds the number of words, checked before any
     work.
     """
-    check_pfa(p)
     _check_budget(p, max_len, budget)
     best_word: Word = ()
     best_value = accept_mass(p, p.initial)
@@ -344,7 +380,6 @@ def emptiness_semidecide(p: Pfa, delta, max_len: int,
     delta = frac(delta)
     if not (0 <= delta <= 1):
         raise PfaError(f"threshold {delta} outside [0, 1]")
-    check_pfa(p)
     _check_budget(p, max_len, budget)
     for word, dist in _level_walk(p, max_len):
         if accept_mass(p, dist) > delta:

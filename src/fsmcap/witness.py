@@ -32,31 +32,17 @@ class ClosedFormMismatch(RuntimeError):
 
 
 def solve_b(x) -> float:
-    """Bisect for the b > 1 with x^b = 1 - x; residual at most 1e-12."""
+    """The b > 1 with x^b = 1 - x, which is log(1 - x) / log(x)."""
     x = frac(x)
     if not (HALF < x < 1):
         raise WitnessError(f"survival probability {x} outside (1/2, 1)")
     xf = float(x)
-    target = 1.0 - xf
-
-    def residual(b: float) -> float:
-        return xf ** b - target
-
-    lo, hi = 1.0, 2.0
-    while residual(hi) > 0:
-        lo, hi = hi, hi * 2
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if residual(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 and abs(residual(mid)) <= 1e-12:
-            break
-    b = (lo + hi) / 2
-    if abs(residual(b)) > 1e-12:
-        raise WitnessError(f"bisection stalled at b={b} (residual {residual(b)})")
-    return b
+    if 0.5 < xf < 1.0:
+        b = math.log(1.0 - xf) / math.log(xf)
+        if b > 1.0:
+            return b
+    raise WitnessError(f"survival probability {x} is too close to 1/2 or 1 to resolve "
+                       "b > 1 in floating point")
 
 
 def c_epsilon(x, eps, b: Optional[float] = None) -> float:
@@ -88,8 +74,6 @@ def zeta_tail_bound(b: float) -> float:
     """Upper bound b/(b-1) on sum_{n>=1} n^-b for b > 1."""
     if b <= 1:
         raise WitnessError(f"tail bound needs b > 1, got {b}")
-    if b - 1 == 0:
-        return math.inf
     return b / (b - 1)
 
 
@@ -113,15 +97,8 @@ class WitnessReport:
 def _closed_forms(x: Fraction, y: Fraction, lengths: Sequence[int]):
     """Success class, failure sink, hold mass and value for the synthesized
     word (separators after every block except the last)."""
-    closed = lengths[:-1]
-    survive_top = ONE
-    survive_bot = ONE
-    for n in closed:
-        survive_top *= 1 - x ** n
-        survive_bot *= 1 - (1 - x) ** n
-    p_top = ONE - survive_top
-    p_bot_sink = ONE - survive_bot
-    residual_home = survive_bot * (1 - x) ** lengths[-1]
+    p_top, p_bot_sink = gadgets.dxy_reach_closed_form(x, lengths[:-1])
+    residual_home = (1 - p_bot_sink) * (1 - x) ** lengths[-1]
     p_bot_hold = ONE - p_bot_sink - residual_home
     return p_top, p_bot_sink, p_bot_hold, y * (p_top + p_bot_hold)
 

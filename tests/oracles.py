@@ -234,3 +234,45 @@ def naive_block_spectrum(prof, n):
     values = np.array([n + math.log2(float(g)) for g in groups])
     probs = np.array([float(p) for p in groups.values()])
     return values, probs / probs.sum()
+
+
+def naive_table_violations(what, m, n_rows, states) -> list:
+    """Shape, negative entries and column sums of a table, with every
+    column summed as Fractions."""
+    n = len(states)
+    if len(m) != n_rows or any(len(row) != n for row in m):
+        return [f"{what} is not {n_rows}x{n}"]
+    out = [f"{what} entry ({i},{j}) = {e} is negative"
+           for i, row in enumerate(m) for j, e in enumerate(row) if e < 0]
+    for j, state in enumerate(states):
+        total = sum((row[j] for row in m), Fraction(0))
+        if total != 1:
+            out.append(f"{what} column {j} ({state!r}) sums to {total}")
+    return out
+
+
+def naive_initial_violations(initial, n) -> list:
+    if len(initial) != n:
+        return [f"initial distribution has {len(initial)} entries, expected {n}"]
+    out = [f"initial entry {j} = {e} is negative" for j, e in enumerate(initial) if e < 0]
+    total = sum(initial, Fraction(0))
+    if total != 1:
+        out.append(f"initial distribution sums to {total}")
+    return out
+
+
+def naive_violations(states, alphabet, matrices, initial, accepting) -> list:
+    """Every violation of an automaton's invariants, in the order the
+    validator reports them, from the Fraction-sum checks above."""
+    out = ["duplicate state names"] if len(set(states)) != len(states) else []
+    out += ["duplicate alphabet symbols"] if len(set(alphabet)) != len(alphabet) else []
+    out += [f"no matrix for symbol {sym!r}" for sym in alphabet if sym not in matrices]
+    out += [f"matrix for symbol {sym!r} not in the alphabet"
+            for sym in matrices if sym not in alphabet]
+    for sym in alphabet:
+        if sym in matrices:
+            out += naive_table_violations(f"matrix {sym!r}", matrices[sym], len(states), states)
+    out += naive_initial_violations(initial, len(states))
+    out += [f"accepting state {s!r} is not a state" for s in sorted(accepting)
+            if s not in states]
+    return out

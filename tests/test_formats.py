@@ -6,8 +6,8 @@ import pytest
 from fsmcap import fixtures
 from fsmcap.formats import (FormatError, load_pfa, parse_dmc, parse_fsmc,
                             parse_pfa, serialize_fsmc, serialize_pfa)
-from fsmcap.fsmc import build_V, validate_fsmc
-from fsmcap.pfa import gamma, make_matrix, validate_pfa
+from fsmcap.fsmc import FsmcError, build_V
+from fsmcap.pfa import PfaError, gamma, make_matrix, validate_pfa
 
 GOOD = """\
 # worked example
@@ -106,7 +106,7 @@ def test_fsmc_bad_table_rejected(example1):
 
 
 # (old text, new text, line of the violation, the same change on the parsed
-# automaton): each leaves exactly one violation.
+# automaton): each leaves exactly one violation, which construction raises.
 SINGLE_VIOLATIONS = {
     "column sum": ("0 0 1/2\nmatrix b", "0 0 1/10\nmatrix b", 6,
                    lambda p: dataclasses.replace(p, matrices={**p.matrices, "a": make_matrix(
@@ -126,7 +126,10 @@ SINGLE_VIOLATIONS = {
 @pytest.mark.parametrize("case", sorted(SINGLE_VIOLATIONS))
 def test_parser_reports_the_validator_message(case):
     old, new, line, change = SINGLE_VIOLATIONS[case]
-    (violation,) = validate_pfa(change(parse_pfa(GOOD)))
+    with pytest.raises(PfaError) as built:
+        change(parse_pfa(GOOD))
+    violation = str(built.value)
+    assert "; " not in violation
     with pytest.raises(FormatError) as err:
         parse_pfa(GOOD.replace(old, new), source="bad.pfa")
     assert str(err.value) == f"bad.pfa:{line}: {violation}"
@@ -140,8 +143,10 @@ def test_fsmc_parser_reports_the_validator_message(example1, rows):
     header = lines.index("output 0:a:")
     lines[header + 1:header + 3] = rows
     bad_table = make_matrix([row.split() for row in rows])
-    (violation,) = validate_fsmc(dataclasses.replace(
-        ch, output_law={**ch.output_law, "0:a": bad_table}))
+    with pytest.raises(FsmcError) as built:
+        dataclasses.replace(ch, output_law={**ch.output_law, "0:a": bad_table})
+    violation = str(built.value)
+    assert "; " not in violation
     with pytest.raises(FormatError) as err:
         parse_fsmc("\n".join(lines), source="bad.fsmc")
     assert str(err.value) == f"bad.fsmc:{header + 1}: {violation}"

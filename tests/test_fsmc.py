@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsmcap import fsmc as fsmc_module
 from fsmcap.fsmc import (Fsmc, FsmcError, build_V, joint_seq_dist, lift, sample,
                          unlift, validate_fsmc)
-from fsmcap.gadgets import build_family_member
+from fsmcap.gadgets import build_D_xy, build_family_member
 from fsmcap.pfa import PfaError, gamma, make_pfa
 from oracles import enum_paths_joint
 from test_pfa import small_pfas
@@ -180,3 +181,31 @@ def test_sample_uniform_when_never_accepting(never_accept):
     ys = sample(ch, ("0:a",) * n, seed=2024)
     freq = ys.count("0") / n
     assert abs(freq - 0.5) <= 0.01
+
+
+def test_lifted_coin_with_a_doubled_state_column_cannot_be_built():
+    # a channel whose state law moves mass 2 out of q0 would be a "law" of
+    # total mass above 1 for every sequence, rate and demo built on it
+    ch = lift(build_D_xy(F(3, 5), F(1, 4)))
+    doubled = tuple(tuple(2 * e if j == 0 else e for j, e in enumerate(row))
+                    for row in ch.state_law["0:a"])
+    with pytest.raises(FsmcError) as err:
+        dataclasses.replace(ch, state_law={**ch.state_law, "0:a": doubled, "1:a": doubled})
+    assert str(err.value) == ("state table '0:a' column 0 ('q0') sums to 2; "
+                              "state table '1:a' column 0 ('q0') sums to 2")
+
+
+def test_every_channel_construction_checks_once(monkeypatch, example1):
+    calls = []
+    original = fsmc_module.check_fsmc
+
+    def counting(ch):
+        calls.append(ch)
+        return original(ch)
+
+    monkeypatch.setattr(fsmc_module, "check_fsmc", counting)
+    for make in (lambda: toy_channel(2), lambda: build_V(example1),
+                 lambda: lift(example1)):
+        calls.clear()
+        built = make()
+        assert calls == [built]

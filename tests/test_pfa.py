@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -6,11 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsmcap.pfa import (BudgetError, PfaError, brute_force_value,
+from fsmcap import formats, fsmc, gadgets, pfa
+from fsmcap.pfa import (BudgetError, Pfa, PfaError, brute_force_value,
                         detect_freeze_reset, emptiness_semidecide, evolve,
-                        gamma, iter_words, make_pfa, mat_vec, reach_prob,
-                        reduce_extended_word, validate_pfa, value)
-from oracles import naive_mat_vec, naive_reach, naive_value
+                        gamma, initial_violations, iter_words, make_pfa, mat_vec,
+                        reach_prob, reduce_extended_word, table_violations,
+                        validate_pfa, value)
+from oracles import (naive_initial_violations, naive_mat_vec, naive_reach,
+                     naive_table_violations, naive_value, naive_violations)
 
 F = Fraction
 H = F(1, 2)
@@ -21,29 +25,41 @@ def test_validate_example1_clean(example1):
 
 
 def test_validate_bad_column_sum(example1):
-    bad = make_pfa(example1.states, example1.alphabet,
-                   {"a": [[H, 1, 0], [H, 0, H], [F(1, 10), 0, H]],
-                    "b": example1.matrices["b"]},
-                   example1.initial, example1.accepting)
-    violations = validate_pfa(bad)
-    assert len(violations) == 1
-    assert "column 0" in violations[0] and "11/10" in violations[0]
+    with pytest.raises(PfaError) as err:
+        make_pfa(example1.states, example1.alphabet,
+                 {"a": [[H, 1, 0], [H, 0, H], [F(1, 10), 0, H]],
+                  "b": example1.matrices["b"]},
+                 example1.initial, example1.accepting)
+    assert str(err.value) == "matrix 'a' column 0 ('q1') sums to 11/10"
 
 
 def test_validate_unknown_accepting(example1):
-    bad = make_pfa(example1.states, example1.alphabet, example1.matrices,
-                   example1.initial, ["q3", "ghost"])
-    violations = validate_pfa(bad)
-    assert len(violations) == 1
-    assert "ghost" in violations[0]
+    with pytest.raises(PfaError) as err:
+        make_pfa(example1.states, example1.alphabet, example1.matrices,
+                 example1.initial, ["q3", "ghost"])
+    assert str(err.value) == "accepting state 'ghost' is not a state"
 
 
 def test_validate_negative_entry(example1):
-    bad = make_pfa(example1.states, example1.alphabet,
-                   {"a": [[F(3, 2), 1, 0], [-H, 0, H], [0, 0, H]],
-                    "b": example1.matrices["b"]},
-                   example1.initial, example1.accepting)
-    assert any("negative" in v for v in validate_pfa(bad))
+    with pytest.raises(PfaError) as err:
+        make_pfa(example1.states, example1.alphabet,
+                 {"a": [[F(3, 2), 1, 0], [-H, 0, H], [0, 0, H]],
+                  "b": example1.matrices["b"]},
+                 example1.initial, example1.accepting)
+    assert str(err.value) == "matrix 'a' entry (1,0) = -1/2 is negative"
+
+
+@pytest.mark.parametrize("where", ["matrix", "initial"])
+def test_float_entry_is_a_one_line_error(where):
+    # floats that sum to 1.0 exactly are still not exact rationals
+    matrices = {"a": ((0.5, 0.5), (0.5, 0.5)) if where == "matrix" else ((H, H), (H, H))}
+    initial = (0.25, 0.75) if where == "initial" else (H, H)
+    with pytest.raises(PfaError) as err:
+        Pfa(states=("s", "t"), alphabet=("a",), matrices=matrices, initial=initial,
+            accepting=frozenset({"t"}))
+    want = {"matrix": "matrix 'a' entry (0,0) = 0.5 is not an int or a Fraction",
+            "initial": "initial entry 0 = 0.25 is not an int or a Fraction"}[where]
+    assert str(err.value) == want
 
 
 def test_evolve_empty_word(example1):
@@ -285,3 +301,100 @@ def test_search_matches_full_enumeration(p, max_len, y):
     for threshold in {y} | {v for _, v in scored}:
         expected = next((w for w, v in scored if v > threshold), None)
         assert emptiness_semidecide(p, threshold, max_len) == expected
+
+
+# ---------------------------------------------------------------------------
+# Validation on construction.
+# ---------------------------------------------------------------------------
+
+# Entry perturbations: off by a small rational (often with a new
+# denominator), negated, or replaced by a plain int.
+perturbations = st.one_of(
+    st.tuples(st.just("shift"), st.fractions(min_value=-1, max_value=1, max_denominator=7)),
+    st.tuples(st.just("negate"), st.none()),
+    st.tuples(st.just("int"), st.integers(-1, 2)),
+)
+
+
+def _perturb(e, how):
+    kind, arg = how
+    return e + arg if kind == "shift" else -e if kind == "negate" else arg
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_pfas(), st.data())
+def test_exact_checks_match_fraction_sums(p, data):
+    n = p.n_states
+    matrices = {sym: [list(row) for row in m] for sym, m in p.matrices.items()}
+    initial = list(p.initial)
+    for _ in range(data.draw(st.integers(0, 3))):
+        how = data.draw(perturbations)
+        sym = data.draw(st.sampled_from(p.alphabet + ("initial",)))
+        j = data.draw(st.integers(0, n - 1))
+        if sym == "initial":
+            initial[j] = _perturb(initial[j], how)
+        else:
+            i = data.draw(st.integers(0, n - 1))
+            matrices[sym][i][j] = _perturb(matrices[sym][i][j], how)
+    for sym, m in matrices.items():
+        assert (table_violations(f"matrix {sym!r}", m, n, p.states)
+                == naive_table_violations(f"matrix {sym!r}", m, n, p.states))
+    assert initial_violations(initial, n) == naive_initial_violations(initial, n)
+    want = naive_violations(p.states, p.alphabet, matrices, initial, p.accepting)
+    fields = dict(states=p.states, alphabet=p.alphabet, matrices=matrices,
+                  initial=tuple(initial), accepting=p.accepting)
+    if want:
+        with pytest.raises(PfaError) as err:
+            Pfa(**fields)
+        assert str(err.value) == "; ".join(want)
+    else:
+        assert validate_pfa(Pfa(**fields)) == []
+
+
+@pytest.fixture
+def check_pfa_calls(monkeypatch):
+    """Count the checks: Pfa construction calls check_pfa by its module
+    global, so a patched global sees every one."""
+    calls = []
+    original = pfa.check_pfa
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(pfa, "check_pfa", counting)
+    return calls
+
+
+def test_built_automata_are_not_checked_again(check_pfa_calls, family3, amp3):
+    brute_force_value(family3, 3)
+    emptiness_semidecide(family3, H, 3)
+    fsmc.build_V(family3)
+    assert len(check_pfa_calls) == 0
+    # each builder constructs one automaton and checks only that one
+    for build in (lambda: gadgets.build_D_xy(F(3, 4), H),
+                  lambda: gadgets.build_D_Ay(amp3, H),
+                  lambda: gadgets.build_B_p(amp3, H),
+                  lambda: gadgets.build_C_p(amp3, H)):
+        check_pfa_calls.clear()
+        built = build()
+        assert check_pfa_calls == [built]
+
+
+def test_every_construction_checks_once(check_pfa_calls, example1):
+    text = formats.serialize_pfa(example1)
+    lifted = fsmc.build_V(example1)
+    makers = (
+        lambda: make_pfa(example1.states, example1.alphabet, example1.matrices,
+                         example1.initial, example1.accepting),
+        lambda: Pfa(example1.states, example1.alphabet, example1.matrices,
+                    example1.initial, example1.accepting),
+        lambda: dataclasses.replace(example1, accepting=frozenset({"q2"})),
+        lambda: gamma(example1),
+        lambda: fsmc.unlift(lifted),
+        lambda: formats.parse_pfa(text),
+    )
+    for make in makers:
+        check_pfa_calls.clear()
+        built = make()
+        assert check_pfa_calls == [built]

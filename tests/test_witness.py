@@ -29,6 +29,10 @@ def test_solve_b_range():
     for x in (H, F(1, 4), F(1), F(3, 2)):
         with pytest.raises(WitnessError):
             solve_b(x)
+    # inside (1/2, 1) but a float away from it: b would be 1.0 or need log(0)
+    for x in (H + F(1, 10 ** 20), 1 - F(1, 10 ** 20)):
+        with pytest.raises(WitnessError, match="floating point"):
+            solve_b(x)
 
 
 def test_witness_lengths_against_high_precision_oracle():
