@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fsmc import Fsmc, lift, unlift
-from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Pfa, Vector, _is_identity, brute_force_value,
-                  mat_vec, value)
+from .fsmc import Fsmc, lifted_automaton, unlift
+from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Pfa, Vector, _columns_equal, _is_identity,
+                  brute_force_value, mat_vec)
 
 ZERO = Fraction(0)
 
@@ -33,10 +33,12 @@ class CapacityError(ValueError):
 # Information measures.
 # ---------------------------------------------------------------------------
 
-def _as_dist(p, tol: float = 1e-9) -> np.ndarray:
-    arr = np.asarray([float(e) for e in p], dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise CapacityError("need a one-dimensional distribution")
+def _as_dist(p, ndim: int = 1, tol: float = 1e-9) -> np.ndarray:
+    """p as a float array of `ndim` dimensions, after checking that it is a
+    distribution within tol."""
+    arr = np.asarray(p, dtype=float)
+    if arr.ndim != ndim or arr.size == 0:
+        raise CapacityError(f"need a {ndim}-dimensional distribution")
     if np.any(arr < -tol):
         raise CapacityError("distribution has negative entries")
     if abs(arr.sum() - 1.0) > tol:
@@ -60,31 +62,6 @@ def binary_entropy(eps) -> float:
     return -eps * math.log2(eps) - (1 - eps) * math.log2(1 - eps)
 
 
-def _as_joint(joint, tol: float = 1e-9) -> np.ndarray:
-    arr = np.asarray([[float(e) for e in row] for row in joint], dtype=float)
-    if arr.ndim != 2:
-        raise CapacityError("need a two-dimensional joint distribution")
-    if np.any(arr < -tol):
-        raise CapacityError("joint has negative entries")
-    if abs(arr.sum() - 1.0) > tol:
-        raise CapacityError(f"joint sums to {arr.sum()}")
-    return np.clip(arr, 0.0, None)
-
-
-def mutual_information(joint) -> float:
-    """I(X;Y) in bits from a joint table p[x][y]."""
-    arr = _as_joint(joint)
-    px = arr.sum(axis=1)
-    py = arr.sum(axis=0)
-    total = 0.0
-    for i in range(arr.shape[0]):
-        for j in range(arr.shape[1]):
-            p = arr[i, j]
-            if p > 0:
-                total += p * math.log2(p / (px[i] * py[j]))
-    return total
-
-
 @dataclass(frozen=True)
 class SpectrumSample:
     """One atom of the information-density distribution."""
@@ -94,7 +71,7 @@ class SpectrumSample:
 
 def information_spectrum(joint) -> list[SpectrumSample]:
     """Distribution of log2(p(y|x)/p(y)); its mean is the mutual information."""
-    arr = _as_joint(joint)
+    arr = _as_dist(joint, ndim=2)
     px = arr.sum(axis=1)
     py = arr.sum(axis=0)
     out = []
@@ -105,6 +82,15 @@ def information_spectrum(joint) -> list[SpectrumSample]:
                 out.append(SpectrumSample(
                     value=math.log2(p / (px[i] * py[j])), probability=float(p)))
     return out
+
+
+def mutual_information(joint) -> float:
+    """I(X;Y) in bits from a joint table p[x][y]: the mean of its
+    information spectrum."""
+    total = 0.0
+    for atom in information_spectrum(joint):
+        total += atom.value * atom.probability
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +227,8 @@ def blahut_arimoto(ch: DiscreteChannel | BlockChannel, tol: float = 1e-9,
 
     The channel supplies the two contractions, `output_law` and
     `divergences`; a block channel does them without a dense table."""
-    if tol <= 0:
-        raise CapacityError(f"tolerance {tol} must be positive")
+    if not 0 < tol < math.inf:
+        raise CapacityError(f"tolerance {tol} must be positive and finite")
     if max_iters < 1:
         raise CapacityError(f"need max_iters >= 1, got {max_iters}")
     n_in = ch.n_inputs
@@ -317,26 +303,22 @@ def _masses(frontier: dict[int, Vector]) -> dict[int, Fraction]:
     return {mask: sum(vec, ZERO) for mask, vec in frontier.items()}
 
 
-def _pattern_law(a: Pfa, controls: Sequence[str],
-                 start: Optional[Vector] = None) -> tuple[dict[int, Fraction], Vector]:
-    """Acceptance-pattern law along `controls` and the state distribution
-    after the last slot (the frontier's vectors summed over masks)."""
-    frontier: dict[int, Vector] = {0: a.initial if start is None else tuple(start)}
+def _pattern_law(a: Pfa, controls: Sequence[str]) -> dict[int, Fraction]:
+    """Acceptance-pattern law along `controls`, from the initial law."""
+    frontier: dict[int, Vector] = {0: a.initial}
     for t, c in enumerate(controls):
         frontier = _pattern_step(a, frontier, t, c)
-    end = tuple(sum(col, ZERO) for col in zip(*frontier.values()))
-    return _masses(frontier), end
+    return _masses(frontier)
 
 
-def accept_pattern_dist(ch: Fsmc, controls: Sequence[str],
-                        start: Optional[Vector] = None) -> dict[int, Fraction]:
+def accept_pattern_dist(ch: Fsmc, controls: Sequence[str]) -> dict[int, Fraction]:
     """Exact law of the per-slot acceptance indicators along a control word.
 
     Bit t of the mask is set when the state occupied before slot t is
     accepting.  The state trajectory ignores the data input, so this is the
     whole memory the block channel has.
     """
-    return _pattern_law(unlift(ch), controls, start)[0]
+    return _pattern_law(unlift(ch), controls)
 
 
 def agreement_profile(pattern_dist: dict[int, Fraction], length: int) -> list[Fraction]:
@@ -360,9 +342,9 @@ def agreement_profile(pattern_dist: dict[int, Fraction], length: int) -> list[Fr
 
 
 def _prefix_profiles(a: Pfa, sched: ControlSchedule,
-                     max_period: int) -> tuple[list[Fraction], list[Fraction]]:
-    """(G0, G1) of a freeze/reset schedule with word length m and n free
-    slots, after the block-stationarity check.
+                     max_period: int) -> tuple[list[Fraction], list[Fraction], Fraction]:
+    """(G0, G1, value of the word) of a freeze/reset schedule with word
+    length m and n free slots, from one walk of the word and the reset.
 
     Every free slot sees the state s_m the word leads to, so the period's
     acceptance mask is the word's m-bit prefix mask plus n copies of
@@ -371,34 +353,33 @@ def _prefix_profiles(a: Pfa, sched: ControlSchedule,
         g[E] = 2^-n G0[E_pre] + [E_suf = full] G1[E_pre],
 
     with E_pre the low m bits of E, E_suf the high n, and G_b the m-bit
-    agreement profile of P(prefix mask, acc(s_m) = b).  The cost is O(2^m)
-    exact work, whatever n.  The check walks the word again from the state
-    law the period ends in; both prefix laws must be equal."""
+    agreement profile of P(prefix mask, acc(s_m) = b).  The word's value is
+    the mass of acc(s_m) = 1.  The cost is O(2^m) exact work, whatever n.
+    Consecutive periods are i.i.d. because the reset sends every state to
+    the initial law, which is checked on its matrix."""
     period = sched.period
     if period > max_period:
         raise CapacityError(f"period {period} exceeds the block budget {max_period}")
     if sched.free_slots > 1 and not _is_identity(a.matrix(FREEZE_SYMBOL)):
         raise CapacityError(f"control {FREEZE_SYMBOL!r} is not the identity, so the free "
                             "slots do not hold the state the word reaches")
+    if not _columns_equal(a.matrix(RESET_SYMBOL), a.initial):
+        raise CapacityError("consecutive blocks are not identically distributed "
+                            "(schedule does not end in a reset?)")
     m = len(sched.word)
     # slot m outputs by acc(s_m); its control, the reset, moves the state
     # after that, to where the period ends
-    controls = tuple(sched.word) + (RESET_SYMBOL,)
-    first, end = _pattern_law(a, controls)
-    second, _ = _pattern_law(a, controls, start=end)
-    if first != second:
-        raise CapacityError("consecutive blocks are not identically distributed "
-                            "(schedule does not end in a reset?)")
     laws: tuple[dict[int, Fraction], dict[int, Fraction]] = ({}, {})
-    for mask, pr in first.items():
+    for mask, pr in _pattern_law(a, tuple(sched.word) + (RESET_SYMBOL,)).items():
         laws[mask >> m][mask & ((1 << m) - 1)] = pr
-    return agreement_profile(laws[0], m), agreement_profile(laws[1], m)
+    return (agreement_profile(laws[0], m), agreement_profile(laws[1], m),
+            sum(laws[1].values(), ZERO))
 
 
 def _float_prefix_profiles(a: Pfa, sched: ControlSchedule,
-                           max_period: int) -> tuple[np.ndarray, np.ndarray]:
-    return tuple(np.array([float(x) for x in g])
-                 for g in _prefix_profiles(a, sched, max_period))
+                           max_period: int) -> tuple[np.ndarray, np.ndarray, Fraction]:
+    g0, g1, v = _prefix_profiles(a, sched, max_period)
+    return np.array([float(x) for x in g0]), np.array([float(x) for x in g1]), v
 
 
 def block_profile(ch: Fsmc, sched: ControlSchedule,
@@ -406,7 +387,7 @@ def block_profile(ch: Fsmc, sched: ControlSchedule,
     """Agreement profile of one schedule period, all 2^period entries,
     expanded from the factored law (see `_prefix_profiles`), with the same
     block-stationarity check.  Slot t is bit t, so E = E_pre + 2^m E_suf."""
-    g0, g1 = _prefix_profiles(unlift(ch), sched, max_period)
+    g0, g1, _ = _prefix_profiles(unlift(ch), sched, max_period)
     scale = 1 << sched.free_slots
     low = [x / scale for x in g0]
     return low * (scale - 1) + [x + y for x, y in zip(low, g1)]
@@ -442,7 +423,8 @@ def block_rate_uniform(ch: Fsmc, sched: ControlSchedule,
     (period - row entropy) / period; uniform data achieves the block
     capacity.
     """
-    return _uniform_rate(*_float_prefix_profiles(unlift(ch), sched, max_period), sched)
+    g0, g1, _ = _float_prefix_profiles(unlift(ch), sched, max_period)
+    return _uniform_rate(g0, g1, sched)
 
 
 def _uniform_rate(g0: np.ndarray, g1: np.ndarray, sched: ControlSchedule) -> float:
@@ -474,18 +456,16 @@ class ChainReport:
 
 def achievability_chain(ch: Fsmc, sched: ControlSchedule,
                         max_period: int = DEFAULT_BLOCK_BUDGET) -> ChainReport:
-    a = unlift(ch)
-    return _chain_report(a, sched, *_float_prefix_profiles(a, sched, max_period))
+    return _chain_report(sched, *_float_prefix_profiles(unlift(ch), sched, max_period))
 
 
-def _chain_report(a: Pfa, sched: ControlSchedule,
-                  g0: np.ndarray, g1: np.ndarray) -> ChainReport:
-    """The chain from the factored law.  Summing the n suffix slots out of
-    the row leaves G0 + G1 on the prefix; summing the prefix out leaves
-    2^n - 1 suffix outcomes of mass 2^-n (1 - v) and one of 2^-n (1 - v) + v,
-    a row of the same shape with m = 0."""
+def _chain_report(sched: ControlSchedule, g0: np.ndarray, g1: np.ndarray,
+                  v: Fraction) -> ChainReport:
+    """The chain from the factored law and the word's value v.  Summing the
+    n suffix slots out of the row leaves G0 + G1 on the prefix; summing the
+    prefix out leaves 2^n - 1 suffix outcomes of mass 2^-n (1 - v) and one
+    of 2^-n (1 - v) + v, a row of the same shape with m = 0."""
     n_free = sched.free_slots
-    v = value(a, sched.word)
     h_total = _row_entropy(g0, g1, n_free)
     h_prefix = entropy(g0 + g1)
     h_suffix = _row_entropy(np.array([float(1 - v)]), np.array([float(v)]), n_free)
@@ -495,11 +475,11 @@ def _chain_report(a: Pfa, sched: ControlSchedule,
                        h_suffix=h_suffix, final_bound=1 + (1 - val_w) * n_free)
 
 
-def _chained_uniform_rate(a: Pfa, sched: ControlSchedule,
-                          g0: np.ndarray, g1: np.ndarray) -> float:
+def _chained_uniform_rate(sched: ControlSchedule, g0: np.ndarray, g1: np.ndarray,
+                          v: Fraction) -> float:
     """The uniform block rate from the factored law, after the entropy
     chain check."""
-    chain = _chain_report(a, sched, g0, g1)
+    chain = _chain_report(sched, g0, g1, v)
     if not chain.chain_holds:
         raise CapacityError(f"entropy chain violated: {chain}")
     return _uniform_rate(g0, g1, sched)
@@ -517,8 +497,7 @@ def achievable_rate(ch: Fsmc, word: Sequence[str], free_slots: int,
     """
     sched = ControlSchedule(word=tuple(word), free_slots=free_slots)
     if input_mode == "uniform":
-        a = unlift(ch)
-        return _chained_uniform_rate(a, sched, *_float_prefix_profiles(a, sched, max_period))
+        return _chained_uniform_rate(sched, *_float_prefix_profiles(unlift(ch), sched, max_period))
     if input_mode == "ba":
         block = induced_block_channel(ch, sched, max_period=max_period)
         result = blahut_arimoto(block, tol=ba_tol * sched.period)
@@ -722,21 +701,18 @@ def capacity_bracket(a: Pfa, delta, budget: BracketBudget = BracketBudget(),
     m = len(word)
     v = val_estimate
     n_max = budget.block - m
-    candidates = {n_max}
-    suggested = math.ceil((1 + max(0.0, v - 2 * delta) * m) / delta)
-    candidates.add(max(1, min(n_max, suggested)))
+    # clamp before rounding up: at a tiny delta the quotient is infinite
+    suggested = math.ceil(min(n_max, (1 + max(0.0, v - 2 * delta) * m) / delta))
+    candidates = {n_max, max(1, suggested)}
     # the factored law depends on the word alone; building it for the
-    # longest schedule runs the period and freeze guards once for all
-    extended = unlift(lift(a))
-    g0, g1 = _float_prefix_profiles(
-        extended, ControlSchedule(word=word, free_slots=max(candidates)), budget.block)
+    # longest schedule runs the period, freeze and reset guards once for all
+    profiles = _float_prefix_profiles(
+        lifted_automaton(a), ControlSchedule(word=word, free_slots=max(candidates)),
+        budget.block)
     lower = 0.0
     provenance = {"m": m, "n": 0, "delta": delta, "word": "".join(word)}
     for n_free in sorted(candidates):
-        if n_free < 1:
-            continue
-        rate = _chained_uniform_rate(extended, ControlSchedule(word=word, free_slots=n_free),
-                                     g0, g1)
+        rate = _chained_uniform_rate(ControlSchedule(word=word, free_slots=n_free), *profiles)
         if rate > lower:
             lower = rate
             provenance = {"m": m, "n": n_free, "delta": delta, "word": "".join(word)}
@@ -782,6 +758,8 @@ def stability_schedule(val, delta, n_list: Sequence[int]) -> StabilitySchedule:
     n_list = [int(n) for n in n_list]
     if len(n_list) < 2:
         raise CapacityError("need n_t for at least two stages (t and t+1)")
+    if min(n_list) < 1:
+        raise CapacityError(f"stage lengths {n_list} must be at least 1")
     if any(b < a for a, b in zip(n_list, n_list[1:])):
         raise CapacityError(f"stage lengths {n_list} must be nondecreasing")
     stages = []
@@ -810,7 +788,7 @@ def block_spectrum(ch: Fsmc, sched: ControlSchedule,
     times) and the last row is 2^-n G0 + G1, so the atoms come from 2^m
     values of each kind, whatever n.  An atom whose g(E) leaves the normal
     float range raises CapacityError."""
-    g0, g1 = _prefix_profiles(unlift(ch), sched, max_period)
+    g0, g1, _ = _prefix_profiles(unlift(ch), sched, max_period)
     n = sched.free_slots
     scale = 1 << n
     counts: dict[Fraction, int] = {}     # 2^n g(E), exact -> number of such E
@@ -870,6 +848,10 @@ def spectrum_concentration_demo(ch: Fsmc, sched: ControlSchedule, m_blocks: int,
         raise CapacityError(f"seed {seed} must be >= 0")
     eta = float(eta)
     delta = float(delta)
+    if not math.isfinite(eta):
+        raise CapacityError(f"eta {eta} must be finite")
+    if not 0 < delta < math.inf:
+        raise CapacityError(f"delta {delta} must be positive and finite")
     values, probs = block_spectrum(ch, sched, max_period=max_period)
     n_block = sched.period
     mean_block = float((values * probs).sum())

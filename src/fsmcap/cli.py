@@ -296,8 +296,9 @@ def cmd_capacity_stability(run: Run, args) -> int:
     if not args.pfa:
         raise CliError("--demo needs --pfa (and usually --word/--free)")
     automaton = _load_pfa(run, args.pfa)
-    ch = fsmc.lift(automaton)
-    word = parse_word(args.word, fsmc.unlift(ch).alphabet) if args.word else ()
+    extended = fsmc.lifted_automaton(automaton)
+    ch = fsmc.build_V(extended)
+    word = parse_word(args.word, extended.alphabet) if args.word else ()
     sched = capacity.ControlSchedule(word=word, free_slots=args.free)
     run.param(word=args.word, free=args.free, etas=args.etas, samples=args.samples)
     run.seed = args.seed

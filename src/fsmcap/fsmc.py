@@ -101,6 +101,14 @@ def split_v_input(sym: str) -> tuple[str, str]:
 _FORWARDED = {"0": (ONE, ZERO), "1": (ZERO, ONE)}
 
 
+def _initial_state(p: Pfa) -> str:
+    """The state the initial law is a point mass on."""
+    support = [i for i, e in enumerate(p.initial) if e]
+    if len(support) != 1 or p.initial[support[0]] != 1:
+        raise FsmcError("channel lift needs a deterministic initial distribution")
+    return p.states[support[0]]
+
+
 def build_V(p: Pfa) -> Fsmc:
     """Channel lift of an automaton.
 
@@ -109,10 +117,7 @@ def build_V(p: Pfa) -> Fsmc:
     a fair coin otherwise; the state moves by the control symbol's matrix.
     Requires a deterministic initial distribution.
     """
-    support = [i for i, e in enumerate(p.initial) if e]
-    if len(support) != 1 or p.initial[support[0]] != 1:
-        raise FsmcError("channel lift needs a deterministic initial distribution")
-    s0 = p.states[support[0]]
+    s0 = _initial_state(p)
     n = p.n_states
     accepting = [s in p.accepting for s in p.states]
     inputs = tuple(v_input(d, c) for d in ("0", "1") for c in p.alphabet)
@@ -172,21 +177,27 @@ def unlift(ch: Fsmc) -> Pfa:
                accepting=frozenset(s for j, s in enumerate(ch.states) if noiseless[j][1]))
 
 
-def lift(p: Pfa) -> Fsmc:
-    """Channel lift of `p` extended by freeze and reset symbols.
+def lifted_automaton(p: Pfa) -> Pfa:
+    """The automaton the channel `lift(p)` carries, as `unlift` reads it
+    back, built without the channel and refused wherever `lift` refuses.
 
-    The extension is gamma(p), unless `p` already has both reserved symbols,
-    in which case they must be the identity and the reset to the initial law.
-    An automaton with only one of them is refused by gamma.
+    It is gamma(p), unless `p` already has both reserved symbols, which must
+    then be the identity and the reset to the initial law; gamma refuses an
+    automaton with only one.  The initial law must be a point mass.
     """
     if FREEZE_SYMBOL not in p.alphabet or RESET_SYMBOL not in p.alphabet:
-        return build_V(gamma(p))
-    ch = build_V(p)
+        p = gamma(p)
+    _initial_state(p)
     if not (_is_identity(p.matrices[FREEZE_SYMBOL])
             and _columns_equal(p.matrices[RESET_SYMBOL], p.initial)):
         raise PfaError(f"symbols {FREEZE_SYMBOL!r} and {RESET_SYMBOL!r} are not the freeze "
                        "and the reset of the automaton")
-    return ch
+    return p
+
+
+def lift(p: Pfa) -> Fsmc:
+    """Channel lift of `p` extended by freeze and reset symbols."""
+    return build_V(lifted_automaton(p))
 
 
 @dataclass

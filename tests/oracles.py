@@ -173,12 +173,31 @@ def naive_converse_trial_stats(ch, n, trials, seed):
     return stats
 
 
+def _naive_pattern_walk(automaton, controls, start):
+    """(acceptance-mask law, end state law) along `controls` from the state
+    law `start`: before slot t each state vector splits on whether the state
+    accepts (bit t set) or not, and both parts move by naive_mat_vec."""
+    accepting = [s in automaton.accepting for s in automaton.states]
+    frontier = {0: list(start)}
+    for t, c in enumerate(controls):
+        nxt = {}
+        for mask, vec in frontier.items():
+            for bit, keep in ((1 << t, True), (0, False)):
+                part = [e if accepting[i] == keep else Fraction(0) for i, e in enumerate(vec)]
+                if any(part):
+                    nxt[mask | bit] = naive_mat_vec(automaton.matrices[c], part)
+        frontier = nxt
+    law = {mask: sum(vec, Fraction(0)) for mask, vec in frontier.items()}
+    end = [sum(col, Fraction(0)) for col in zip(*frontier.values())]
+    return law, end
+
+
 def naive_block_profile(ch, sched, max_period=14):
     """Agreement profile of one schedule period by walking the whole period
     twice, as block profiles were built before the factored law: the law of
     the second period, started from the state law the first period ends in,
     must equal the first exactly."""
-    from fsmcap.capacity import CapacityError, _pattern_law, agreement_profile
+    from fsmcap.capacity import CapacityError, agreement_profile
     from fsmcap.fsmc import unlift
 
     n = sched.period
@@ -186,8 +205,8 @@ def naive_block_profile(ch, sched, max_period=14):
         raise CapacityError(f"period {n} exceeds the block budget {max_period}")
     controls = sched.controls()
     a = unlift(ch)
-    first, end = _pattern_law(a, controls)
-    second, _ = _pattern_law(a, controls, start=end)
+    first, end = _naive_pattern_walk(a, controls, a.initial)
+    second, _ = _naive_pattern_walk(a, controls, end)
     if first != second:
         raise CapacityError("consecutive blocks are not identically distributed "
                             "(schedule does not end in a reset?)")

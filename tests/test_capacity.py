@@ -17,7 +17,7 @@ from fsmcap.capacity import (BlockChannel, BracketBudget, CapacityError,
                              converse_check, entropy, induced_block_channel,
                              information_spectrum, mutual_information,
                              spectrum_concentration_demo, stability_schedule)
-from fsmcap.fsmc import build_V, lift, unlift
+from fsmcap.fsmc import FsmcError, build_V, lift, unlift
 from fsmcap.gadgets import build_D_xy
 from fsmcap.pfa import gamma, make_pfa
 from oracles import naive_block_table
@@ -37,6 +37,31 @@ def test_entropy_basics():
     assert abs(entropy([0.25] * 4) - 2.0) < 1e-12
     with pytest.raises(CapacityError):
         entropy([0.5, 0.4])
+
+
+def test_distribution_checks_take_the_dimension():
+    with pytest.raises(CapacityError, match="1-dimensional"):
+        entropy([[0.5, 0.5]])
+    with pytest.raises(CapacityError, match="2-dimensional"):
+        mutual_information([0.5, 0.5])
+    with pytest.raises(CapacityError, match="negative"):
+        information_spectrum([[1.5, -0.5]])
+
+
+def test_mutual_information_sums_the_cells_in_order():
+    # the spectrum mean adds p log2(p / (p_x p_y)) cell by cell, row-major,
+    # so it agrees to the bit with the direct double loop
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        joint = rng.random((3, 4))
+        joint[rng.random((3, 4)) < 0.2] = 0.0
+        joint /= joint.sum()
+        px, py = joint.sum(axis=1), joint.sum(axis=0)
+        total = 0.0
+        for i, j in itertools.product(range(3), range(4)):
+            if joint[i, j] > 0:
+                total += joint[i, j] * math.log2(joint[i, j] / (px[i] * py[j]))
+        assert mutual_information(joint) == total
 
 
 def test_binary_entropy():
@@ -108,6 +133,12 @@ def test_ba_asymmetric_monotone_lower_bounds():
     s = eps ** (eps / (1 - eps))
     want = math.log2(1 + (1 - eps) * s)
     assert abs(r.capacity - want) <= 1e-8
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_ba_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(CapacityError, match="tolerance"):
+        blahut_arimoto(bsc(0.11), tol=tol)
 
 
 def test_ba_iteration_cap():
@@ -357,6 +388,26 @@ def test_rates_at_long_free_lengths(d_25):
         achievable_rate(ch, word, 10_000)
 
 
+def test_reset_is_checked_on_its_matrix():
+    # rt sends s and t to the initial law but keeps u, which no walk from s
+    # reaches: both periods of the two-walk oracle agree, yet rt is not the
+    # reset, and every freeze/reset path refuses the channel
+    from oracles import naive_block_profile
+    a = make_pfa(["s", "t", "u"], ["a", "id", "rt"],
+                 {"a": [[H, 1, 0], [H, 0, 0], [0, 0, 1]],
+                  "id": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                  "rt": [[1, 1, 0], [0, 0, 0], [0, 0, 1]]},
+                 [1, 0, 0], ["t"])
+    ch = build_V(a)
+    sched = ControlSchedule(word=("a",), free_slots=3)
+    assert len(naive_block_profile(ch, sched)) == 1 << sched.period
+    for call in (block_rate_uniform, block_profile, block_spectrum, achievability_chain,
+                 lambda ch, s: achievable_rate(ch, s.word, s.free_slots)):
+        with pytest.raises(CapacityError, match="not identically distributed") as err:
+            call(ch, sched)
+        assert "\n" not in str(err.value)
+
+
 def test_factored_law_guards(d_25):
     lifted = gamma(d_25)
     sched = ControlSchedule(word=("b",), free_slots=3)
@@ -434,6 +485,24 @@ def test_bracket_separation(d_25, always_accept, never_accept):
     assert br.upper <= 0.5 and br.lower <= br.upper + 1e-9
 
 
+def test_bracket_at_a_tiny_delta_takes_the_longest_block(d_34):
+    # the suggested free length is clamped before it is rounded up, so a
+    # delta whose quotient overflows a float picks the block budget
+    budget = BracketBudget(word_len=4, block=12)
+    tiny = capacity_bracket(d_34, 1e-310, budget)
+    small = capacity_bracket(d_34, 1e-300, budget)
+    m = tiny.provenance["m"]
+    assert tiny.provenance["n"] == small.provenance["n"] == budget.block - m
+    assert tiny.lower == small.lower and math.isfinite(tiny.lower)
+
+
+def test_bracket_refuses_a_split_initial_law():
+    split = make_pfa(["s", "t"], ["a"], {"a": [[H, H], [H, H]]}, [H, H], ["t"])
+    with pytest.raises(FsmcError, match="^channel lift needs a deterministic initial "
+                                        "distribution$"):
+        capacity_bracket(split, 0.1, BracketBudget(word_len=3, block=8))
+
+
 def test_bracket_budget_monotone(example1):
     small = capacity_bracket(example1, 0.1, BracketBudget(word_len=2, block=8))
     big = capacity_bracket(example1, 0.1, BracketBudget(word_len=4, block=12))
@@ -467,6 +536,9 @@ def test_stability_schedule_validation():
         stability_schedule(1.0, 0.1, [8, 4])
     with pytest.raises(CapacityError):
         stability_schedule(0.0, 0.1, [4, 4])
+    for n_list in ([0, 0], [0, 4], [-1, 4]):
+        with pytest.raises(CapacityError, match="at least 1"):
+            stability_schedule(0.5, 0.1, n_list)
 
 
 def _mixer_toy():
@@ -495,6 +567,18 @@ def test_demo_toy_below_analytic():
                       / rep.samples)
     assert rep.empirical_tail_rate <= rep.analytic_rate + 3 * sigma
     assert rep.block_rate > 0.5
+
+
+@pytest.mark.parametrize("eta, delta, fragment", [
+    (math.nan, 0.1, "eta"), (math.inf, 0.1, "eta"), (-math.inf, 0.1, "eta"),
+    (2, 0.0, "delta"), (2, -0.1, "delta"), (2, math.nan, "delta"), (2, math.inf, "delta"),
+])
+def test_demo_rejects_out_of_range_eta_and_delta(always_accept, eta, delta, fragment):
+    ch = build_V(gamma(always_accept))
+    sched = ControlSchedule(word=(), free_slots=4)
+    with pytest.raises(CapacityError, match=fragment):
+        spectrum_concentration_demo(ch, sched, m_blocks=4, eta=eta, delta=delta,
+                                    samples=10, seed=0)
 
 
 def test_demo_stage_guard(always_accept, never_accept):
@@ -582,16 +666,17 @@ def test_agreement_profile_matches_naive_sum(case):
     assert all(type(g) is Fraction for g in got)
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, module=None):
     import fsmcap.capacity as capacity
+    module = capacity if module is None else module
     calls = []
-    original = getattr(capacity, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(capacity, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -602,6 +687,28 @@ def test_uniform_rate_builds_one_block_profile(monkeypatch, d_34):
     expanded = _count_calls(monkeypatch, "block_profile")
     achievable_rate(ch, ("a", "b"), 7)
     assert len(factored) == 1 and not expanded
+
+
+def test_each_schedule_is_walked_once(monkeypatch, d_34):
+    ch = build_V(gamma(d_34))
+    sched = ControlSchedule(word=("a", "b"), free_slots=7)
+    walks = _count_calls(monkeypatch, "_pattern_law")
+    for call in (lambda: achievable_rate(ch, sched.word, sched.free_slots),
+                 lambda: achievability_chain(ch, sched),
+                 lambda: block_spectrum(ch, sched),
+                 lambda: capacity_bracket(d_34, 0.1, BracketBudget(word_len=4, block=12))):
+        walks.clear()
+        call()
+        assert len(walks) == 1
+
+
+def test_bracket_builds_no_channel(monkeypatch, d_34):
+    import fsmcap.fsmc as fsmc
+    built = _count_calls(monkeypatch, "build_V", fsmc)
+    read = _count_calls(monkeypatch, "unlift")
+    read_in_fsmc = _count_calls(monkeypatch, "unlift", fsmc)
+    capacity_bracket(d_34, 0.1, BracketBudget(word_len=4, block=12))
+    assert not built and not read and not read_in_fsmc
 
 
 def test_converse_derives_structure_once(monkeypatch, d_25):

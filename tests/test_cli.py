@@ -243,6 +243,9 @@ def test_internal_value_error_is_not_a_domain_error(monkeypatch, tmp_path):
     (["sigma", "decode", "x", "--arity", "1"], "sigma code"),
     (["capacity", "stability", "--val", "0.55", "--delta", "nan", "--n-list", "8,8"], "delta"),
     (["capacity", "bracket", "--pfa", "d_25.pfa", "--delta", "inf"], "delta"),
+    (["capacity", "stability", "--val", "0.5", "--delta", "0.1", "--n-list", "0,0"],
+     "at least 1"),
+    (["capacity", "ba", "--channel", "bsc11.dmc", "--tol", "nan"], "tolerance"),
 ])
 def test_out_of_range_arguments_exit_1(capsys, tmp_path, monkeypatch, argv, fragment):
     for name in ("d_25.pfa", "bsc11.dmc"):
@@ -251,6 +254,27 @@ def test_out_of_range_arguments_exit_1(capsys, tmp_path, monkeypatch, argv, frag
     code, out, err = run_cli(capsys, *argv)
     assert out == ""
     _assert_one_error_line(code, err, fragment)
+
+
+def test_demo_rejects_a_non_finite_eta(capsys, tmp_path, monkeypatch):
+    # the schedule table is printed before the demo starts
+    (tmp_path / "d_25.pfa").write_text(fixtures.fixture_text("d_25.pfa"))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "capacity", "stability", "--val", "0.55", "--delta", "0.1",
+                             "--n-list", "4,4", "--demo", "--pfa", "d_25.pfa", "--word", "b",
+                             "--free", "3", "--samples", "100", "--etas", "nan")
+    assert out == "t,n_t,m_t,m_formula,m_floor\n1,4,16,10,16\n"
+    _assert_one_error_line(code, err, "eta nan")
+
+
+def test_bracket_at_a_tiny_delta_prints_a_bracket(capsys, tmp_path, monkeypatch):
+    (tmp_path / "d_34.pfa").write_text(fixtures.fixture_text("d_34.pfa"))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "capacity", "bracket", "--pfa", "d_34.pfa",
+                             "--delta", "1e-310")
+    assert code == 0 and err == ""
+    # the longest block of the default budget of 12
+    assert out.startswith("lower: 0.412826374953  (m=8, n=4, delta=1e-310)\n")
 
 
 def test_binary_input_file_is_a_domain_error(capsys, tmp_path):

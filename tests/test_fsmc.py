@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsmcap import fsmc as fsmc_module
-from fsmcap.fsmc import (Fsmc, FsmcError, build_V, joint_seq_dist, lift, sample,
-                         unlift, validate_fsmc)
+from fsmcap.fsmc import (Fsmc, FsmcError, build_V, joint_seq_dist, lift, lifted_automaton,
+                         sample, unlift, validate_fsmc)
 from fsmcap.gadgets import build_D_xy, build_family_member
 from fsmcap.pfa import PfaError, gamma, make_pfa
 from oracles import enum_paths_joint
@@ -112,6 +112,36 @@ def test_lift_applies_gamma_unless_present(example1, family3):
                            extended.accepting)
     with pytest.raises(PfaError):
         lift(not_a_reset)
+
+
+def _outcome(make, p):
+    """make(p), or the type and text of the error it raises."""
+    try:
+        return make(p)
+    except (FsmcError, PfaError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_pfas(), st.data())
+def test_lifted_automaton_reads_as_the_lift(p, data):
+    # rename the last symbols to the reserved ones, then sometimes make them
+    # the freeze and the reset and the initial law a point mass, so gamma,
+    # its refusals, the freeze/reset check and the point-mass check all run
+    reserved = data.draw(st.sampled_from([(), ("id",), ("rt",), ("id", "rt")]))
+    alphabet = p.alphabet[:len(p.alphabet) - len(reserved)] + reserved
+    matrices = dict(zip(alphabet, (p.matrices[c] for c in p.alphabet)))
+    initial = p.initial
+    if data.draw(st.booleans()):
+        start = data.draw(st.integers(0, p.n_states - 1))
+        initial = tuple(F(int(i == start)) for i in range(p.n_states))
+    n = p.n_states
+    if "id" in matrices and data.draw(st.booleans()):
+        matrices["id"] = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+    if "rt" in matrices and data.draw(st.booleans()):
+        matrices["rt"] = tuple(tuple(initial[i] for _ in range(n)) for i in range(n))
+    p = dataclasses.replace(p, alphabet=alphabet, matrices=matrices, initial=initial)
+    assert _outcome(lifted_automaton, p) == _outcome(lambda q: unlift(lift(q)), p)
 
 
 def test_joint_one_step_accepting_start():
