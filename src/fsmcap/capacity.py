@@ -657,6 +657,8 @@ def converse_check(ch: Fsmc, n: int, trials: int, seed: int = 0,
 class BracketBudget:
     word_len: int = 8
     block: int = 12
+    # the search budget: it bounds the distinct distributions the word
+    # search visits, which never outnumber the words
     words: int = 200_000
 
 

@@ -285,16 +285,20 @@ def cmd_capacity_converse(run: Run, args) -> int:
 
 
 def cmd_capacity_stability(run: Run, args) -> int:
+    """Schedule table, then with --demo one line per eta; every demo runs
+    before anything is printed, so a bad argument leaves stdout empty."""
     n_list = [_number(int, tok, "--n-list") for tok in args.n_list.replace(",", " ").split()]
     run.param(val=args.val, delta=args.delta, n_list=n_list)
     schedule = capacity.stability_schedule(args.val, args.delta, n_list)
-    print("t,n_t,m_t,m_formula,m_floor")
+    lines = ["t,n_t,m_t,m_formula,m_floor"]
     for stage in schedule.stages:
-        print(f"{stage.t},{stage.n_t},{stage.m_t},{stage.m_formula},{stage.m_floor}")
+        lines.append(f"{stage.t},{stage.n_t},{stage.m_t},{stage.m_formula},{stage.m_floor}")
     if not args.demo:
+        print("\n".join(lines))
         return 0
     if not args.pfa:
         raise CliError("--demo needs --pfa (and usually --word/--free)")
+    etas = [_number(float, tok, "--etas") for tok in args.etas.replace(",", " ").split()]
     automaton = _load_pfa(run, args.pfa)
     extended = fsmc.lifted_automaton(automaton)
     ch = fsmc.build_V(extended)
@@ -304,13 +308,14 @@ def cmd_capacity_stability(run: Run, args) -> int:
     run.seed = args.seed
     m_blocks = schedule.stages[0].m_t
     rows = ["eta,empirical,analytic"]
-    for eta_tok in args.etas.replace(",", " ").split():
+    for eta in etas:
         rep = capacity.spectrum_concentration_demo(
-            ch, sched, m_blocks, _number(float, eta_tok, "--etas"), args.delta,
+            ch, sched, m_blocks, eta, args.delta,
             samples=args.samples, seed=args.seed, val=args.val)
         rows.append(f"{_real(rep.eta)},{_real(rep.empirical_tail_val)},{_real(rep.analytic_val)}")
-        print(f"eta={_real(rep.eta)}: n={rep.n_total} block_rate={_real(rep.block_rate)} "
-              f"empirical={_real(rep.empirical_tail_val)} analytic={_real(rep.analytic_val)}")
+        lines.append(f"eta={_real(rep.eta)}: n={rep.n_total} block_rate={_real(rep.block_rate)} "
+                     f"empirical={_real(rep.empirical_tail_val)} analytic={_real(rep.analytic_val)}")
+    print("\n".join(lines))
     if args.csv:
         run.write_output(args.csv, "\n".join(rows) + "\n")
     return 0

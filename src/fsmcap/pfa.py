@@ -4,6 +4,12 @@ Distributions over states are column vectors of fractions and every
 transition matrix is column-stochastic: entry [i][j] is the probability of
 moving from state j to state i, so reading a symbol maps a distribution u
 to M @ u.  All arithmetic is exact; floats are rejected at the boundary.
+
+Every public function takes and returns Fractions.  The word search
+(`brute_force_value`, `emptiness_semidecide`) works on integers inside its
+walk: each matrix becomes integer columns over one common denominator, each
+distribution a list of integer numerators in lowest terms, and a Fraction
+is built only for the value returned.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 FREEZE_SYMBOL = "id"
@@ -314,42 +321,115 @@ class SearchResult:
     best_value: Fraction
 
 
-def _check_budget(p: Pfa, max_len: int, budget: int) -> None:
-    if max_len < 0:
-        raise PfaError(f"maximum word length {max_len} must be >= 0")
-    if count_words(len(p.alphabet), max_len) > budget:
-        raise BudgetError(
-            f"{count_words(len(p.alphabet), max_len)} words of length <= {max_len} "
-            f"exceed the budget of {budget}")
+def _int_columns(m: Matrix) -> list[list[tuple[int, int]]]:
+    """M as sparse integer columns over one common denominator: column j
+    lists (i, numerator) for each nonzero m[i][j].  The walk brings every
+    child to lowest terms, so the denominator itself is never needed."""
+    n = len(m)
+    den = math.lcm(*[e.denominator for row in m for e in row])
+    return [[(i, m[i][j].numerator * (den // m[i][j].denominator))
+             for i in range(n) if m[i][j]] for j in range(n)]
 
 
-def _level_walk(p: Pfa, max_len: int):
-    """Yield (word, distribution) once per distinct distribution reachable by
-    a word of length <= max_len, breadth-first in alphabet order.
+def _lowest_terms(nums: list[int]) -> list[int]:
+    """Integer numerators of a distribution divided by their gcd.  A
+    distribution sums to 1, so this list is its canonical form, and its sum
+    is the common denominator."""
+    g = math.gcd(*nums)
+    return nums if g == 1 else [x // g for x in nums]
+
+
+def _over_budget(budget: int, length: int, max_len: int) -> BudgetError:
+    return BudgetError(
+        f"more than {budget} distinct distributions reachable by words of length "
+        f"<= {length} (search to length {max_len})")
+
+
+def _walk(p: Pfa, max_len: int, budget: int, bar: Fraction,
+          first: bool) -> Optional[tuple[Word, Fraction]]:
+    """Visit each distinct distribution reachable by a word of length <=
+    max_len once, breadth-first in alphabet order.  Return the word and
+    value of the last visit whose value beats `bar`, raising `bar` to each
+    such value, or, with `first`, of the first such visit; None if no visit
+    beats `bar`.
 
     A child whose distribution was already seen is skipped, so each
     distribution is expanded once.  The first visit is by the distribution's
     shortest-then-lex word: if w.s is that word, w is the least word of its
     own distribution, and parents are expanded in the order of their words.
-    A skipped word has the value of an earlier visit, so scanning the visits
-    for the first strict improvement or the first value above a threshold
-    gives the same word as scanning every word.
+    A skipped word has the value of an earlier visit, so the first strict
+    improvement, or the first value above a threshold, is the word a scan of
+    every word finds.
+
+    A distribution is held as integer numerators in lowest terms, keyed in
+    the seen set by their repr, and a value acc/total is compared by cross
+    multiplication; words are parent and letter indices, spelled out only
+    for the word returned.  No tuple is made per visit: CPython keeps freed
+    short tuples on free lists that only a full collection empties, and the
+    walk allocates too few tracked objects to trigger one, so tuples freed
+    in bulk at the end of a walk would hold their memory.
+
+    Raises BudgetError as soon as more than `budget` distinct distributions
+    have been seen.
     """
-    level = [((), p.initial)]
-    seen = {p.initial}
-    yield level[0]
-    for _ in range(max_len):
+    if max_len < 0:
+        raise PfaError(f"maximum word length {max_len} must be >= 0")
+    n = p.n_states
+    columns = [_int_columns(p.matrices[sym]) for sym in p.alphabet]
+    accepting = [int(s in p.accepting) for s in p.states]
+    den = math.lcm(*[e.denominator for e in p.initial])
+    start = _lowest_terms([e.numerator * (den // e.denominator) for e in p.initial])
+    seen = {repr(start)}
+    if len(seen) > budget:
+        raise _over_budget(budget, 0, max_len)
+    parent, letter = [-1], [-1]
+    bar_num, bar_den = bar.numerator, bar.denominator
+    hit = -1
+    acc, total = sum(map(mul, accepting, start)), sum(start)
+    if acc * bar_den > bar_num * total:
+        hit = 0
+        if first:
+            return (), Fraction(acc, total)
+        bar_num, bar_den = acc, total
+    level = [start]
+    for length in range(1, max_len + 1):
         nxt = []
-        for word, dist in level:
-            for sym in p.alphabet:
-                child = mat_vec(p.matrices[sym], dist)
-                if child in seen:
+        for k, dist in enumerate(level, len(parent) - len(level)):
+            for s, cols in enumerate(columns):
+                child = [0] * n
+                for j, x in enumerate(dist):
+                    if x:
+                        for i, m in cols[j]:
+                            child[i] += m * x
+                child = _lowest_terms(child)
+                key = repr(child)
+                if key in seen:
                     continue
-                seen.add(child)
-                entry = (word + (sym,), child)
-                nxt.append(entry)
-                yield entry
+                seen.add(key)
+                if len(seen) > budget:
+                    raise _over_budget(budget, length, max_len)
+                parent.append(k)
+                letter.append(s)
+                nxt.append(child)
+                acc, total = sum(map(mul, accepting, child)), sum(child)
+                if acc * bar_den > bar_num * total:
+                    hit = len(parent) - 1
+                    if first:
+                        return _spell(p, parent, letter, hit), Fraction(acc, total)
+                    bar_num, bar_den = acc, total
         level = nxt
+    if hit < 0:
+        return None
+    return _spell(p, parent, letter, hit), Fraction(bar_num, bar_den)
+
+
+def _spell(p: Pfa, parent: list[int], letter: list[int], k: int) -> Word:
+    """The word of walk node k, read back through its parents."""
+    out = []
+    while k:
+        out.append(p.alphabet[letter[k]])
+        k = parent[k]
+    return tuple(reversed(out))
 
 
 def brute_force_value(p: Pfa, max_len: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResult:
@@ -359,16 +439,11 @@ def brute_force_value(p: Pfa, max_len: int, budget: int = DEFAULT_SEARCH_BUDGET)
     The walk visits each distinct distribution once, at its least word in
     that order; every other word repeats the value of an earlier word, so it
     is never a strict improvement and the result equals a scan of every
-    word.  The budget still bounds the number of words, checked before any
-    work.
+    word.  `budget` bounds the distinct distributions visited, not the
+    words; BudgetError is raised the moment the walk passes it.
     """
-    _check_budget(p, max_len, budget)
-    best_word: Word = ()
-    best_value = accept_mass(p, p.initial)
-    for word, dist in _level_walk(p, max_len):
-        val = accept_mass(p, dist)
-        if val > best_value:
-            best_word, best_value = word, val
+    # every value beats -1, so the empty word is the first best
+    best_word, best_value = _walk(p, max_len, budget, Fraction(-1), first=False)
     return SearchResult(best_word=best_word, best_value=best_value)
 
 
@@ -376,12 +451,10 @@ def emptiness_semidecide(p: Pfa, delta, max_len: int,
                          budget: int = DEFAULT_SEARCH_BUDGET) -> Optional[Word]:
     """First word (same order as brute_force_value) with value > delta, or
     None if none exists up to max_len.  None is not an emptiness certificate.
+    `budget` bounds distinct distributions, as in brute_force_value.
     """
     delta = frac(delta)
     if not (0 <= delta <= 1):
         raise PfaError(f"threshold {delta} outside [0, 1]")
-    _check_budget(p, max_len, budget)
-    for word, dist in _level_walk(p, max_len):
-        if accept_mass(p, dist) > delta:
-            return word
-    return None
+    found = _walk(p, max_len, budget, delta, first=True)
+    return found[0] if found is not None else None

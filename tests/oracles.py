@@ -5,6 +5,7 @@ library code paths: naive nested-loop matrix products, explicit path
 enumeration, and a 50-digit evaluation of the length formulas.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -51,6 +52,58 @@ def naive_reach(automaton, src, word, dst) -> Fraction:
     for sym in word:
         dist = naive_mat_vec(automaton.matrices[sym], dist)
     return dist[automaton.states.index(dst)]
+
+
+@dataclass(frozen=True)
+class NaiveSearch:
+    """Every visit of the walk, in order: (shortest-then-lex word, value)
+    of each distinct distribution.  A walk to L holds the walk to every
+    shorter horizon as the visits of words no longer than it."""
+
+    visits: list
+
+    def upto(self, max_len=None) -> list:
+        return [(w, v) for w, v in self.visits if max_len is None or len(w) <= max_len]
+
+    def result(self, max_len=None):
+        from fsmcap.pfa import SearchResult
+
+        visits = self.upto(max_len)
+        best_word, best_value = visits[0]
+        for word, v in visits:
+            if v > best_value:
+                best_word, best_value = word, v
+        return SearchResult(best_word=best_word, best_value=best_value)
+
+    def first_above(self, threshold, max_len=None):
+        return next((w for w, v in self.upto(max_len) if v > threshold), None)
+
+
+def naive_search(automaton, max_len) -> NaiveSearch:
+    """The breadth-first word search on Fraction tuples, as the engine ran
+    it before it moved to integer numerators: each distinct distribution is
+    visited once, at its shortest-then-lexicographic word."""
+    accepting = [i for i, s in enumerate(automaton.states) if s in automaton.accepting]
+
+    def val(dist):
+        return sum((dist[i] for i in accepting), Fraction(0))
+
+    start = tuple(automaton.initial)
+    visits = [((), val(start))]
+    seen = {start}
+    level = [((), start)]
+    for _ in range(max_len):
+        nxt = []
+        for word, dist in level:
+            for sym in automaton.alphabet:
+                child = tuple(naive_mat_vec(automaton.matrices[sym], dist))
+                if child in seen:
+                    continue
+                seen.add(child)
+                nxt.append((word + (sym,), child))
+                visits.append((word + (sym,), val(child)))
+        level = nxt
+    return NaiveSearch(visits)
 
 
 def naive_agreement_profile(pattern_dist, length) -> list:

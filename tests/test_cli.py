@@ -256,15 +256,41 @@ def test_out_of_range_arguments_exit_1(capsys, tmp_path, monkeypatch, argv, frag
     _assert_one_error_line(code, err, fragment)
 
 
-def test_demo_rejects_a_non_finite_eta(capsys, tmp_path, monkeypatch):
-    # the schedule table is printed before the demo starts
+def _stability_demo(capsys, tmp_path, monkeypatch, *extra):
     (tmp_path / "d_25.pfa").write_text(fixtures.fixture_text("d_25.pfa"))
     monkeypatch.chdir(tmp_path)
-    code, out, err = run_cli(capsys, "capacity", "stability", "--val", "0.55", "--delta", "0.1",
-                             "--n-list", "4,4", "--demo", "--pfa", "d_25.pfa", "--word", "b",
-                             "--free", "3", "--samples", "100", "--etas", "nan")
-    assert out == "t,n_t,m_t,m_formula,m_floor\n1,4,16,10,16\n"
+    return run_cli(capsys, "capacity", "stability", "--val", "0.55", "--delta", "0.1",
+                   "--n-list", "4,4", "--demo", "--word", "b", "--free", "3",
+                   "--samples", "100", *extra)
+
+
+def test_demo_rejects_a_non_finite_eta(capsys, tmp_path, monkeypatch):
+    # every demo runs before anything is printed
+    code, out, err = _stability_demo(capsys, tmp_path, monkeypatch,
+                                     "--pfa", "d_25.pfa", "--etas", "nan")
+    assert out == ""
     _assert_one_error_line(code, err, "eta nan")
+
+
+@pytest.mark.parametrize("extra, fragment", [
+    # the first demo runs, the second fails: nothing of either is printed
+    (["--pfa", "d_25.pfa", "--etas", "1.5,nan"], "eta nan"),
+    ([], "--demo needs --pfa"),
+])
+def test_demo_is_all_or_nothing(capsys, tmp_path, monkeypatch, extra, fragment):
+    code, out, err = _stability_demo(capsys, tmp_path, monkeypatch, *extra)
+    assert out == ""
+    _assert_one_error_line(code, err, fragment)
+
+
+def test_search_budget_counts_distributions_not_words(capsys, tmp_path):
+    # 12,207,031 words of length <= 10 pass the default budget; their
+    # distinct distributions do not
+    family3 = tmp_path / "family3.pfa"
+    family3.write_text(fixtures.fixture_text("family3.pfa"))
+    code, out, err = run_cli(capsys, "pfa", "search", "--pfa", family3, "--max-len", "10")
+    assert code == 0 and err == ""
+    assert out == "best word: a c a b b a a a a c\nvalue: 9739/10368\n"
 
 
 def test_bracket_at_a_tiny_delta_prints_a_bracket(capsys, tmp_path, monkeypatch):

@@ -1,19 +1,21 @@
 import dataclasses
+import gc
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsmcap import formats, fsmc, gadgets, pfa
+from fsmcap import fixtures, formats, fsmc, gadgets, pfa
 from fsmcap.pfa import (BudgetError, Pfa, PfaError, brute_force_value,
                         detect_freeze_reset, emptiness_semidecide, evolve,
                         gamma, initial_violations, iter_words, make_pfa, mat_vec,
                         reach_prob, reduce_extended_word, table_violations,
                         validate_pfa, value)
-from oracles import (naive_initial_violations, naive_mat_vec, naive_reach,
+from oracles import (naive_initial_violations, naive_mat_vec, naive_reach, naive_search,
                      naive_table_violations, naive_value, naive_violations)
 
 F = Fraction
@@ -198,8 +200,21 @@ def test_brute_force_monotone(example1):
 
 
 def test_brute_force_budget(example1):
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="more than 100 distinct distributions"):
         brute_force_value(example1, 30, budget=100)
+
+
+@pytest.mark.parametrize("name, max_len", [("example1", 8), ("family3", 6), ("amp3", 7)])
+def test_budget_counts_distinct_distributions(name, max_len):
+    p = getattr(fixtures, name)()
+    oracle = naive_search(p, max_len)
+    distinct = len(oracle.visits)
+    assert brute_force_value(p, max_len, budget=distinct) == oracle.result()
+    assert emptiness_semidecide(p, 1, max_len, budget=distinct) is None
+    for search in (lambda b: brute_force_value(p, max_len, budget=b),
+                   lambda b: emptiness_semidecide(p, 1, max_len, budget=b)):
+        with pytest.raises(BudgetError, match=f"more than {distinct - 1} distinct"):
+            search(distinct - 1)
 
 
 def test_search_rejects_negative_length(example1):
@@ -257,30 +272,30 @@ def test_mat_vec_matches_nested_loop(mu):
 
 
 @st.composite
-def stochastic_columns(draw, n):
-    q = draw(st.integers(1, 4))
+def stochastic_columns(draw, n, max_den=4):
+    q = draw(st.integers(1, max_den))
     hits = draw(st.lists(st.integers(0, n - 1), min_size=q, max_size=q))
     return [F(hits.count(i), q) for i in range(n)]
 
 
 @st.composite
-def small_pfas(draw):
-    """2-4 states, 2-3 symbols, denominators <= 4.  Some draws make the last
-    symbol the identity or a copy of the first, forcing repeated
+def small_pfas(draw, max_den=4):
+    """2-4 states, 2-3 symbols, denominators <= max_den.  Some draws make the
+    last symbol the identity or a copy of the first, forcing repeated
     distributions and value ties."""
     n = draw(st.integers(2, 4))
     states = [f"q{i}" for i in range(n)]
     alphabet = ["a", "b", "c"][:draw(st.integers(2, 3))]
     matrices = {}
     for sym in alphabet:
-        cols = [draw(stochastic_columns(n)) for _ in range(n)]
+        cols = [draw(stochastic_columns(n, max_den)) for _ in range(n)]
         matrices[sym] = [[cols[j][i] for j in range(n)] for i in range(n)]
     repeat = draw(st.sampled_from(["none", "identity", "copy"]))
     if repeat == "identity":
         matrices[alphabet[-1]] = [[int(i == j) for j in range(n)] for i in range(n)]
     elif repeat == "copy":
         matrices[alphabet[-1]] = matrices[alphabet[0]]
-    initial = draw(stochastic_columns(n))
+    initial = draw(stochastic_columns(n, max_den))
     accepting = [s for s in states if draw(st.booleans())]
     return make_pfa(states, alphabet, matrices, initial, accepting)
 
@@ -301,6 +316,74 @@ def test_search_matches_full_enumeration(p, max_len, y):
     for threshold in {y} | {v for _, v in scored}:
         expected = next((w for w, v in scored if v > threshold), None)
         assert emptiness_semidecide(p, threshold, max_len) == expected
+
+
+def _assert_search_matches(p, oracle, max_len, thresholds):
+    assert brute_force_value(p, max_len) == oracle.result(max_len)
+    for threshold in thresholds:
+        assert emptiness_semidecide(p, threshold, max_len) == oracle.first_above(threshold, max_len)
+
+
+THRESHOLDS = (F(0), F(1, 4), H, F(3, 4), F(1))
+
+
+@pytest.mark.parametrize("name", ["example1", "amp3", "d_34", "d_25", "family3"])
+def test_search_matches_fraction_walk_on_fixtures(name):
+    p = getattr(fixtures, name)()
+    oracle = naive_search(p, 8)
+    for max_len in range(9):
+        best = oracle.result(max_len).best_value
+        _assert_search_matches(p, oracle, max_len, THRESHOLDS + (best, best / 2))
+
+
+def test_search_matches_fraction_walk_on_amp3_at_length_11(amp3):
+    oracle = naive_search(amp3, 11)
+    _assert_search_matches(amp3, oracle, 11, THRESHOLDS + (oracle.result().best_value,))
+
+
+COIN_XS = sorted({F(a, q) for q in range(1, 9) for a in range(q + 1)})
+
+
+@pytest.mark.parametrize("x", COIN_XS, ids=str)
+def test_search_matches_fraction_walk_on_coins(x):
+    y = (H, F(1, 4), F(3, 8))[COIN_XS.index(x) % 3]
+    p = gadgets.build_D_xy(x, y)
+    oracle = naive_search(p, 12)
+    _assert_search_matches(p, oracle, 12, (y, y / 2, oracle.result().best_value))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_pfas(max_den=64), st.integers(0, 6),
+       st.fractions(min_value=0, max_value=1, max_denominator=64))
+def test_search_matches_fraction_walk_with_large_denominators(p, max_len, y):
+    oracle = naive_search(p, max_len)
+    values = {v for _, v in oracle.visits}
+    _assert_search_matches(p, oracle, max_len, {y} | set(sorted(values)[-3:]))
+
+
+def test_search_leaves_no_allocated_blocks_behind(family3):
+    # CPython parks freed short tuples on free lists that only a full
+    # collection empties; a walk that made one per visit would grow the
+    # allocator's blocks with every search run without such a collection.
+    coin = gadgets.build_D_xy(F(3, 5), H)
+
+    def searches():
+        brute_force_value(family3, 5)
+        brute_force_value(coin, 8)
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(3):
+            searches()
+        before = sys.getallocatedblocks()
+        for _ in range(30):
+            searches()
+        growth = sys.getallocatedblocks() - before
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert growth <= 5 * 60
 
 
 # ---------------------------------------------------------------------------
