@@ -12,13 +12,14 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .fsmc import Fsmc, lifted_automaton, unlift
-from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Pfa, Vector, _columns_equal, _is_identity,
-                  brute_force_value, mat_vec)
+from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Pfa, _columns_equal, _int_columns, _is_identity,
+                  brute_force_value)
 
 ZERO = Fraction(0)
 
@@ -280,35 +281,48 @@ class ControlSchedule:
                 + (RESET_SYMBOL,))
 
 
-def _pattern_step(a: Pfa, frontier: dict[int, Vector], t: int,
-                  control: str) -> dict[int, Vector]:
-    """One slot of the joint law of (acceptance mask so far, state): split
-    each state vector on whether the state before slot t accepts, then move
-    both parts by the control's matrix."""
-    m = a.matrix(control)
-    acc_set = set(a.accept_indices())
-    n = a.n_states
-    nxt: dict[int, Vector] = {}
+def _int_start(a: Pfa) -> list[int]:
+    """The initial law as integer numerators over one common denominator."""
+    den = math.lcm(*[e.denominator for e in a.initial])
+    return [e.numerator * (den // e.denominator) for e in a.initial]
+
+
+def _pattern_step(columns: list[list[tuple[int, int]]], accepting: list[bool],
+                  frontier: dict[int, list[int]], t: int) -> dict[int, list[int]]:
+    """One slot of the joint law of (acceptance mask so far, state), on
+    integer numerators: split each state vector on whether the state before
+    slot t accepts, then move both parts by the control's integer columns
+    (`pfa._int_columns`).  Every vector gains the same factor, the columns'
+    denominator, so the frontier stays on one common denominator; it is a
+    law, so that denominator is the sum of all its numerators."""
+    n = len(accepting)
+    bit = 1 << t
+    nxt: dict[int, list[int]] = {}
     for mask, vec in frontier.items():
-        acc = tuple(vec[i] if i in acc_set else ZERO for i in range(n))
-        non = tuple(vec[i] if i not in acc_set else ZERO for i in range(n))
+        acc = [0] * n
+        non = [0] * n
+        for j, x in enumerate(vec):
+            if x:
+                out = acc if accepting[j] else non
+                for i, m in columns[j]:
+                    out[i] += m * x
         if any(acc):
-            nxt[mask | (1 << t)] = mat_vec(m, acc)
+            nxt[mask | bit] = acc
         if any(non):
-            nxt[mask] = mat_vec(m, non)
+            nxt[mask] = non
     return nxt
-
-
-def _masses(frontier: dict[int, Vector]) -> dict[int, Fraction]:
-    return {mask: sum(vec, ZERO) for mask, vec in frontier.items()}
 
 
 def _pattern_law(a: Pfa, controls: Sequence[str]) -> dict[int, Fraction]:
     """Acceptance-pattern law along `controls`, from the initial law."""
-    frontier: dict[int, Vector] = {0: a.initial}
+    columns = {c: _int_columns(a.matrix(c)) for c in dict.fromkeys(controls)}
+    accepting = [s in a.accepting for s in a.states]
+    frontier = {0: _int_start(a)}
     for t, c in enumerate(controls):
-        frontier = _pattern_step(a, frontier, t, c)
-    return _masses(frontier)
+        frontier = _pattern_step(columns[c], accepting, frontier, t)
+    masses = {mask: sum(vec) for mask, vec in frontier.items()}
+    den = sum(masses.values())
+    return {mask: Fraction(x, den) for mask, x in masses.items()}
 
 
 def accept_pattern_dist(ch: Fsmc, controls: Sequence[str]) -> dict[int, Fraction]:
@@ -535,19 +549,27 @@ _CONVERSE_CHUNK_ENTRIES = 1 << 14
 
 def _control_pattern_laws(a: Pfa, n: int) -> np.ndarray:
     """laws[w, A]: law of the acceptance mask A along each control word w of
-    length n, exact until the final float conversion.  The slot-0 control is
-    w's most significant base-|C| digit.  Words that share a prefix share
-    its walk: level t holds the (mask, state) frontier of every length-t
-    prefix."""
-    level = [{0: a.initial}]
+    length n, exact until each mass becomes one correctly rounded float.
+    The slot-0 control is w's most significant base-|C| digit.  Words that
+    share a prefix share its walk: level t holds the (mask, state) frontier
+    of every length-t prefix, on integer numerators."""
+    columns = [_int_columns(a.matrix(c)) for c in a.alphabet]
+    accepting = [s in a.accepting for s in a.states]
+    level = [{0: _int_start(a)}]
     for t in range(n - 1):
-        level = [_pattern_step(a, frontier, t, c) for frontier in level for c in a.alphabet]
-    # the last control moves the state only after the last output, so every
-    # choice of it gives the same mask law: step with one, copy for all
+        level = [_pattern_step(cols, accepting, frontier, t)
+                 for frontier in level for cols in columns]
+    # the last control moves the state only after the last output, and a
+    # move keeps each part's mass, so every choice of it gives the same mask
+    # law: split the last frontier without moving it, copy for all
     laws = np.zeros((len(level), 1 << n))
+    bit = 1 << (n - 1)
     for w, frontier in enumerate(level):
-        for mask, mass in _masses(_pattern_step(a, frontier, n - 1, a.alphabet[0])).items():
-            laws[w, mask] = float(mass)
+        den = sum(map(sum, frontier.values()))
+        for mask, vec in frontier.items():
+            acc = sum(map(mul, vec, accepting))
+            laws[w, mask | bit] = acc / den
+            laws[w, mask] = (sum(vec) - acc) / den
     return np.repeat(laws, len(a.alphabet), axis=0)
 
 
@@ -606,9 +628,9 @@ def _converse_trial_stats(a: Pfa, n: int, trials: int, seed: int):
             p_c = (p_c[:, :, None] * marginal[lo:lo + k, t, None, :]).reshape(k, -1)
         h_y_given_x[lo:lo + k] = p_c @ rows
         # p_y[k, r, y]: slots t.. contracted into y, slots ..t-1 still in r
-        p_y = np.einsum("rm,kzm->krz", joint, f[:, n - 1])
+        p_y = joint @ f[:, n - 1].swapaxes(1, 2)
         for t in reversed(range(n - 1)):
-            p_y = np.einsum("krmy,kzm->krzy", p_y.reshape(k, m ** t, m, -1), f[:, t])
+            p_y = f[:, t, None] @ p_y.reshape(k, m ** t, m, -1)
             p_y = p_y.reshape(k, m ** t, -1)
         h_y[lo:lo + k] = _row_entropies(p_y.reshape(k, -1))
     return list(zip(h_y_given_x.tolist(), ((h_y - h_y_given_x) / n).tolist()))
@@ -835,6 +857,50 @@ def _hoeffding_bound(n: int, c_n: float, delta: float, eta: float, val: float) -
     return min(2.0, 2.0 * math.exp(-2.0 * (n * c_n * delta * margin) ** 2 / n ** 1.5))
 
 
+# The demo draws its uniforms in row blocks of about this many entries
+# (256 KiB of float64), and finds an atom by counting the cut points at or
+# below the uniform, in uint8, when the spectrum has at most this many
+# atoms, by binary search above it (the two cross near 200 atoms on a
+# 2-core x86 machine).
+_DEMO_BLOCK_ENTRIES = 1 << 15
+_DEMO_COUNT_ATOMS = 64
+
+
+def _density_sums(values: np.ndarray, probs: np.ndarray, m_blocks: int, samples: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Per-sample sums of m_blocks i.i.d. draws from the atoms (values,
+    probs), the same floats as summing `rng.choice(values, size=(samples,
+    take), p=probs)` row by row over column chunks of `take` blocks.
+
+    `Generator.choice` with `p` returns values[cdf.searchsorted(u,
+    'right')], with cdf = probs.cumsum() / its last entry and u =
+    rng.random(shape).  Here u comes in row blocks of each chunk, which in
+    row-major order are the same uniforms, and the index searchsorted finds,
+    the number of cut points at or below u, is counted directly when there
+    are few atoms.  The last cut point is 1 > u, so it never counts."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    count = len(cdf) <= _DEMO_COUNT_ATOMS
+    sums = np.zeros(samples)
+    # the column chunks set the order of the float additions
+    chunk = max(1, min(m_blocks, (1 << 22) // samples))
+    done = 0
+    while done < m_blocks:
+        take = min(chunk, m_blocks - done)
+        rows = max(1, _DEMO_BLOCK_ENTRIES // take)
+        for lo in range(0, samples, rows):
+            u = rng.random((min(rows, samples - lo), take))
+            if count:
+                idx = np.zeros(u.shape, dtype=np.uint8)
+                for cut in cdf[:-1]:
+                    idx += u >= cut
+            else:
+                idx = cdf.searchsorted(u, side="right")
+            sums[lo:lo + len(u)] += values[idx].sum(axis=1)
+        done += take
+    return sums
+
+
 def spectrum_concentration_demo(ch: Fsmc, sched: ControlSchedule, m_blocks: int,
                                 eta, delta, samples: int, seed: int,
                                 val: Optional[float] = None,
@@ -865,15 +931,7 @@ def spectrum_concentration_demo(ch: Fsmc, sched: ControlSchedule, m_blocks: int,
         raise CapacityError(f"the tails are normalized by the block rate {c_n} and the value "
                             f"{val}; both must be positive")
     n_total = m_blocks * n_block
-    rng = np.random.default_rng(seed)
-    sums = np.zeros(samples)
-    chunk = max(1, min(m_blocks, (1 << 22) // samples))
-    done = 0
-    while done < m_blocks:
-        take = min(chunk, m_blocks - done)
-        draws = rng.choice(values, size=(samples, take), p=probs)
-        sums += draws.sum(axis=1)
-        done += take
+    sums = _density_sums(values, probs, m_blocks, samples, np.random.default_rng(seed))
     tail_val = float(np.mean(np.abs(sums / (n_total * val) - 1.0) >= eta * delta))
     tail_rate = float(np.mean(np.abs(sums / (n_total * c_n) - 1.0) >= eta * delta))
     return SpectrumDemoReport(

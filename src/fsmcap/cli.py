@@ -216,6 +216,8 @@ def cmd_channel_build(run: Run, args) -> int:
 
 
 def cmd_channel_sample(run: Run, args) -> int:
+    if args.count < 1:
+        raise CliError(f"--count {args.count} must be at least 1")
     ch = formats.load_fsmc(run.input_file(args.channel))
     run.param(input=args.input, count=args.count)
     run.seed = args.seed
@@ -336,14 +338,7 @@ def cmd_sigma(run: Run, args) -> int:
 # Parser wiring.
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fsmcap", description=__doc__)
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("FSMCAP_THREADS", "1")),
-                        help="bound on internal parallelism (results do not depend on it)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pfa", help="validate, evaluate and search automata")
+def _add_pfa(p) -> None:
     psub = p.add_subparsers(dest="pfa_cmd", required=True)
     q = psub.add_parser("validate")
     q.add_argument("--pfa", required=True)
@@ -359,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--above", help="report the first word with value above this threshold")
     q.set_defaults(handler=cmd_pfa_search)
 
-    p = sub.add_parser("gadget", help="emit gadget automata")
+
+def _add_gadget(p) -> None:
     gsub = p.add_subparsers(dest="gadget_kind", required=True)
     q = gsub.add_parser("dxy")
     q.add_argument("--x", required=True)
@@ -383,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out")
     q.set_defaults(handler=cmd_gadget)
 
-    p = sub.add_parser("witness", help="synthesize near-optimal gadget words")
+
+def _add_witness(p) -> None:
     p.add_argument("--x", help="survival probability (plain mode)")
     p.add_argument("--eps", required=True)
     p.add_argument("--k", type=int, required=True)
@@ -393,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv")
     p.set_defaults(handler=cmd_witness)
 
-    p = sub.add_parser("channel", help="build and sample lifted channels")
+
+def _add_channel(p) -> None:
     csub = p.add_subparsers(dest="channel_cmd", required=True)
     q = csub.add_parser("build")
     q.add_argument("--pfa", required=True)
@@ -407,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out")
     q.set_defaults(handler=cmd_channel_sample)
 
-    p = sub.add_parser("capacity", help="rates, brackets and stability")
+
+def _add_capacity(p) -> None:
     ksub = p.add_subparsers(dest="capacity_cmd", required=True)
     q = ksub.add_parser("bracket")
     q.add_argument("--pfa", required=True)
@@ -444,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--csv")
     q.set_defaults(handler=cmd_capacity_stability)
 
-    p = sub.add_parser("sigma", help="prime-power codec for rational tuples")
+
+def _add_sigma(p) -> None:
     ssub = p.add_subparsers(dest="sigma_kind", required=True)
     q = ssub.add_parser("encode")
     q.add_argument("rationals", nargs="+")
@@ -454,7 +454,61 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--arity", type=int, required=True)
     q.set_defaults(handler=cmd_sigma)
 
+
+# Top-level commands in help order: (help, builder of the command's parser).
+_COMMANDS = {
+    "pfa": ("validate, evaluate and search automata", _add_pfa),
+    "gadget": ("emit gadget automata", _add_gadget),
+    "witness": ("synthesize near-optimal gadget words", _add_witness),
+    "channel": ("build and sample lifted channels", _add_channel),
+    "capacity": ("rates, brackets and stability", _add_capacity),
+    "sigma": ("prime-power codec for rational tuples", _add_sigma),
+}
+
+
+def _parser(commands, parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(prog="fsmcap", description=__doc__)
+    parser.add_argument("--threads", type=int,
+                        default=int(os.environ.get("FSMCAP_THREADS", "1")),
+                        help="bound on internal parallelism (results do not depend on it)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in commands:
+        help_text, add = _COMMANDS[name]
+        add(sub.add_parser(name, help=help_text))
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parser(_COMMANDS)
+
+
+class _Unparsed(Exception):
+    """The one-command parser would print: help or a usage error."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """A parser that raises _Unparsed where argparse would print, so that
+    the full parser can print the same text with its full usage line."""
+
+    def print_help(self, file=None):
+        raise _Unparsed
+
+    def error(self, message):
+        raise _Unparsed
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), building only the named command's
+    parser when argv starts with a command name.  The namespace is the
+    same, since argparse fills in the defaults of the chosen command only;
+    help and usage errors fall back to the full parser, whose messages name
+    every command."""
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return _parser(argv[:1], _OneCommandParser).parse_args(argv)
+        except _Unparsed:
+            pass
+    return build_parser().parse_args(argv)
 
 
 DOMAIN_ERRORS = (CliError, pfa.PfaError, pfa.BudgetError, gadgets.SigmaError,
@@ -464,8 +518,7 @@ DOMAIN_ERRORS = (CliError, pfa.PfaError, pfa.BudgetError, gadgets.SigmaError,
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     command = " ".join(tok for tok in (
         args.command,
         getattr(args, f"{args.command}_cmd", None) or getattr(args, f"{args.command}_kind", None),

@@ -348,3 +348,33 @@ def naive_violations(states, alphabet, matrices, initial, accepting) -> list:
     out += [f"accepting state {s!r} is not a state" for s in sorted(accepting)
             if s not in states]
     return out
+
+
+def naive_concentration_demo(ch, sched, m_blocks, eta, delta, samples, seed, val=None):
+    """The concentration demo with its draws made by `Generator.choice`, as
+    the demo drew them before it counted cut points: each column chunk of
+    at most 2^22 / samples blocks is one (samples, take) array of atoms,
+    summed row by row into the per-sample densities."""
+    import numpy as np
+
+    from fsmcap.capacity import SpectrumDemoReport, _hoeffding_bound, block_spectrum
+
+    values, probs = block_spectrum(ch, sched)
+    c_n = float((values * probs).sum()) / sched.period
+    val = c_n if val is None else float(val)
+    n_total = m_blocks * sched.period
+    rng = np.random.default_rng(seed)
+    sums = np.zeros(samples)
+    chunk = max(1, min(m_blocks, (1 << 22) // samples))
+    done = 0
+    while done < m_blocks:
+        take = min(chunk, m_blocks - done)
+        sums += rng.choice(values, size=(samples, take), p=probs).sum(axis=1)
+        done += take
+    eta, delta = float(eta), float(delta)
+    return SpectrumDemoReport(
+        eta=eta, delta=delta, n_total=n_total, samples=samples, block_rate=c_n, val=val,
+        empirical_tail_val=float(np.mean(np.abs(sums / (n_total * val) - 1.0) >= eta * delta)),
+        empirical_tail_rate=float(np.mean(np.abs(sums / (n_total * c_n) - 1.0) >= eta * delta)),
+        analytic_val=_hoeffding_bound(n_total, c_n, delta, eta, val),
+        analytic_rate=_hoeffding_bound(n_total, c_n, delta, eta, c_n))

@@ -593,6 +593,53 @@ def test_demo_stage_guard(always_accept, never_accept):
                                     eta=2, delta=0.1, samples=10, seed=0)
 
 
+def _three_state_mixer():
+    """Irregular rational columns: a word of length m gives a spectrum of
+    2^m atoms, so the demo's atom count is set by the word."""
+    return make_pfa(["r", "g", "h"], ["u", "v"],
+                    {"u": [[F(1, 7), F(2, 5), F(1, 3)], [F(4, 7), F(1, 5), F(1, 3)],
+                           [F(2, 7), F(2, 5), F(1, 3)]],
+                     "v": [[F(3, 11), H, F(1, 9)], [F(5, 11), F(1, 4), F(7, 9)],
+                           [F(3, 11), F(1, 4), F(1, 9)]]},
+                    [1, 0, 0], ["g"])
+
+
+@pytest.mark.parametrize("word, atoms, m_blocks, samples", [
+    ((), 1, 32, 2000),
+    (("u", "v"), 4, 64, 3000),
+    # 2^17 samples take 32 blocks a column chunk, so 40 blocks need two
+    (("u", "v"), 4, 40, 1 << 17),
+    (("u", "v", "u", "v", "u", "v", "u"), 128, 16, 3000),
+])
+def test_demo_draws_equal_generator_choice(always_accept, word, atoms, m_blocks, samples):
+    from oracles import naive_concentration_demo
+
+    from fsmcap.capacity import _DEMO_COUNT_ATOMS
+    inner = always_accept if not word else _three_state_mixer()
+    ch = lift(inner)
+    sched = ControlSchedule(word=word, free_slots=3)
+    assert len(block_spectrum(ch, sched)[0]) == atoms
+    assert (atoms > _DEMO_COUNT_ATOMS) == (len(word) == 7)
+    for seed, val in ((0, None), (9, 0.3)):
+        args = (ch, sched, m_blocks, 1.5, 0.1, samples, seed, val)
+        assert spectrum_concentration_demo(*args) == naive_concentration_demo(*args)
+
+
+def test_demo_draws_in_bounded_memory():
+    ch = build_V(gamma(_mixer_toy()))
+    sched = ControlSchedule(word=("u",), free_slots=7)
+    tracemalloc.start()
+    try:
+        rep = spectrum_concentration_demo(ch, sched, m_blocks=64, eta=2, delta=0.1,
+                                          samples=10_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.n_total == 64 * 8
+    # drawing the (samples, blocks) array at once takes about 15 MiB
+    assert peak < 4 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # Lift structure, converse engine and block-profile reuse.
 # ---------------------------------------------------------------------------
@@ -647,6 +694,27 @@ def test_converse_trials_match_naive_loop(name, request):
             assert len(got) == len(want) == 20
             for (h, rate), (h_ref, rate_ref) in zip(got, want):
                 assert abs(h - h_ref) <= 1e-12 and abs(rate - rate_ref) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_pfas(), st.data())
+def test_integer_pattern_walk_matches_the_fraction_walk(p, data):
+    from oracles import _naive_pattern_walk
+
+    from fsmcap.capacity import _control_pattern_laws, _pattern_law
+    controls = tuple(data.draw(st.lists(st.sampled_from(p.alphabet), max_size=5)))
+    assert _pattern_law(p, controls) == _naive_pattern_walk(p, controls, p.initial)[0]
+    n = len(controls)
+    if n == 0:
+        return
+    laws = _control_pattern_laws(p, n)
+    words = list(itertools.product(p.alphabet, repeat=n))
+    assert laws.shape == (len(words), 1 << n)
+    # every row at short lengths, the drawn word's row at any length
+    for w in words if n <= 3 else [controls]:
+        law, _ = _naive_pattern_walk(p, w, p.initial)
+        want = [float(law.get(mask, 0)) for mask in range(1 << n)]
+        assert np.array_equal(laws[words.index(w)], want)
 
 
 PROBS = st.fractions(min_value=0, max_value=1, max_denominator=97)

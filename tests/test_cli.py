@@ -1,10 +1,12 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from fsmcap.cli import main, parse_word
-from fsmcap.formats import load_pfa, serialize_pfa
+from fsmcap.cli import build_parser, main, parse_word
+from fsmcap.formats import load_pfa, serialize_fsmc, serialize_pfa
+from fsmcap.fsmc import lift
 from fsmcap import fixtures
 
 
@@ -246,14 +248,22 @@ def test_internal_value_error_is_not_a_domain_error(monkeypatch, tmp_path):
     (["capacity", "stability", "--val", "0.5", "--delta", "0.1", "--n-list", "0,0"],
      "at least 1"),
     (["capacity", "ba", "--channel", "bsc11.dmc", "--tol", "nan"], "tolerance"),
+    (["channel", "sample", "--channel", "v.fsmc", "--input", "1:b", "--seed", "7",
+      "--count", "0"], "--count 0"),
+    (["channel", "sample", "--channel", "v.fsmc", "--input", "1:b", "--seed", "7",
+      "--count", "-3", "--out", "s.txt"], "--count -3"),
 ])
 def test_out_of_range_arguments_exit_1(capsys, tmp_path, monkeypatch, argv, fragment):
     for name in ("d_25.pfa", "bsc11.dmc"):
         (tmp_path / name).write_text(fixtures.fixture_text(name))
     monkeypatch.chdir(tmp_path)
+    channel = tmp_path / "v.fsmc"
+    channel.write_text(serialize_fsmc(lift(fixtures.d_25())))
     code, out, err = run_cli(capsys, *argv)
     assert out == ""
     _assert_one_error_line(code, err, fragment)
+    # nothing is written either
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bsc11.dmc", "d_25.pfa", "v.fsmc"]
 
 
 def _stability_demo(capsys, tmp_path, monkeypatch, *extra):
@@ -326,3 +336,52 @@ def test_unusable_path_is_a_domain_error(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *(tok.format(dir=tmp_path) for tok in argv))
     assert out == ""
     _assert_one_error_line(code, err, f"{tmp_path}: cannot")
+
+
+def _command_paths(parser, path=()):
+    """(path, parser) for the parser and every subcommand parser below it."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _command_paths(sub, path + (name,))
+
+
+def _printed(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_one_command_parser_matches_the_full_parser(capsys):
+    from fsmcap import cli
+    full = dict(_command_paths(build_parser()))
+    assert len(full) == 23
+    for command in cli._COMMANDS:
+        one = dict(_command_paths(cli._parser([command])))
+        del one[()]
+        # the command's whole subtree, with the same help text
+        assert sorted(one) == sorted(path for path in full if path[:1] == (command,))
+        for path, parser in one.items():
+            assert parser.format_help() == full[path].format_help()
+    # help and usage errors at every command path, and errors that only the
+    # top-level parser reports (an unknown flag after a complete command):
+    # same stdout, stderr and exit code as the full parser
+    complete = [["sigma", "encode", "1/2"], ["pfa", "validate", "--pfa", "x.pfa"],
+                ["capacity", "converse", "--pfa", "x.pfa", "--n", "2", "--trials", "3"]]
+    argvs = [[*path, *tail] for path in full for tail in (["--help"], ["--bogus"])]
+    argvs += [[*argv, "--bogus", "x"] for argv in complete] + [["bogus"], []]
+    for argv in argvs:
+        assert _printed(capsys, main, argv) == _printed(capsys, build_parser().parse_args, argv)
+
+
+def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+    from fsmcap import cli
+
+    def refuse():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    code, out, _ = run_cli(capsys, "sigma", "encode", "1/2")
+    assert code == 0 and out == "18\n"
