@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fsmc import Fsmc, lifted_automaton, unlift
-from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Pfa, _columns_equal, _int_columns, _is_identity,
-                  brute_force_value)
+from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Pfa, _columns_equal, _int_columns, _int_law,
+                  _is_identity, brute_force_value)
 
 ZERO = Fraction(0)
 
@@ -281,12 +281,6 @@ class ControlSchedule:
                 + (RESET_SYMBOL,))
 
 
-def _int_start(a: Pfa) -> list[int]:
-    """The initial law as integer numerators over one common denominator."""
-    den = math.lcm(*[e.denominator for e in a.initial])
-    return [e.numerator * (den // e.denominator) for e in a.initial]
-
-
 def _pattern_step(columns: list[list[tuple[int, int]]], accepting: list[bool],
                   frontier: dict[int, list[int]], t: int) -> dict[int, list[int]]:
     """One slot of the joint law of (acceptance mask so far, state), on
@@ -317,7 +311,7 @@ def _pattern_law(a: Pfa, controls: Sequence[str]) -> dict[int, Fraction]:
     """Acceptance-pattern law along `controls`, from the initial law."""
     columns = {c: _int_columns(a.matrix(c)) for c in dict.fromkeys(controls)}
     accepting = [s in a.accepting for s in a.states]
-    frontier = {0: _int_start(a)}
+    frontier = {0: _int_law(a.initial)}
     for t, c in enumerate(controls):
         frontier = _pattern_step(columns[c], accepting, frontier, t)
     masses = {mask: sum(vec) for mask, vec in frontier.items()}
@@ -555,7 +549,7 @@ def _control_pattern_laws(a: Pfa, n: int) -> np.ndarray:
     of every length-t prefix, on integer numerators."""
     columns = [_int_columns(a.matrix(c)) for c in a.alphabet]
     accepting = [s in a.accepting for s in a.states]
-    level = [{0: _int_start(a)}]
+    level = [{0: _int_law(a.initial)}]
     for t in range(n - 1):
         level = [_pattern_step(cols, accepting, frontier, t)
                  for frontier in level for cols in columns]
@@ -860,10 +854,13 @@ def _hoeffding_bound(n: int, c_n: float, delta: float, eta: float, val: float) -
 # The demo draws its uniforms in row blocks of about this many entries
 # (256 KiB of float64), and finds an atom by counting the cut points at or
 # below the uniform, in uint8, when the spectrum has at most this many
-# atoms, by binary search above it (the two cross near 200 atoms on a
-# 2-core x86 machine).
+# atoms, by binary search above it.  Counting makes one pass per cut point
+# and binary search about log2(atoms); in the demo's row blocks on a 2-core
+# x86 machine (numpy 2.4.6, 640k draws) counting took 61 ms against 72 ms
+# at 192 atoms and 83 ms against 76 ms at 255, so the cutoff sits at the
+# last size measured faster, well inside what uint8 can count.
 _DEMO_BLOCK_ENTRIES = 1 << 15
-_DEMO_COUNT_ATOMS = 64
+_DEMO_COUNT_ATOMS = 192
 
 
 def _density_sums(values: np.ndarray, probs: np.ndarray, m_blocks: int, samples: int,

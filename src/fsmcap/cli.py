@@ -10,6 +10,7 @@ version; re-running the recorded argv reproduces the outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -338,7 +339,17 @@ def cmd_sigma(run: Run, args) -> int:
 # Parser wiring.
 # ---------------------------------------------------------------------------
 
-def _add_pfa(p) -> None:
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The whole argument parser, built once per process: parse_args leaves
+    it unchanged, so every call to main reuses it."""
+    parser = argparse.ArgumentParser(prog="fsmcap", description=__doc__)
+    parser.add_argument("--threads", type=int,
+                        default=int(os.environ.get("FSMCAP_THREADS", "1")),
+                        help="bound on internal parallelism (results do not depend on it)")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("pfa", help="validate, evaluate and search automata")
     psub = p.add_subparsers(dest="pfa_cmd", required=True)
     q = psub.add_parser("validate")
     q.add_argument("--pfa", required=True)
@@ -354,8 +365,7 @@ def _add_pfa(p) -> None:
     q.add_argument("--above", help="report the first word with value above this threshold")
     q.set_defaults(handler=cmd_pfa_search)
 
-
-def _add_gadget(p) -> None:
+    p = sub.add_parser("gadget", help="emit gadget automata")
     gsub = p.add_subparsers(dest="gadget_kind", required=True)
     q = gsub.add_parser("dxy")
     q.add_argument("--x", required=True)
@@ -379,8 +389,7 @@ def _add_gadget(p) -> None:
     q.add_argument("--out")
     q.set_defaults(handler=cmd_gadget)
 
-
-def _add_witness(p) -> None:
+    p = sub.add_parser("witness", help="synthesize near-optimal gadget words")
     p.add_argument("--x", help="survival probability (plain mode)")
     p.add_argument("--eps", required=True)
     p.add_argument("--k", type=int, required=True)
@@ -390,8 +399,7 @@ def _add_witness(p) -> None:
     p.add_argument("--csv")
     p.set_defaults(handler=cmd_witness)
 
-
-def _add_channel(p) -> None:
+    p = sub.add_parser("channel", help="build and sample lifted channels")
     csub = p.add_subparsers(dest="channel_cmd", required=True)
     q = csub.add_parser("build")
     q.add_argument("--pfa", required=True)
@@ -405,8 +413,7 @@ def _add_channel(p) -> None:
     q.add_argument("--out")
     q.set_defaults(handler=cmd_channel_sample)
 
-
-def _add_capacity(p) -> None:
+    p = sub.add_parser("capacity", help="rates, brackets and stability")
     ksub = p.add_subparsers(dest="capacity_cmd", required=True)
     q = ksub.add_parser("bracket")
     q.add_argument("--pfa", required=True)
@@ -443,8 +450,7 @@ def _add_capacity(p) -> None:
     q.add_argument("--csv")
     q.set_defaults(handler=cmd_capacity_stability)
 
-
-def _add_sigma(p) -> None:
+    p = sub.add_parser("sigma", help="prime-power codec for rational tuples")
     ssub = p.add_subparsers(dest="sigma_kind", required=True)
     q = ssub.add_parser("encode")
     q.add_argument("rationals", nargs="+")
@@ -454,61 +460,7 @@ def _add_sigma(p) -> None:
     q.add_argument("--arity", type=int, required=True)
     q.set_defaults(handler=cmd_sigma)
 
-
-# Top-level commands in help order: (help, builder of the command's parser).
-_COMMANDS = {
-    "pfa": ("validate, evaluate and search automata", _add_pfa),
-    "gadget": ("emit gadget automata", _add_gadget),
-    "witness": ("synthesize near-optimal gadget words", _add_witness),
-    "channel": ("build and sample lifted channels", _add_channel),
-    "capacity": ("rates, brackets and stability", _add_capacity),
-    "sigma": ("prime-power codec for rational tuples", _add_sigma),
-}
-
-
-def _parser(commands, parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
-    parser = parser_class(prog="fsmcap", description=__doc__)
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("FSMCAP_THREADS", "1")),
-                        help="bound on internal parallelism (results do not depend on it)")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in commands:
-        help_text, add = _COMMANDS[name]
-        add(sub.add_parser(name, help=help_text))
     return parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _parser(_COMMANDS)
-
-
-class _Unparsed(Exception):
-    """The one-command parser would print: help or a usage error."""
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    """A parser that raises _Unparsed where argparse would print, so that
-    the full parser can print the same text with its full usage line."""
-
-    def print_help(self, file=None):
-        raise _Unparsed
-
-    def error(self, message):
-        raise _Unparsed
-
-
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), building only the named command's
-    parser when argv starts with a command name.  The namespace is the
-    same, since argparse fills in the defaults of the chosen command only;
-    help and usage errors fall back to the full parser, whose messages name
-    every command."""
-    if argv and argv[0] in _COMMANDS:
-        try:
-            return _parser(argv[:1], _OneCommandParser).parse_args(argv)
-        except _Unparsed:
-            pass
-    return build_parser().parse_args(argv)
 
 
 DOMAIN_ERRORS = (CliError, pfa.PfaError, pfa.BudgetError, gadgets.SigmaError,
@@ -518,7 +470,7 @@ DOMAIN_ERRORS = (CliError, pfa.PfaError, pfa.BudgetError, gadgets.SigmaError,
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _parse_args(argv)
+    args = build_parser().parse_args(argv)
     command = " ".join(tok for tok in (
         args.command,
         getattr(args, f"{args.command}_cmd", None) or getattr(args, f"{args.command}_kind", None),

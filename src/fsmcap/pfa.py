@@ -331,6 +331,12 @@ def _int_columns(m: Matrix) -> list[list[tuple[int, int]]]:
              for i in range(n) if m[i][j]] for j in range(n)]
 
 
+def _int_law(vec: Sequence[Fraction]) -> list[int]:
+    """A law of Fractions as integer numerators over one common denominator."""
+    den = math.lcm(*[e.denominator for e in vec])
+    return [e.numerator * (den // e.denominator) for e in vec]
+
+
 def _lowest_terms(nums: list[int]) -> list[int]:
     """Integer numerators of a distribution divided by their gcd.  A
     distribution sums to 1, so this list is its canonical form, and its sum
@@ -377,8 +383,7 @@ def _walk(p: Pfa, max_len: int, budget: int, bar: Fraction,
     n = p.n_states
     columns = [_int_columns(p.matrices[sym]) for sym in p.alphabet]
     accepting = [int(s in p.accepting) for s in p.states]
-    den = math.lcm(*[e.denominator for e in p.initial])
-    start = _lowest_terms([e.numerator * (den // e.denominator) for e in p.initial])
+    start = _lowest_terms(_int_law(p.initial))
     seen = {repr(start)}
     if len(seen) > budget:
         raise _over_budget(budget, 0, max_len)

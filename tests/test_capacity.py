@@ -595,7 +595,7 @@ def test_demo_stage_guard(always_accept, never_accept):
 
 def _three_state_mixer():
     """Irregular rational columns: a word of length m gives a spectrum of
-    2^m atoms, so the demo's atom count is set by the word."""
+    up to 2^m atoms, so the demo's atom count is set by the word."""
     return make_pfa(["r", "g", "h"], ["u", "v"],
                     {"u": [[F(1, 7), F(2, 5), F(1, 3)], [F(4, 7), F(1, 5), F(1, 3)],
                            [F(2, 7), F(2, 5), F(1, 3)]],
@@ -609,7 +609,7 @@ def _three_state_mixer():
     (("u", "v"), 4, 64, 3000),
     # 2^17 samples take 32 blocks a column chunk, so 40 blocks need two
     (("u", "v"), 4, 40, 1 << 17),
-    (("u", "v", "u", "v", "u", "v", "u"), 128, 16, 3000),
+    (("u", "v", "u", "v", "u", "v", "u", "u"), 256, 16, 3000),
 ])
 def test_demo_draws_equal_generator_choice(always_accept, word, atoms, m_blocks, samples):
     from oracles import naive_concentration_demo
@@ -619,7 +619,7 @@ def test_demo_draws_equal_generator_choice(always_accept, word, atoms, m_blocks,
     ch = lift(inner)
     sched = ControlSchedule(word=word, free_slots=3)
     assert len(block_spectrum(ch, sched)[0]) == atoms
-    assert (atoms > _DEMO_COUNT_ATOMS) == (len(word) == 7)
+    assert (atoms > _DEMO_COUNT_ATOMS) == (len(word) == 8)
     for seed, val in ((0, None), (9, 0.3)):
         args = (ch, sched, m_blocks, 1.5, 0.1, samples, seed, val)
         assert spectrum_concentration_demo(*args) == naive_concentration_demo(*args)

@@ -1,4 +1,3 @@
-import argparse
 import json
 from pathlib import Path
 
@@ -338,50 +337,16 @@ def test_unusable_path_is_a_domain_error(capsys, tmp_path, argv):
     _assert_one_error_line(code, err, f"{tmp_path}: cannot")
 
 
-def _command_paths(parser, path=()):
-    """(path, parser) for the parser and every subcommand parser below it."""
-    yield path, parser
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, sub in action.choices.items():
-                yield from _command_paths(sub, path + (name,))
-
-
-def _printed(capsys, parse, argv):
-    with pytest.raises(SystemExit) as exc:
-        parse(argv)
-    captured = capsys.readouterr()
-    return exc.value.code, captured.out, captured.err
-
-
-def test_one_command_parser_matches_the_full_parser(capsys):
-    from fsmcap import cli
-    full = dict(_command_paths(build_parser()))
-    assert len(full) == 23
-    for command in cli._COMMANDS:
-        one = dict(_command_paths(cli._parser([command])))
-        del one[()]
-        # the command's whole subtree, with the same help text
-        assert sorted(one) == sorted(path for path in full if path[:1] == (command,))
-        for path, parser in one.items():
-            assert parser.format_help() == full[path].format_help()
-    # help and usage errors at every command path, and errors that only the
-    # top-level parser reports (an unknown flag after a complete command):
-    # same stdout, stderr and exit code as the full parser
-    complete = [["sigma", "encode", "1/2"], ["pfa", "validate", "--pfa", "x.pfa"],
-                ["capacity", "converse", "--pfa", "x.pfa", "--n", "2", "--trials", "3"]]
-    argvs = [[*path, *tail] for path in full for tail in (["--help"], ["--bogus"])]
-    argvs += [[*argv, "--bogus", "x"] for argv in complete] + [["bogus"], []]
-    for argv in argvs:
-        assert _printed(capsys, main, argv) == _printed(capsys, build_parser().parse_args, argv)
-
-
-def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
-    from fsmcap import cli
-
-    def refuse():
-        raise AssertionError("the full parser was built")
-
-    monkeypatch.setattr(cli, "build_parser", refuse)
-    code, out, _ = run_cli(capsys, "sigma", "encode", "1/2")
-    assert code == 0 and out == "18\n"
+def test_main_reuses_one_parser(capsys):
+    assert build_parser() is build_parser()
+    encode = run_cli(capsys, "sigma", "encode", "1/2")
+    assert encode == (0, "18\n", "")
+    # help and usage errors exit through the same parser, which a later
+    # call still finds as built
+    for argv, code in ((["sigma", "--help"], 0), (["sigma", "encode"], 2), (["bogus"], 2)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    capsys.readouterr()
+    assert run_cli(capsys, "sigma", "encode", "1/2") == encode
+    assert build_parser().format_help() == build_parser.__wrapped__().format_help()
