@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__, capacity, fixtures, formats, fsmc, gadgets, pfa, witness
+from . import __version__, capacity, formats, fsmc, gadgets, pfa, witness
 
 REAL_FMT = "{:.12g}"
 
@@ -464,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 DOMAIN_ERRORS = (CliError, pfa.PfaError, pfa.BudgetError, gadgets.SigmaError,
-                 witness.WitnessError, witness.ClosedFormMismatch,
-                 fsmc.FsmcError, capacity.CapacityError, formats.FormatError)
+                 witness.WitnessError, fsmc.FsmcError, capacity.CapacityError,
+                 formats.FormatError)
 
 
 def main(argv=None) -> int:

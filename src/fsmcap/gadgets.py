@@ -21,7 +21,9 @@ exactly y; no word exceeds 2y.
 The lifted gadget replaces the coin by two embedded copies of a supplied
 automaton: an a enters a copy at its initial distribution, the copy then
 runs on its own alphabet until the fresh symbol c routes accepting mass one
-way and the rest the other.
+way and the rest the other.  Both gadgets come from one race builder, so the
+skeleton, the b separator, the q0 average and the accepting set are written
+once; each gadget supplies only its a-moves (and the copies' columns).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .pfa import Matrix, Pfa, PfaError, Vector, frac, gamma
+from .pfa import Matrix, Pfa, PfaError, frac, gamma
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -81,6 +83,28 @@ def _check_y(y: Fraction) -> Fraction:
     return y
 
 
+def _race(y: Fraction, alphabet: tuple[str, ...], copies: tuple[str, ...],
+          moves: dict[str, dict[str, dict[str, Fraction]]]) -> Pfa:
+    """The coin race shared by both dichotomy gadgets, over the skeleton
+    states followed by `copies`.  Every state holds on every symbol unless
+    `moves[sym]` gives its column, except on b: the holds q2/q5a/q5n return
+    home, q1 claims 2y into q3 and the rest into the sink, and q4 falls into
+    the sink.  q0 averages q1 and q4 on every symbol."""
+    states = SKELETON_STATES + copies
+    matrices = {}
+    for sym in alphabet:
+        cols = {s: {s: ONE} for s in states}
+        if sym == "b":
+            cols.update(q1={"q3": 2 * y, "sink": 1 - 2 * y}, q2={"q1": ONE},
+                        q4={"sink": ONE}, q5a={"q4": ONE}, q5n={"q4": ONE})
+        cols.update(moves.get(sym, {}))
+        cols["q0"] = _blend((HALF, cols["q1"]), (HALF, cols["q4"]))
+        matrices[sym] = _columns_to_matrix(states, cols)
+    initial = tuple(ONE if s == "q0" else ZERO for s in states)
+    return Pfa(states=states, alphabet=alphabet, matrices=matrices,
+               initial=initial, accepting=frozenset({"q3", "q5a"}))
+
+
 def build_D_xy(x, y) -> Pfa:
     """Coin-race gadget over {a, b} with per-step survival x and acceptance
     weight 2y on claimed successes."""
@@ -88,32 +112,10 @@ def build_D_xy(x, y) -> Pfa:
     if not (0 <= x <= 1):
         raise GadgetError(f"survival probability {x} outside [0, 1]")
     _check_y(y)
-    cols = {
-        "a": {
-            "q1": {"q1": x, "q2": 1 - x},
-            "q2": {"q2": ONE},
-            "q3": {"q3": ONE},
-            "sink": {"sink": ONE},
-            "q4": {"q4": 1 - x, "q5a": 2 * y * x, "q5n": (1 - 2 * y) * x},
-            "q5a": {"q5a": ONE},
-            "q5n": {"q5n": ONE},
-        },
-        "b": {
-            "q1": {"q3": 2 * y, "sink": 1 - 2 * y},
-            "q2": {"q1": ONE},
-            "q3": {"q3": ONE},
-            "sink": {"sink": ONE},
-            "q4": {"sink": ONE},
-            "q5a": {"q4": ONE},
-            "q5n": {"q4": ONE},
-        },
-    }
-    for sym in cols:
-        cols[sym]["q0"] = _blend((HALF, cols[sym]["q1"]), (HALF, cols[sym]["q4"]))
-    matrices = {sym: _columns_to_matrix(SKELETON_STATES, c) for sym, c in cols.items()}
-    initial = tuple(ONE if s == "q0" else ZERO for s in SKELETON_STATES)
-    return Pfa(states=SKELETON_STATES, alphabet=("a", "b"), matrices=matrices,
-               initial=initial, accepting=frozenset({"q3", "q5a"}))
+    return _race(y, ("a", "b"), (), {"a": {
+        "q1": {"q1": x, "q2": 1 - x},
+        "q4": {"q4": 1 - x, "q5a": 2 * y * x, "q5n": (1 - 2 * y) * x},
+    }})
 
 
 def build_D_Ay(a: Pfa, y) -> Pfa:
@@ -143,51 +145,28 @@ def build_D_Ay(a: Pfa, y) -> Pfa:
     y = _check_y(frac(y))
     if not set(a.alphabet) <= {"a", "b"}:
         raise GadgetError(f"inner alphabet {a.alphabet} must be a subset of {{a, b}}")
+    n = len(a.states)
     top = tuple(f"t.{s}" for s in a.states)
     bot = tuple(f"u.{s}" for s in a.states)
-    states = SKELETON_STATES + top + bot
-    enter_top = {top[i]: e for i, e in enumerate(a.initial) if e}
-    enter_bot = {bot[i]: e for i, e in enumerate(a.initial) if e}
-    matrices = {}
-    for sym in ("a", "b", "c"):
-        cols: dict[str, dict[str, Fraction]] = {
-            "q2": {"q1": ONE} if sym == "b" else {"q2": ONE},
-            "q3": {"q3": ONE},
-            "sink": {"sink": ONE},
-            "q5a": {"q4": ONE} if sym == "b" else {"q5a": ONE},
-            "q5n": {"q4": ONE} if sym == "b" else {"q5n": ONE},
-        }
-        if sym == "a":
-            cols["q1"] = dict(enter_top)
-            cols["q4"] = dict(enter_bot)
-        elif sym == "b":
-            cols["q1"] = {"q3": 2 * y, "sink": 1 - 2 * y}
-            cols["q4"] = {"sink": ONE}
+    moves: dict[str, dict[str, dict[str, Fraction]]] = {
+        "a": {"q1": {top[i]: e for i, e in enumerate(a.initial) if e},
+              "q4": {bot[i]: e for i, e in enumerate(a.initial) if e}},
+        "b": {},
+        "c": {},
+    }
+    for sym in a.alphabet:
+        m = a.matrices[sym]
+        for j in range(n):
+            moves[sym][top[j]] = {top[i]: m[i][j] for i in range(n) if m[i][j]}
+            moves[sym][bot[j]] = {bot[i]: m[i][j] for i in range(n) if m[i][j]}
+    for i, s in enumerate(a.states):
+        if s in a.accepting:
+            moves["c"][top[i]] = {"q1": ONE}
+            moves["c"][bot[i]] = {"q5a": 2 * y, "q5n": 1 - 2 * y}
         else:
-            cols["q1"] = {"q1": ONE}
-            cols["q4"] = {"q4": ONE}
-        if sym == "c":
-            for i, s in enumerate(a.states):
-                if s in a.accepting:
-                    cols[top[i]] = {"q1": ONE}
-                    cols[bot[i]] = {"q5a": 2 * y, "q5n": 1 - 2 * y}
-                else:
-                    cols[top[i]] = {"q2": ONE}
-                    cols[bot[i]] = {"q4": ONE}
-        elif sym in a.alphabet:
-            m = a.matrices[sym]
-            for j in range(len(a.states)):
-                cols[top[j]] = {top[i]: m[i][j] for i in range(len(a.states)) if m[i][j]}
-                cols[bot[j]] = {bot[i]: m[i][j] for i in range(len(a.states)) if m[i][j]}
-        else:
-            for j in range(len(a.states)):
-                cols[top[j]] = {top[j]: ONE}
-                cols[bot[j]] = {bot[j]: ONE}
-        cols["q0"] = _blend((HALF, cols["q1"]), (HALF, cols["q4"]))
-        matrices[sym] = _columns_to_matrix(states, cols)
-    initial = tuple(ONE if s == "q0" else ZERO for s in states)
-    return Pfa(states=states, alphabet=("a", "b", "c"), matrices=matrices,
-               initial=initial, accepting=frozenset({"q3", "q5a"}))
+            moves["c"][top[i]] = {"q2": ONE}
+            moves["c"][bot[i]] = {"q4": ONE}
+    return _race(y, ("a", "b", "c"), top + bot, moves)
 
 
 def gadget_state_count(n_inner: int) -> int:
@@ -245,8 +224,6 @@ def build_family_member(a: Pfa, lam) -> Pfa:
     lam = frac(lam)
     if not (0 < lam <= 1):
         raise GadgetError(f"separation parameter {lam} outside (0, 1]")
-    if not set(a.alphabet) <= {"a", "b"}:
-        raise GadgetError(f"inner alphabet {a.alphabet} must be a subset of {{a, b}}")
     return gamma(build_D_Ay(a, lam / 2))
 
 

@@ -232,6 +232,15 @@ def test_internal_value_error_is_not_a_domain_error(monkeypatch, tmp_path):
         main(["capacity", "converse", "--pfa", str(d25), "--n", "2", "--trials", "3"])
 
 
+def test_closed_form_mismatch_is_not_a_domain_error(monkeypatch):
+    from fsmcap import gadgets
+    from fsmcap.witness import ClosedFormMismatch
+
+    monkeypatch.setattr(gadgets, "dxy_reach_closed_form", lambda x, lengths: (1, 1))
+    with pytest.raises(ClosedFormMismatch, match="closed form"):
+        main(["witness", "--x", "3/4", "--eps", "1/10", "--k", "3"])
+
+
 @pytest.mark.parametrize("argv, fragment", [
     (["witness", "--x", "3/4", "--eps", "1/10", "--k", "1"], "need k >= 2"),
     (["capacity", "ba", "--channel", "bsc11.dmc", "--max-iters", "0"], "max_iters"),

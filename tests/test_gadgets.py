@@ -118,6 +118,20 @@ def test_day_always_accepting_behaves_like_x_one(always_accept):
     assert reach_mass(g, "q1", word, TOP_SUCCESS_CLASS) == 1
 
 
+@pytest.mark.parametrize("y", [F(1, 4), H])
+@pytest.mark.parametrize("x", [F(1, 4), F(2, 5), H, F(3, 4)])
+def test_day_races_like_the_coin(x, y):
+    # a unary inner automaton whose word "a" has value x turns each coin a
+    # into the protocol group "a a c"; b stays the separator
+    coin_x = make_pfa(["s", "t", "u"], ["a"], {"a": [[0, 0, 0], [x, 1, 0], [1 - x, 0, 1]]},
+                      [1, 0, 0], ["t"])
+    lifted, coin = build_D_Ay(coin_x, y), build_D_xy(x, y)
+    h = {"a": ("a", "a", "c"), "b": ("b",)}
+    for w in iter_words(("a", "b"), 8):
+        lifted_word = tuple(s for sym in w for s in h[sym])
+        assert value(lifted, lifted_word) == value(coin, w), w
+
+
 def test_day_c_routes_by_acceptance(example1):
     g = build_D_Ay(example1, H)
     # inner word b drives the copy onto the accepting state, so c returns home
