@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fsmc import Fsmc, lifted_automaton, unlift
-from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Pfa, _columns_equal, _int_columns, _int_law,
+from .fsmc import Fsmc, lifted_automaton
+from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Pfa, _columns_equal, _int_law,
                   _is_identity, brute_force_value)
 
 ZERO = Fraction(0)
@@ -286,7 +286,7 @@ def _pattern_step(columns: list[list[tuple[int, int]]], accepting: list[bool],
     """One slot of the joint law of (acceptance mask so far, state), on
     integer numerators: split each state vector on whether the state before
     slot t accepts, then move both parts by the control's integer columns
-    (`pfa._int_columns`).  Every vector gains the same factor, the columns'
+    (`Pfa.columns`).  Every vector gains the same factor, the columns'
     denominator, so the frontier stays on one common denominator; it is a
     law, so that denominator is the sum of all its numerators."""
     n = len(accepting)
@@ -309,7 +309,7 @@ def _pattern_step(columns: list[list[tuple[int, int]]], accepting: list[bool],
 
 def _pattern_law(a: Pfa, controls: Sequence[str]) -> dict[int, Fraction]:
     """Acceptance-pattern law along `controls`, from the initial law."""
-    columns = {c: _int_columns(a.matrix(c)) for c in dict.fromkeys(controls)}
+    columns = {c: a.columns(c) for c in dict.fromkeys(controls)}
     accepting = [s in a.accepting for s in a.states]
     frontier = {0: _int_law(a.initial)}
     for t, c in enumerate(controls):
@@ -326,7 +326,7 @@ def accept_pattern_dist(ch: Fsmc, controls: Sequence[str]) -> dict[int, Fraction
     accepting.  The state trajectory ignores the data input, so this is the
     whole memory the block channel has.
     """
-    return _pattern_law(unlift(ch), controls)
+    return _pattern_law(ch.automaton, controls)
 
 
 def agreement_profile(pattern_dist: dict[int, Fraction], length: int) -> list[Fraction]:
@@ -395,7 +395,7 @@ def block_profile(ch: Fsmc, sched: ControlSchedule,
     """Agreement profile of one schedule period, all 2^period entries,
     expanded from the factored law (see `_prefix_profiles`), with the same
     block-stationarity check.  Slot t is bit t, so E = E_pre + 2^m E_suf."""
-    g0, g1, _ = _prefix_profiles(unlift(ch), sched, max_period)
+    g0, g1, _ = _prefix_profiles(ch.automaton, sched, max_period)
     scale = 1 << sched.free_slots
     low = [x / scale for x in g0]
     return low * (scale - 1) + [x + y for x, y in zip(low, g1)]
@@ -431,7 +431,7 @@ def block_rate_uniform(ch: Fsmc, sched: ControlSchedule,
     (period - row entropy) / period; uniform data achieves the block
     capacity.
     """
-    g0, g1, _ = _float_prefix_profiles(unlift(ch), sched, max_period)
+    g0, g1, _ = _float_prefix_profiles(ch.automaton, sched, max_period)
     return _uniform_rate(g0, g1, sched)
 
 
@@ -464,7 +464,7 @@ class ChainReport:
 
 def achievability_chain(ch: Fsmc, sched: ControlSchedule,
                         max_period: int = DEFAULT_BLOCK_BUDGET) -> ChainReport:
-    return _chain_report(sched, *_float_prefix_profiles(unlift(ch), sched, max_period))
+    return _chain_report(sched, *_float_prefix_profiles(ch.automaton, sched, max_period))
 
 
 def _chain_report(sched: ControlSchedule, g0: np.ndarray, g1: np.ndarray,
@@ -505,7 +505,7 @@ def achievable_rate(ch: Fsmc, word: Sequence[str], free_slots: int,
     """
     sched = ControlSchedule(word=tuple(word), free_slots=free_slots)
     if input_mode == "uniform":
-        return _chained_uniform_rate(sched, *_float_prefix_profiles(unlift(ch), sched, max_period))
+        return _chained_uniform_rate(sched, *_float_prefix_profiles(ch.automaton, sched, max_period))
     if input_mode == "ba":
         block = induced_block_channel(ch, sched, max_period=max_period)
         result = blahut_arimoto(block, tol=ba_tol * sched.period)
@@ -547,7 +547,7 @@ def _control_pattern_laws(a: Pfa, n: int) -> np.ndarray:
     The slot-0 control is w's most significant base-|C| digit.  Words that
     share a prefix share its walk: level t holds the (mask, state) frontier
     of every length-t prefix, on integer numerators."""
-    columns = [_int_columns(a.matrix(c)) for c in a.alphabet]
+    columns = [a.columns(c) for c in a.alphabet]
     accepting = [s in a.accepting for s in a.states]
     level = [{0: _int_law(a.initial)}]
     for t in range(n - 1):
@@ -646,7 +646,7 @@ def converse_check(ch: Fsmc, n: int, trials: int, seed: int = 0,
         raise CapacityError(f"converse check is exact-enumeration only (n <= 6), got {n}")
     if seed < 0:
         raise CapacityError(f"seed {seed} must be >= 0")
-    a = unlift(ch)
+    a = ch.automaton
     horizon = n if horizon is None else horizon
     val = float(brute_force_value(a, horizon).best_value)
     stats = _converse_trial_stats(a, n, trials, seed)
@@ -806,7 +806,7 @@ def block_spectrum(ch: Fsmc, sched: ControlSchedule,
     times) and the last row is 2^-n G0 + G1, so the atoms come from 2^m
     values of each kind, whatever n.  An atom whose g(E) leaves the normal
     float range raises CapacityError."""
-    g0, g1, _ = _prefix_profiles(unlift(ch), sched, max_period)
+    g0, g1, _ = _prefix_profiles(ch.automaton, sched, max_period)
     n = sched.free_slots
     scale = 1 << n
     counts: dict[Fraction, int] = {}     # 2^n g(E), exact -> number of such E

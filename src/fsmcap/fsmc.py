@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Matrix, Pfa, PfaError, _columns_equal,
@@ -64,6 +65,14 @@ class Fsmc:
             return self.inputs.index(sym)
         except ValueError:
             raise FsmcError(f"unknown input {sym!r}") from None
+
+    @cached_property
+    def automaton(self) -> Pfa:
+        """The automaton a lifted channel carries (`unlift`), read back on
+        first use and kept with the channel, so its integer columns are
+        built once too.  A channel that is not a lift raises FsmcError on
+        every use.  Not a field: ==, repr and dataclasses.replace ignore it."""
+        return unlift(self)
 
 
 def validate_fsmc(ch: Fsmc) -> list[str]:

@@ -8,8 +8,9 @@ to M @ u.  All arithmetic is exact; floats are rejected at the boundary.
 Every public function takes and returns Fractions.  The word search
 (`brute_force_value`, `emptiness_semidecide`) works on integers inside its
 walk: each matrix becomes integer columns over one common denominator, each
-distribution a list of integer numerators in lowest terms, and a Fraction
-is built only for the value returned.
+distribution a tuple of integer numerators in lowest terms, and a Fraction
+is built only for the value returned.  An automaton builds its integer
+columns once, on first use, and keeps them (`Pfa.columns`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -29,6 +31,7 @@ DEFAULT_SEARCH_BUDGET = 5_000_000
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 Word = tuple[str, ...]
+IntColumns = list[list[tuple[int, int]]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -69,7 +72,8 @@ class Pfa:
     """Automaton (states, alphabet, one column-stochastic matrix per symbol,
     initial distribution, accepting subset).  Construction checks every
     invariant and raises PfaError listing the violations, so every Pfa is
-    valid."""
+    valid.  Make a changed automaton with dataclasses.replace: a matrix
+    changed in place would miss that check and the kept `columns`."""
 
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
@@ -93,6 +97,20 @@ class Pfa:
     def matrix(self, symbol: str) -> Matrix:
         try:
             return self.matrices[symbol]
+        except KeyError:
+            raise PfaError(f"unknown symbol {symbol!r}") from None
+
+    @cached_property
+    def _columns(self) -> dict[str, IntColumns]:
+        # not a field: ==, repr and dataclasses.replace ignore it, and a
+        # replaced automaton builds its own on first use
+        return {sym: _int_columns(m) for sym, m in self.matrices.items()}
+
+    def columns(self, symbol: str) -> IntColumns:
+        """`matrix(symbol)` as sparse integer columns (`_int_columns`),
+        built for every symbol on first use and kept with the automaton."""
+        try:
+            return self._columns[symbol]
         except KeyError:
             raise PfaError(f"unknown symbol {symbol!r}") from None
 
@@ -321,7 +339,7 @@ class SearchResult:
     best_value: Fraction
 
 
-def _int_columns(m: Matrix) -> list[list[tuple[int, int]]]:
+def _int_columns(m: Matrix) -> IntColumns:
     """M as sparse integer columns over one common denominator: column j
     lists (i, numerator) for each nonzero m[i][j].  The walk brings every
     child to lowest terms, so the denominator itself is never needed."""
@@ -337,12 +355,12 @@ def _int_law(vec: Sequence[Fraction]) -> list[int]:
     return [e.numerator * (den // e.denominator) for e in vec]
 
 
-def _lowest_terms(nums: list[int]) -> list[int]:
+def _lowest_terms(nums: list[int]) -> tuple[int, ...]:
     """Integer numerators of a distribution divided by their gcd.  A
-    distribution sums to 1, so this list is its canonical form, and its sum
+    distribution sums to 1, so this tuple is its canonical form, and its sum
     is the common denominator."""
     g = math.gcd(*nums)
-    return nums if g == 1 else [x // g for x in nums]
+    return tuple(nums) if g == 1 else tuple([x // g for x in nums])
 
 
 def _over_budget(budget: int, length: int, max_len: int) -> BudgetError:
@@ -367,26 +385,27 @@ def _walk(p: Pfa, max_len: int, budget: int, bar: Fraction,
     improvement, or the first value above a threshold, is the word a scan of
     every word finds.
 
-    A distribution is held as integer numerators in lowest terms, keyed in
-    the seen set by their repr, and a value acc/total is compared by cross
+    A distribution is held as a tuple of integer numerators in lowest
+    terms, one object that is both its key in the seen set and its entry in
+    the level list, and a value acc/total is compared by cross
     multiplication; words are parent and letter indices, spelled out only
-    for the word returned.  No tuple is made per visit: CPython keeps freed
-    short tuples on free lists that only a full collection empties, and the
-    walk allocates too few tracked objects to trigger one, so tuples freed
-    in bulk at the end of a walk would hold their memory.
+    for the word returned.  The tuples freed when a walk ends do not pile
+    up: CPython's free lists keep at most 2,000 tuples of each length below
+    20, and longer tuples go straight back to the allocator.
 
-    Raises BudgetError as soon as more than `budget` distinct distributions
-    have been seen.
+    Raises PfaError, before any work, for a negative `max_len` or a
+    `budget` below 1, and BudgetError as soon as more than `budget` distinct
+    distributions have been seen.
     """
     if max_len < 0:
         raise PfaError(f"maximum word length {max_len} must be >= 0")
+    if budget < 1:
+        raise PfaError(f"search budget {budget} must be >= 1")
     n = p.n_states
-    columns = [_int_columns(p.matrices[sym]) for sym in p.alphabet]
+    columns = [p.columns(sym) for sym in p.alphabet]
     accepting = [int(s in p.accepting) for s in p.states]
     start = _lowest_terms(_int_law(p.initial))
-    seen = {repr(start)}
-    if len(seen) > budget:
-        raise _over_budget(budget, 0, max_len)
+    seen = {start}
     parent, letter = [-1], [-1]
     bar_num, bar_den = bar.numerator, bar.denominator
     hit = -1
@@ -407,10 +426,9 @@ def _walk(p: Pfa, max_len: int, budget: int, bar: Fraction,
                         for i, m in cols[j]:
                             child[i] += m * x
                 child = _lowest_terms(child)
-                key = repr(child)
-                if key in seen:
+                if child in seen:
                     continue
-                seen.add(key)
+                seen.add(child)
                 if len(seen) > budget:
                     raise _over_budget(budget, length, max_len)
                 parent.append(k)

@@ -655,14 +655,20 @@ def _data_blind(ch):
 
 
 def test_data_blind_output_rejected(d_34):
+    from fsmcap.capacity import accept_pattern_dist
     from fsmcap.fsmc import FsmcError, validate_fsmc
     blind = _data_blind(build_V(gamma(d_34)))
-    # a well-formed channel, but not the lift of any automaton
+    # a well-formed channel, but not the lift of any automaton: refused on
+    # every call, with the same message
     assert validate_fsmc(blind) == []
-    with pytest.raises(FsmcError):
-        block_rate_uniform(blind, ControlSchedule(("a", "b"), 7))
-    with pytest.raises(FsmcError):
-        converse_check(blind, n=2, trials=3)
+    messages = set()
+    for call in (lambda: accept_pattern_dist(blind, ("a", "b")),
+                 lambda: block_rate_uniform(blind, ControlSchedule(("a", "b"), 7)),
+                 lambda: converse_check(blind, n=2, trials=3)) * 2:
+        with pytest.raises(FsmcError) as err:
+            call()
+        messages.add(str(err.value))
+    assert len(messages) == 1
     # forwarding under one control and a fair coin under another
     lift = build_V(gamma(d_34))
     coin = tuple(tuple(H for _ in row) for row in lift.output_law["0:b"])
@@ -773,16 +779,19 @@ def test_each_schedule_is_walked_once(monkeypatch, d_34):
 def test_bracket_builds_no_channel(monkeypatch, d_34):
     import fsmcap.fsmc as fsmc
     built = _count_calls(monkeypatch, "build_V", fsmc)
-    read = _count_calls(monkeypatch, "unlift")
-    read_in_fsmc = _count_calls(monkeypatch, "unlift", fsmc)
+    read = _count_calls(monkeypatch, "unlift", fsmc)
     capacity_bracket(d_34, 0.1, BracketBudget(word_len=4, block=12))
-    assert not built and not read and not read_in_fsmc
+    assert not built and not read
 
 
 def test_converse_derives_structure_once(monkeypatch, d_25):
+    import fsmcap.fsmc as fsmc
+    from fsmcap.capacity import accept_pattern_dist
     ch = build_V(gamma(d_25))
-    calls = _count_calls(monkeypatch, "unlift")
+    calls = _count_calls(monkeypatch, "unlift", fsmc)
     converse_check(ch, n=3, trials=5, seed=1)
+    converse_check(ch, n=2, trials=3, seed=2)
+    accept_pattern_dist(ch, ("a", "b"))
     assert len(calls) == 1
 
 

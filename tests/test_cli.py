@@ -260,6 +260,10 @@ def test_closed_form_mismatch_is_not_a_domain_error(monkeypatch):
       "--count", "0"], "--count 0"),
     (["channel", "sample", "--channel", "v.fsmc", "--input", "1:b", "--seed", "7",
       "--count", "-3", "--out", "s.txt"], "--count -3"),
+    (["pfa", "search", "--pfa", "d_25.pfa", "--max-len", "3", "--budget", "-5"],
+     "search budget -5 must be >= 1"),
+    (["pfa", "search", "--pfa", "d_25.pfa", "--max-len", "3", "--above", "1/2",
+      "--budget", "0"], "search budget 0 must be >= 1"),
 ])
 def test_out_of_range_arguments_exit_1(capsys, tmp_path, monkeypatch, argv, fragment):
     for name in ("d_25.pfa", "bsc11.dmc"):

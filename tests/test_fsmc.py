@@ -97,6 +97,15 @@ def test_unlift_inverts_build_v_on_fixtures(name, request):
         assert unlift(build_V(gamma(p))) == gamma(p)
 
 
+def test_channel_keeps_its_automaton(d_34):
+    ch = build_V(gamma(d_34))
+    a = ch.automaton
+    assert a == unlift(ch) == gamma(d_34) and ch.automaton is a
+    # not a field: equality ignores it, and a replaced channel reads its own
+    assert ch == build_V(gamma(d_34))
+    assert dataclasses.replace(ch).automaton is not a
+
+
 def test_lift_applies_gamma_unless_present(example1, family3):
     assert lift(example1) == build_V(gamma(example1))
     assert lift(family3) == build_V(family3)

@@ -386,6 +386,41 @@ def test_search_leaves_no_allocated_blocks_behind(family3):
     assert growth <= 5 * 60
 
 
+def test_search_follows_a_replaced_automaton(d_34):
+    # the integer columns are kept with the automaton; a replaced one must
+    # build its own, so the second search sees the changed column
+    assert brute_force_value(d_34, 6) == naive_search(d_34, 6).result()
+    a = [list(row) for row in d_34.matrices["a"]]
+    j = next(j for j in range(d_34.n_states) if a[j][j] != 1)
+    for row in a:
+        row[j] = F(0)
+    a[j][j] = F(1)
+    held = dataclasses.replace(
+        d_34, matrices={**d_34.matrices, "a": tuple(map(tuple, a))})
+    oracle = naive_search(held, 6)
+    assert oracle.result() != naive_search(d_34, 6).result()
+    _assert_search_matches(held, oracle, 6, THRESHOLDS)
+
+
+@pytest.mark.parametrize("name", ["example1", "family3"])
+def test_search_leaves_the_automaton_unchanged(name):
+    p = getattr(fixtures, name)()
+    before = (dataclasses.replace(p), repr(p), formats.serialize_pfa(p))
+    brute_force_value(p, 4)
+    assert (p, repr(p), formats.serialize_pfa(p)) == before
+
+
+def test_search_refuses_a_budget_below_one(example1, d_34):
+    for budget in (0, -5):
+        with pytest.raises(PfaError, match=f"^search budget {budget} must be >= 1$"):
+            brute_force_value(example1, 3, budget=budget)
+        with pytest.raises(PfaError, match=f"^search budget {budget} must be >= 1$"):
+            emptiness_semidecide(example1, H, 0, budget=budget)
+    from fsmcap.capacity import BracketBudget, capacity_bracket
+    with pytest.raises(PfaError, match="^search budget -3 must be >= 1$"):
+        capacity_bracket(d_34, 0.1, BracketBudget(words=-3))
+
+
 # ---------------------------------------------------------------------------
 # Validation on construction.
 # ---------------------------------------------------------------------------
