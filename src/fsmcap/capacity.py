@@ -15,11 +15,22 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .fsmc import Fsmc, lifted_automaton
 from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Pfa, _columns_equal, _int_law,
                   _is_identity, brute_force_value)
+
+
+class _Numpy:
+    """numpy, imported on first use, when this stand-in rebinds `np` to the
+    module: only capacity work needs it, and it is most of `import fsmcap`."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy as np
+        return getattr(np, name)
+
+
+np = _Numpy()
 
 ZERO = Fraction(0)
 

@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Matrix, Pfa, PfaError, _columns_equal,
-                  _is_identity, duplicate_violations, gamma,
+from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Matrix, Pfa, PfaError, ReadOnlyDict,
+                  _columns_equal, _is_identity, duplicate_violations, gamma,
                   membership_violations, table_violations)
 
 ZERO = Fraction(0)
@@ -38,6 +38,7 @@ class Fsmc:
     ``output_law[x][y][s']`` is p(y | x, s') and ``state_law[x][s][s']`` is
     p(s | x, s'); both tables are column-stochastic in s'.  Construction
     checks every invariant and raises FsmcError listing the violations.
+    Both laws are stored as ReadOnlyDicts, like `Pfa.matrices`.
     """
 
     inputs: tuple[str, ...]
@@ -48,6 +49,9 @@ class Fsmc:
     initial: str
 
     def __post_init__(self):
+        for name in ("output_law", "state_law"):
+            if type(getattr(self, name)) is not ReadOnlyDict:
+                object.__setattr__(self, name, ReadOnlyDict(getattr(self, name)))
         check_fsmc(self)
 
     @property

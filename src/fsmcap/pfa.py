@@ -10,7 +10,10 @@ Every public function takes and returns Fractions.  The word search
 walk: each matrix becomes integer columns over one common denominator, each
 distribution a tuple of integer numerators in lowest terms, and a Fraction
 is built only for the value returned.  An automaton builds its integer
-columns once, on first use, and keeps them (`Pfa.columns`).
+columns once, on first use, and keeps them (`Pfa.columns`), with the
+state-observed horizon bound that lets the walk skip subtrees that cannot
+beat the best value so far (`_HorizonBound`).  Its matrices are a
+`ReadOnlyDict`, so neither can go stale.
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 _EXACT_TYPES = {int, Fraction}
+
+# the horizon bound is rounded up onto multiples of 2**-_BOUND_BITS once its
+# common denominator grows past 2**_BOUND_BITS
+_BOUND_BITS = 64
 
 
 class PfaError(ValueError):
@@ -67,13 +74,28 @@ def make_matrix(rows) -> Matrix:
     return tuple(tuple(frac(e) for e in row) for row in rows)
 
 
+class ReadOnlyDict(dict):
+    """A dict that refuses every change after it is built.  repr, == with a
+    dict, pickle and deepcopy work as for a plain dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only: "
+                        "make a changed copy with dataclasses.replace")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class Pfa:
     """Automaton (states, alphabet, one column-stochastic matrix per symbol,
     initial distribution, accepting subset).  Construction checks every
     invariant and raises PfaError listing the violations, so every Pfa is
-    valid.  Make a changed automaton with dataclasses.replace: a matrix
-    changed in place would miss that check and the kept `columns`."""
+    valid.  `matrices` is stored as a ReadOnlyDict; make a changed automaton
+    with dataclasses.replace, which checks it and builds fresh caches."""
 
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
@@ -82,6 +104,8 @@ class Pfa:
     accepting: frozenset[str]
 
     def __post_init__(self):
+        if type(self.matrices) is not ReadOnlyDict:
+            object.__setattr__(self, "matrices", ReadOnlyDict(self.matrices))
         check_pfa(self)
 
     @property
@@ -113,6 +137,11 @@ class Pfa:
             return self._columns[symbol]
         except KeyError:
             raise PfaError(f"unknown symbol {symbol!r}") from None
+
+    @cached_property
+    def _horizon(self) -> _HorizonBound:
+        # not a field, like _columns
+        return _HorizonBound(self)
 
     def accept_indices(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.states) if s in self.accepting)
@@ -363,6 +392,76 @@ def _lowest_terms(nums: list[int]) -> tuple[int, ...]:
     return tuple(nums) if g == 1 else tuple([x // g for x in nums])
 
 
+class _HorizonBound:
+    """The value of the state-observed optimal-stopping problem, per horizon.
+
+    V_0 is the accepting indicator and V_k(s) = max(V_{k-1}(s),
+    max over symbols of sum_t M[t][s] V_{k-1}(t)): the best chance of
+    acceptance within k more letters for a controller that sees the state
+    (Puterman, Markov Decision Processes, 1994).  A word cannot see the
+    state, so u.V_k bounds the value of every extension of u by at most k
+    letters.
+
+    Each V_k is kept as integer numerators over one common denominator, in
+    lowest terms.  A denominator past 2**_BOUND_BITS is rounded up onto that
+    dyadic grid, which keeps every V_k an upper bound and at most 1.  Levels
+    are built on demand; once a level equals the one before it, it holds for
+    every deeper horizon and no more are built.
+    """
+
+    def __init__(self, p: Pfa):
+        cols = [p.columns(sym) for sym in p.alphabet]
+        dens = [sum(m for _, m in c[0]) for c in cols]
+        self.scale = math.lcm(*dens)
+        # per state: the states it moves to surely (itself, for stopping)
+        # and its distinct other columns, on one denominator
+        self.steps = []
+        for s in range(p.n_states):
+            sure, mixed = {s}, {}
+            for c, den in zip(cols, dens):
+                if len(c[s]) == 1:
+                    sure.add(c[s][0][0])
+                else:
+                    mixed[tuple([(t, m * (self.scale // den)) for t, m in c[s]])] = None
+            self.steps.append((tuple(sure), list(mixed)))
+        self.levels = [(tuple(int(s in p.accepting) for s in p.states), 1)]
+        self.settled = False
+
+    def _extend(self) -> None:
+        v, den = self.levels[-1]
+        get = v.__getitem__
+        nums = [max([max(map(get, sure)) * self.scale,
+                     *[sum(m * v[t] for t, m in col) for col in mixed]])
+                for sure, mixed in self.steps]
+        nums, den = _reduced(nums, den * self.scale)
+        if den > 1 << _BOUND_BITS:
+            nums, den = _reduced([-((-x << _BOUND_BITS) // den) for x in nums], 1 << _BOUND_BITS)
+        if (nums, den) == self.levels[-1]:
+            self.settled = True
+        else:
+            self.levels.append((nums, den))
+
+    def at(self, k: int, limit: int) -> Optional[tuple[tuple[int, ...], int]]:
+        """V_k as (numerators, denominator), built to depth at most `limit`;
+        None if that cannot show it.  A level equal to the one before it
+        shows every deeper one.  Levels built by earlier calls beyond `limit`
+        are not used, so the bound a walk gets does not depend on them."""
+        levels = self.levels
+        while len(levels) <= min(k, limit) and not self.settled:
+            self._extend()
+        top = len(levels) - 1
+        if k <= min(top, limit):
+            return levels[k]
+        if self.settled and top < min(k, limit):
+            return levels[top]
+        return None
+
+
+def _reduced(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    g = math.gcd(den, *nums)
+    return tuple([x // g for x in nums]), den // g
+
+
 def _over_budget(budget: int, length: int, max_len: int) -> BudgetError:
     return BudgetError(
         f"more than {budget} distinct distributions reachable by words of length "
@@ -372,10 +471,10 @@ def _over_budget(budget: int, length: int, max_len: int) -> BudgetError:
 def _walk(p: Pfa, max_len: int, budget: int, bar: Fraction,
           first: bool) -> Optional[tuple[Word, Fraction]]:
     """Visit each distinct distribution reachable by a word of length <=
-    max_len once, breadth-first in alphabet order.  Return the word and
-    value of the last visit whose value beats `bar`, raising `bar` to each
-    such value, or, with `first`, of the first such visit; None if no visit
-    beats `bar`.
+    max_len once, breadth-first in alphabet order, except in subtrees that
+    cannot beat `bar`.  Return the word and value of the last visit whose
+    value beats `bar`, raising `bar` to each such value, or, with `first`,
+    of the first such visit; None if no visit beats `bar`.
 
     A child whose distribution was already seen is skipped, so each
     distribution is expanded once.  The first visit is by the distribution's
@@ -385,17 +484,29 @@ def _walk(p: Pfa, max_len: int, budget: int, bar: Fraction,
     improvement, or the first value above a threshold, is the word a scan of
     every word finds.
 
+    A visit u at depth l is not expanded when u.V_{max_len-l} <= `bar`
+    (`_HorizonBound`): no extension of u within the horizon beats `bar`,
+    and `bar` only rises.  It stays seen, so a later copy of u, which sits
+    at least as deep, is skipped as well; and a distribution first reached
+    below u and reached again elsewhere has a value no extension of u beats
+    either.  So the answer is the one of the walk without the bound.  V_k
+    is used once the walk has expanded k - 1 distributions, or once the
+    levels settle that early, so the bound never costs much more than the
+    walk.  The walk also ends at the first empty level.
+
     A distribution is held as a tuple of integer numerators in lowest
     terms, one object that is both its key in the seen set and its entry in
     the level list, and a value acc/total is compared by cross
     multiplication; words are parent and letter indices, spelled out only
-    for the word returned.  The tuples freed when a walk ends do not pile
-    up: CPython's free lists keep at most 2,000 tuples of each length below
-    20, and longer tuples go straight back to the allocator.
+    for the word returned.  Only visits kept for expansion get an index, so
+    the next level holds the last indices given out.  The tuples freed when a walk
+    ends do not pile up: CPython's free lists keep at most 2,000 tuples of
+    each length below 20, and longer tuples go straight back to the
+    allocator.
 
     Raises PfaError, before any work, for a negative `max_len` or a
     `budget` below 1, and BudgetError as soon as more than `budget` distinct
-    distributions have been seen.
+    distributions have been seen, expanded or not.
     """
     if max_len < 0:
         raise PfaError(f"maximum word length {max_len} must be >= 0")
@@ -404,19 +515,27 @@ def _walk(p: Pfa, max_len: int, budget: int, bar: Fraction,
     n = p.n_states
     columns = [p.columns(sym) for sym in p.alphabet]
     accepting = [int(s in p.accepting) for s in p.states]
+    horizon = p._horizon
     start = _lowest_terms(_int_law(p.initial))
     seen = {start}
     parent, letter = [-1], [-1]
     bar_num, bar_den = bar.numerator, bar.denominator
-    hit = -1
+    hit = None
     acc, total = sum(map(mul, accepting, start)), sum(start)
     if acc * bar_den > bar_num * total:
-        hit = 0
+        hit = 0, -1
         if first:
             return (), Fraction(acc, total)
         bar_num, bar_den = acc, total
     level = [start]
-    for length in range(1, max_len + 1):
+    bound = horizon.at(max_len, 1)
+    if bound is not None and sum(map(mul, bound[0], start)) * bar_den <= bar_num * total * bound[1]:
+        level = []
+    length = 0
+    while level and length < max_len:
+        length += 1
+        need = max_len - length
+        bound = None
         nxt = []
         for k, dist in enumerate(level, len(parent) - len(level)):
             for s, cols in enumerate(columns):
@@ -431,24 +550,33 @@ def _walk(p: Pfa, max_len: int, budget: int, bar: Fraction,
                 seen.add(child)
                 if len(seen) > budget:
                     raise _over_budget(budget, length, max_len)
+                acc, total = sum(map(mul, accepting, child)), sum(child)
+                if acc * bar_den > bar_num * total:
+                    if first:
+                        return _spell(p, parent, letter, k, s), Fraction(acc, total)
+                    hit = k, s
+                    bar_num, bar_den = acc, total
+                if not need:
+                    continue
+                if bound is None:
+                    # k + 1 distributions expanded so far
+                    bound = horizon.at(need, k + 2)
+                if (bound is not None and sum(map(mul, bound[0], child)) * bar_den
+                        <= bar_num * total * bound[1]):
+                    continue
                 parent.append(k)
                 letter.append(s)
                 nxt.append(child)
-                acc, total = sum(map(mul, accepting, child)), sum(child)
-                if acc * bar_den > bar_num * total:
-                    hit = len(parent) - 1
-                    if first:
-                        return _spell(p, parent, letter, hit), Fraction(acc, total)
-                    bar_num, bar_den = acc, total
         level = nxt
-    if hit < 0:
+    if hit is None:
         return None
-    return _spell(p, parent, letter, hit), Fraction(bar_num, bar_den)
+    return _spell(p, parent, letter, *hit), Fraction(bar_num, bar_den)
 
 
-def _spell(p: Pfa, parent: list[int], letter: list[int], k: int) -> Word:
-    """The word of walk node k, read back through its parents."""
-    out = []
+def _spell(p: Pfa, parent: list[int], letter: list[int], k: int, s: int) -> Word:
+    """The word of walk node k, read back through its parents, followed by
+    the letter of index s (none for s < 0)."""
+    out = [p.alphabet[s]] if s >= 0 else []
     while k:
         out.append(p.alphabet[letter[k]])
         k = parent[k]

@@ -5,6 +5,7 @@ library code paths: naive nested-loop matrix products, explicit path
 enumeration, and a 50-digit evaluation of the length formulas.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,29 +80,93 @@ class NaiveSearch:
         return next((w for w, v in self.upto(max_len) if v > threshold), None)
 
 
-def naive_search(automaton, max_len) -> NaiveSearch:
+BOUND_BITS = 64
+
+
+def naive_horizon(automaton, depth):
+    """V_0, ..., V_depth of the state-observed stopping problem on Fractions,
+    stopping at the first level equal to the one before it: V_0 is the
+    accepting indicator and V_k(s) the larger of V_{k-1}(s) and, over the
+    symbols, the V_{k-1}-weighted column of s.  A level whose least common
+    denominator passes 2**BOUND_BITS is rounded up onto that grid.  Returns
+    (levels, settled)."""
+    states, n = automaton.states, len(automaton.states)
+    levels = [tuple(Fraction(int(s in automaton.accepting)) for s in states)]
+    grid = 2 ** BOUND_BITS
+    while len(levels) <= depth:
+        v = levels[-1]
+        nxt = []
+        for s in range(n):
+            best = v[s]
+            for sym in automaton.alphabet:
+                m = automaton.matrices[sym]
+                best = max(best, sum((m[t][s] * v[t] for t in range(n)), Fraction(0)))
+            nxt.append(best)
+        if math.lcm(*(x.denominator for x in nxt)) > grid:
+            nxt = [Fraction(math.ceil(x * grid), grid) for x in nxt]
+        if tuple(nxt) == v:
+            return levels, True
+        levels.append(tuple(nxt))
+    return levels, False
+
+
+def naive_search(automaton, max_len, pruned=False, threshold=None) -> NaiveSearch:
     """The breadth-first word search on Fraction tuples, as the engine ran
     it before it moved to integer numerators: each distinct distribution is
-    visited once, at its shortest-then-lexicographic word."""
+    visited once, at its shortest-then-lexicographic word.
+
+    With `pruned`, a visit at depth l is not expanded when its
+    V_{max_len-l}-weighted mass (`naive_horizon`) is at most the bar: the
+    `threshold`, at which the walk stops at the first visit above it, or
+    else the best value so far.  V_k is used for the children of the i-th
+    expanded visit only if it shows at depth <= i + 1 (the root: 1): k is
+    that deep, or the levels settle before both.  The visits are then every
+    distribution the pruned walk sees, expanded or not."""
     accepting = [i for i, s in enumerate(automaton.states) if s in automaton.accepting]
+    levels, settled = naive_horizon(automaton, max_len) if pruned else ([], False)
+    top = len(levels) - 1
 
     def val(dist):
         return sum((dist[i] for i in accepting), Fraction(0))
 
+    def expand(dist, depth, limit, bar):
+        if not pruned:
+            return True
+        k = max_len - depth
+        if k <= min(top, limit):
+            v = levels[k]
+        elif settled and top < min(k, limit):
+            v = levels[top]
+        else:
+            return True
+        return sum((x * y for x, y in zip(dist, v)), Fraction(0)) > bar
+
+    bar = threshold if threshold is not None else Fraction(-1)
     start = tuple(automaton.initial)
     visits = [((), val(start))]
+    if pruned and visits[0][1] > bar:
+        if threshold is not None:
+            return NaiveSearch(visits)
+        bar = visits[0][1]
     seen = {start}
-    level = [((), start)]
-    for _ in range(max_len):
+    level = [((), start)] if expand(start, 0, 1, bar) else []
+    expanded = 0
+    for depth in range(1, max_len + 1):
         nxt = []
         for word, dist in level:
+            expanded += 1
             for sym in automaton.alphabet:
                 child = tuple(naive_mat_vec(automaton.matrices[sym], dist))
                 if child in seen:
                     continue
                 seen.add(child)
-                nxt.append((word + (sym,), child))
                 visits.append((word + (sym,), val(child)))
+                if pruned and visits[-1][1] > bar:
+                    if threshold is not None:
+                        return NaiveSearch(visits)
+                    bar = visits[-1][1]
+                if expand(child, depth, expanded + 1, bar):
+                    nxt.append((word + (sym,), child))
         level = nxt
     return NaiveSearch(visits)
 

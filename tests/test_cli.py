@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fsmcap
 from fsmcap.cli import build_parser, main, parse_word
 from fsmcap.formats import load_pfa, serialize_fsmc, serialize_pfa
 from fsmcap.fsmc import lift
@@ -305,14 +309,49 @@ def test_demo_is_all_or_nothing(capsys, tmp_path, monkeypatch, extra, fragment):
     _assert_one_error_line(code, err, fragment)
 
 
+def _search_family3(capsys, tmp_path, max_len):
+    family3 = tmp_path / "family3.pfa"
+    family3.write_text(fixtures.fixture_text("family3.pfa"))
+    return run_cli(capsys, "pfa", "search", "--pfa", family3, "--max-len", max_len)
+
+
 def test_search_budget_counts_distributions_not_words(capsys, tmp_path):
     # 12,207,031 words of length <= 10 pass the default budget; their
     # distinct distributions do not
-    family3 = tmp_path / "family3.pfa"
-    family3.write_text(fixtures.fixture_text("family3.pfa"))
-    code, out, err = run_cli(capsys, "pfa", "search", "--pfa", family3, "--max-len", "10")
+    code, out, err = _search_family3(capsys, tmp_path, 10)
     assert code == 0 and err == ""
     assert out == "best word: a c a b b a a a a c\nvalue: 9739/10368\n"
+
+
+@pytest.mark.parametrize("max_len, word, value", [
+    (12, "a c a b b a a a a a a c", "367087/373248"),
+    (14, "a c a b b a a a a a a a a c", "13379479/13436928"),
+    (16, "a c a b b a a a a a a a a a a c", "483204367/483729408"),
+])
+def test_pruned_search_prints_what_the_full_walk_printed(capsys, tmp_path, max_len, word, value):
+    # what the walk without the horizon bound printed
+    code, out, err = _search_family3(capsys, tmp_path, max_len)
+    assert code == 0 and err == ""
+    assert out == f"best word: {word}\nvalue: {value}\n"
+
+
+def test_search_never_imports_numpy(tmp_path):
+    # only capacity work needs numpy, and capacity imports it on first use
+    (tmp_path / "d_34.pfa").write_text(fixtures.fixture_text("d_34.pfa"))
+    code = "\n".join([
+        "import sys, fsmcap",
+        "from fsmcap import capacity, cli",
+        "assert cli.main(['pfa', 'search', '--pfa', 'd_34.pfa', '--max-len', '6']) == 0",
+        "assert 'numpy' not in sys.modules",
+        "assert capacity.entropy([0.5, 0.5]) == 1.0",
+        "assert capacity.np is sys.modules['numpy']",
+    ])
+    src = str(Path(fsmcap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("best word: a b a a a a\n")
 
 
 def test_bracket_at_a_tiny_delta_prints_a_bracket(capsys, tmp_path, monkeypatch):

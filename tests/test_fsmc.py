@@ -106,6 +106,18 @@ def test_channel_keeps_its_automaton(d_34):
     assert dataclasses.replace(ch).automaton is not a
 
 
+def test_channel_laws_are_read_only(d_34):
+    # the kept automaton is read from these tables, so they cannot change
+    ch = build_V(gamma(d_34))
+    law = next(iter(ch.state_law.values()))
+    for table in (ch.output_law, ch.state_law):
+        with pytest.raises(TypeError, match="read-only"):
+            table["1:a"] = law
+        with pytest.raises(TypeError, match="read-only"):
+            table.pop("1:a")
+    assert dataclasses.replace(ch, state_law=dict(ch.state_law)) == ch
+
+
 def test_lift_applies_gamma_unless_present(example1, family3):
     assert lift(example1) == build_V(gamma(example1))
     assert lift(family3) == build_V(family3)

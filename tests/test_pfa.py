@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import gc
 import itertools
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -15,6 +17,7 @@ from fsmcap.pfa import (BudgetError, Pfa, PfaError, brute_force_value,
                         gamma, initial_violations, iter_words, make_pfa, mat_vec,
                         reach_prob, reduce_extended_word, table_violations,
                         validate_pfa, value)
+import oracles
 from oracles import (naive_initial_violations, naive_mat_vec, naive_reach, naive_search,
                      naive_table_violations, naive_value, naive_violations)
 
@@ -199,20 +202,28 @@ def test_brute_force_monotone(example1):
         best = v
 
 
-def test_brute_force_budget(example1):
+def test_brute_force_budget(family3):
+    # the bound cannot cut family3's walk short: a long search still passes
+    # a small budget
     with pytest.raises(BudgetError, match="more than 100 distinct distributions"):
-        brute_force_value(example1, 30, budget=100)
+        brute_force_value(family3, 30, budget=100)
 
 
 @pytest.mark.parametrize("name, max_len", [("example1", 8), ("family3", 6), ("amp3", 7)])
 def test_budget_counts_distinct_distributions(name, max_len):
+    # each boundary is the pruned oracle's count of the distributions the
+    # walk sees, expanded or not; never more than the unpruned walk's
     p = getattr(fixtures, name)()
-    oracle = naive_search(p, max_len)
-    distinct = len(oracle.visits)
-    assert brute_force_value(p, max_len, budget=distinct) == oracle.result()
-    assert emptiness_semidecide(p, 1, max_len, budget=distinct) is None
-    for search in (lambda b: brute_force_value(p, max_len, budget=b),
-                   lambda b: emptiness_semidecide(p, 1, max_len, budget=b)):
+    full = naive_search(p, max_len)
+    best = full.result()
+    for oracle, search, expected in (
+            (naive_search(p, max_len, pruned=True),
+             lambda b: brute_force_value(p, max_len, budget=b), best),
+            (naive_search(p, max_len, pruned=True, threshold=best.best_value),
+             lambda b: emptiness_semidecide(p, best.best_value, max_len, budget=b), None)):
+        distinct = len(oracle.visits)
+        assert 1 < distinct < len(full.visits)
+        assert search(distinct) == expected
         with pytest.raises(BudgetError, match=f"more than {distinct - 1} distinct"):
             search(distinct - 1)
 
@@ -419,6 +430,126 @@ def test_search_refuses_a_budget_below_one(example1, d_34):
     from fsmcap.capacity import BracketBudget, capacity_bracket
     with pytest.raises(PfaError, match="^search budget -3 must be >= 1$"):
         capacity_bracket(d_34, 0.1, BracketBudget(words=-3))
+
+
+def _random_pfa(rng, n):
+    """n states over {a, b}, laws with denominators <= 4, random accepting
+    states."""
+    states = [f"q{i}" for i in range(n)]
+
+    def law():
+        q = rng.randint(1, 4)
+        hits = [rng.randrange(n) for _ in range(q)]
+        return [F(hits.count(i), q) for i in range(n)]
+
+    matrices = {}
+    for sym in "ab":
+        cols = [law() for _ in range(n)]
+        matrices[sym] = [[cols[j][i] for j in range(n)] for i in range(n)]
+    return make_pfa(states, "ab", matrices, law(), [s for s in states if rng.random() < 0.5])
+
+
+PRUNE_PANEL = ([f"random{i}" for i in range(24)] + [f"coarse{i}" for i in range(6)]
+               + ["example1", "amp3", "d_34", "d_25", "family3"])
+
+
+@pytest.mark.parametrize("name", PRUNE_PANEL)
+def test_pruned_walk_matches_the_unpruned_oracle(name, monkeypatch):
+    if name.startswith("random"):
+        i = int(name.removeprefix("random"))
+        p, max_len = _random_pfa(random.Random(i), 1 + i % 4), 9
+    elif name.startswith("coarse"):
+        # a 6-bit grid, so that the bound is rounded within a few levels
+        monkeypatch.setattr(pfa, "_BOUND_BITS", 6)
+        monkeypatch.setattr(oracles, "BOUND_BITS", 6)
+        i = int(name.removeprefix("coarse"))
+        p = _random_pfa(random.Random(f"coarse{i}"), 2 + i % 3)
+        p, max_len = dataclasses.replace(p, accepting=frozenset(p.states[-1:])), 9
+    else:
+        p, max_len = getattr(fixtures, name)(), 7
+    _assert_search_matches(p, naive_search(p, max_len), max_len, (F(0), F(1, 4), H, F(3, 4)))
+    # the walk prunes exactly where the pruned oracle does: it sees as many
+    # distributions
+    for threshold, search in ((None, lambda b: brute_force_value(p, max_len, budget=b)),
+                              (H, lambda b: emptiness_semidecide(p, H, max_len, budget=b))):
+        seen = len(naive_search(p, max_len, pruned=True, threshold=threshold).visits)
+        search(seen)
+        if seen > 1:
+            with pytest.raises(BudgetError):
+                search(seen - 1)
+
+
+def test_the_bound_is_rounded_up_onto_its_grid():
+    # V_k(s) = 1 - (2/3)^k has denominator 3^k, past 2^64 from k = 41 on
+    p = make_pfa(["s", "t"], ["a"], {"a": [[F(2, 3), 0], [F(1, 3), 1]]}, [1, 0], ["t"])
+    horizon = p._horizon
+    horizon.at(80, 80)
+    levels = [tuple(F(x, den) for x in nums) for nums, den in horizon.levels]
+    assert (levels, horizon.settled) == oracles.naive_horizon(p, 80)
+    assert len(levels) == 81 and all(den <= 2 ** 64 for _, den in horizon.levels)
+    for k, (vs, vt) in enumerate(levels):
+        assert 1 - F(2, 3) ** k <= vs <= 1 and vt == 1
+        assert k < 41 or vs > 1 - F(2, 3) ** k
+    assert [v for v, _ in levels] == sorted(v for v, _ in levels)
+
+
+def test_a_stationary_start_ends_the_walk_at_its_first_empty_level():
+    # every letter fixes the start, so level 1 is empty and a search to
+    # 10**6 stops there, with no bound built past depth 1
+    p = make_pfa(["u", "v"], ["a", "b"], {"a": [[0, 1], [1, 0]], "b": [[H, H], [H, H]]},
+                 [H, H], ["v"])
+    assert brute_force_value(p, 10**6) == pfa.SearchResult(best_word=(), best_value=H)
+    assert emptiness_semidecide(p, H, 10**6) is None
+    assert emptiness_semidecide(p, F(1, 4), 10**6) == ()
+    assert len(p._horizon.levels) <= 2
+
+
+def test_the_bound_is_built_no_deeper_than_the_walk_pays_for():
+    # one new distribution per level, (2^-l, 1 - 2^-l), and every one beats
+    # the last, so nothing is pruned.  A child at depth l needs V_{40-l} and
+    # may build it once l + 1 distributions are expanded: from l = 20 on
+    p = make_pfa(["s", "t"], ["a"], {"a": [[H, 0], [H, 1]]}, [1, 0], ["t"])
+    assert brute_force_value(p, 40) == pfa.SearchResult(("a",) * 40, 1 - F(1, 2**40))
+    assert len(p._horizon.levels) - 1 == 20
+
+
+def test_matrices_are_read_only():
+    p = fixtures.d_34()
+    assert brute_force_value(p, 4).best_value == F(93, 128)
+    b = p.matrices["b"]
+    changes = [lambda m: m.__setitem__("a", b), lambda m: m.__delitem__("a"),
+               lambda m: m.update(a=b), lambda m: m.pop("a"), lambda m: m.popitem(),
+               lambda m: m.clear(), lambda m: m.setdefault("z", b)]
+    for change in changes:
+        with pytest.raises(TypeError, match="read-only"):
+            change(p.matrices)
+    m = p.matrices
+    with pytest.raises(TypeError, match="read-only"):
+        m |= {"a": b}
+    assert p.matrices == fixtures.d_34().matrices
+    assert brute_force_value(p, 4).best_value == F(93, 128)
+
+
+def test_replace_builds_a_checked_automaton_with_fresh_caches(d_34):
+    brute_force_value(d_34, 6)
+    swapped = dataclasses.replace(d_34, matrices={**d_34.matrices, "a": d_34.matrices["b"]})
+    assert type(swapped.matrices) is type(d_34.matrices)
+    assert brute_force_value(swapped, 6) == naive_search(swapped, 6).result()
+    assert swapped._columns is not d_34._columns and swapped._horizon is not d_34._horizon
+    with pytest.raises(PfaError, match="matrix 'a' column 0"):
+        dataclasses.replace(d_34, matrices={**d_34.matrices, "a": ((F(1),) * 8,) * 8})
+
+
+@pytest.mark.parametrize("name", ["example1", "family3"])
+def test_read_only_matrices_keep_repr_equality_pickle_and_copies(name):
+    p = getattr(fixtures, name)()
+    brute_force_value(p, 3)
+    assert repr(p.matrices) == repr(dict(p.matrices)) and p.matrices == dict(p.matrices)
+    assert formats.serialize_pfa(p) == fixtures.fixture_text(f"{name}.pfa")
+    for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+        assert twin == p and repr(twin) == repr(p)
+        assert type(twin.matrices) is type(p.matrices)
+        assert brute_force_value(twin, 5) == brute_force_value(p, 5)
 
 
 # ---------------------------------------------------------------------------
