@@ -3,10 +3,9 @@ experiments."""
 
 __version__ = "0.1.0"
 
-from .pfa import (BudgetError, FreezeReset, Pfa, PfaError, SearchResult,
-                  brute_force_value, detect_freeze_reset, emptiness_semidecide,
-                  evolve, frac, gamma, make_pfa, reach_mass, reach_prob,
-                  reduce_extended_word, validate_pfa, value)
+from .pfa import (BudgetError, Pfa, PfaError, SearchResult, brute_force_value,
+                  emptiness_semidecide, evolve, frac, gamma, make_pfa, reach_mass,
+                  reach_prob, reduce_extended_word, validate_pfa, value)
 from .gadgets import (GadgetError, SigmaCode, SigmaError, build_B_p, build_C_p,
                       build_D_Ay, build_D_xy, build_family_member,
                       dxy_block_word, dxy_reach_closed_form, sigma_decode,

@@ -34,7 +34,7 @@ np = _Numpy()
 
 ZERO = Fraction(0)
 
-DEFAULT_BLOCK_BUDGET = 14
+BLOCK_BUDGET = 14
 
 
 class CapacityError(ValueError):
@@ -360,8 +360,8 @@ def agreement_profile(pattern_dist: dict[int, Fraction], length: int) -> list[Fr
     return [Fraction(x, den) for x in g]
 
 
-def _prefix_profiles(a: Pfa, sched: ControlSchedule,
-                     max_period: int) -> tuple[list[Fraction], list[Fraction], Fraction]:
+def _prefix_profiles(a: Pfa,
+                     sched: ControlSchedule) -> tuple[list[Fraction], list[Fraction], Fraction]:
     """(G0, G1, value of the word) of a freeze/reset schedule with word
     length m and n free slots, from one walk of the word and the reset.
 
@@ -375,17 +375,18 @@ def _prefix_profiles(a: Pfa, sched: ControlSchedule,
     agreement profile of P(prefix mask, acc(s_m) = b).  The word's value is
     the mass of acc(s_m) = 1.  The cost is O(2^m) exact work, whatever n.
     Consecutive periods are i.i.d. because the reset sends every state to
-    the initial law, which is checked on its matrix."""
-    period = sched.period
-    if period > max_period:
-        raise CapacityError(f"period {period} exceeds the block budget {max_period}")
+    the initial law, which is checked on its matrix.  The walk spans m + 1
+    slots, which the block budget bounds."""
+    m = len(sched.word)
+    if m + 1 > BLOCK_BUDGET:
+        raise CapacityError(f"word of length {m} walks {m + 1} slots, over the block "
+                            f"budget {BLOCK_BUDGET}")
     if sched.free_slots > 1 and not _is_identity(a.matrix(FREEZE_SYMBOL)):
         raise CapacityError(f"control {FREEZE_SYMBOL!r} is not the identity, so the free "
                             "slots do not hold the state the word reaches")
     if not _columns_equal(a.matrix(RESET_SYMBOL), a.initial):
         raise CapacityError("consecutive blocks are not identically distributed "
                             "(schedule does not end in a reset?)")
-    m = len(sched.word)
     # slot m outputs by acc(s_m); its control, the reset, moves the state
     # after that, to where the period ends
     laws: tuple[dict[int, Fraction], dict[int, Fraction]] = ({}, {})
@@ -395,30 +396,31 @@ def _prefix_profiles(a: Pfa, sched: ControlSchedule,
             sum(laws[1].values(), ZERO))
 
 
-def _float_prefix_profiles(a: Pfa, sched: ControlSchedule,
-                           max_period: int) -> tuple[np.ndarray, np.ndarray, Fraction]:
-    g0, g1, v = _prefix_profiles(a, sched, max_period)
+def _float_prefix_profiles(a: Pfa,
+                           sched: ControlSchedule) -> tuple[np.ndarray, np.ndarray, Fraction]:
+    g0, g1, v = _prefix_profiles(a, sched)
     return np.array([float(x) for x in g0]), np.array([float(x) for x in g1]), v
 
 
-def block_profile(ch: Fsmc, sched: ControlSchedule,
-                  max_period: int = DEFAULT_BLOCK_BUDGET) -> list[Fraction]:
+def block_profile(ch: Fsmc, sched: ControlSchedule) -> list[Fraction]:
     """Agreement profile of one schedule period, all 2^period entries,
     expanded from the factored law (see `_prefix_profiles`), with the same
-    block-stationarity check.  Slot t is bit t, so E = E_pre + 2^m E_suf."""
-    g0, g1, _ = _prefix_profiles(ch.automaton, sched, max_period)
+    block-stationarity check; the block budget bounds the period.  Slot t
+    is bit t, so E = E_pre + 2^m E_suf."""
+    if sched.period > BLOCK_BUDGET:
+        raise CapacityError(f"period {sched.period} exceeds the block budget {BLOCK_BUDGET}")
+    g0, g1, _ = _prefix_profiles(ch.automaton, sched)
     scale = 1 << sched.free_slots
     low = [x / scale for x in g0]
     return low * (scale - 1) + [x + y for x, y in zip(low, g1)]
 
 
-def induced_block_channel(ch: Fsmc, sched: ControlSchedule,
-                          max_period: int = DEFAULT_BLOCK_BUDGET) -> BlockChannel:
+def induced_block_channel(ch: Fsmc, sched: ControlSchedule) -> BlockChannel:
     """Memoryless channel on data blocks of one schedule period: inputs and
     outputs are bit sequences of length m+n, transition probabilities exact
     until the final float conversion of the agreement profile.  Memory grows
     as 2^(m+n); only its `matrix` holds 4^(m+n) entries."""
-    prof = block_profile(ch, sched, max_period=max_period)
+    prof = block_profile(ch, sched)
     return BlockChannel(np.array([float(x) for x in prof]))
 
 
@@ -433,8 +435,7 @@ def _row_entropy(g0: np.ndarray, g1: np.ndarray, n: int) -> float:
     return float((1.0 - math.ldexp(1.0, -n)) * spread.sum() + last.sum())
 
 
-def block_rate_uniform(ch: Fsmc, sched: ControlSchedule,
-                       max_period: int = DEFAULT_BLOCK_BUDGET) -> float:
+def block_rate_uniform(ch: Fsmc, sched: ControlSchedule) -> float:
     """Exact block mutual information per channel use under uniform data.
 
     The block channel is symmetric (every row and column is a permutation of
@@ -442,7 +443,7 @@ def block_rate_uniform(ch: Fsmc, sched: ControlSchedule,
     (period - row entropy) / period; uniform data achieves the block
     capacity.
     """
-    g0, g1, _ = _float_prefix_profiles(ch.automaton, sched, max_period)
+    g0, g1, _ = _float_prefix_profiles(ch.automaton, sched)
     return _uniform_rate(g0, g1, sched)
 
 
@@ -473,9 +474,8 @@ class ChainReport:
                 and self.h_total <= self.m + 1 + (1 - self.word_value) * self.n + tol)
 
 
-def achievability_chain(ch: Fsmc, sched: ControlSchedule,
-                        max_period: int = DEFAULT_BLOCK_BUDGET) -> ChainReport:
-    return _chain_report(sched, *_float_prefix_profiles(ch.automaton, sched, max_period))
+def achievability_chain(ch: Fsmc, sched: ControlSchedule) -> ChainReport:
+    return _chain_report(sched, *_float_prefix_profiles(ch.automaton, sched))
 
 
 def _chain_report(sched: ControlSchedule, g0: np.ndarray, g1: np.ndarray,
@@ -505,9 +505,7 @@ def _chained_uniform_rate(sched: ControlSchedule, g0: np.ndarray, g1: np.ndarray
 
 
 def achievable_rate(ch: Fsmc, word: Sequence[str], free_slots: int,
-                    input_mode: str = "uniform",
-                    max_period: int = DEFAULT_BLOCK_BUDGET,
-                    ba_tol: float = 1e-6) -> float:
+                    input_mode: str = "uniform", ba_tol: float = 1e-6) -> float:
     """Block mutual information per use for the schedule (word, free_slots).
 
     'uniform' evaluates the exact symmetric-channel formula and verifies the
@@ -516,9 +514,9 @@ def achievable_rate(ch: Fsmc, word: Sequence[str], free_slots: int,
     """
     sched = ControlSchedule(word=tuple(word), free_slots=free_slots)
     if input_mode == "uniform":
-        return _chained_uniform_rate(sched, *_float_prefix_profiles(ch.automaton, sched, max_period))
+        return _chained_uniform_rate(sched, *_float_prefix_profiles(ch.automaton, sched))
     if input_mode == "ba":
-        block = induced_block_channel(ch, sched, max_period=max_period)
+        block = induced_block_channel(ch, sched)
         result = blahut_arimoto(block, tol=ba_tol * sched.period)
         return result.capacity / sched.period
     raise CapacityError(f"unknown input mode {input_mode!r}")
@@ -642,9 +640,10 @@ def _converse_trial_stats(a: Pfa, n: int, trials: int, seed: int):
 
 
 def converse_check(ch: Fsmc, n: int, trials: int, seed: int = 0,
-                   horizon: Optional[int] = None, tol: float = 1e-9) -> ConverseReport:
+                   horizon: Optional[int] = None) -> ConverseReport:
     """For random product input laws, verify H(Y^n|X^n C^n) >= n (1 - val)
-    and rate <= val, with val the brute-force value at the given horizon.
+    and rate <= val within 1e-9, with val the brute-force value at the given
+    horizon.
 
     A violation means the horizon underestimated the value or the engine is
     wrong; the report re-runs the search with a deeper horizon to tell the
@@ -663,7 +662,7 @@ def converse_check(ch: Fsmc, n: int, trials: int, seed: int = 0,
     stats = _converse_trial_stats(a, n, trials, seed)
     bound = n * (1 - val)
     violations = sum(1 for h, rate in stats
-                     if h < bound - tol or rate > val + tol)
+                     if h < bound - 1e-9 or rate > val + 1e-9)
     raised_horizon = raised_val = None
     if violations:
         raised_horizon = horizon + 2
@@ -713,7 +712,9 @@ def capacity_bracket(a: Pfa, delta, budget: BracketBudget = BracketBudget(),
     delta = float(delta)
     if not 0 < delta < math.inf:
         raise CapacityError(f"delta {delta} must be positive and finite")
-    search_len = min(budget.word_len, max(0, budget.block - 1))
+    if budget.block < 1:    # the shortest schedule is the reset alone
+        raise CapacityError(f"period 1 exceeds the block budget {budget.block}")
+    search_len = min(budget.word_len, budget.block - 1)
     result = brute_force_value(a, search_len, budget=budget.words)
     val_estimate = float(result.best_value)
 
@@ -734,10 +735,9 @@ def capacity_bracket(a: Pfa, delta, budget: BracketBudget = BracketBudget(),
     suggested = math.ceil(min(n_max, (1 + max(0.0, v - 2 * delta) * m) / delta))
     candidates = {n_max, max(1, suggested)}
     # the factored law depends on the word alone; building it for the
-    # longest schedule runs the period, freeze and reset guards once for all
+    # longest schedule runs the word, freeze and reset guards once for all
     profiles = _float_prefix_profiles(
-        lifted_automaton(a), ControlSchedule(word=word, free_slots=max(candidates)),
-        budget.block)
+        lifted_automaton(a), ControlSchedule(word=word, free_slots=max(candidates)))
     lower = 0.0
     provenance = {"m": m, "n": 0, "delta": delta, "word": "".join(word)}
     for n_free in sorted(candidates):
@@ -808,17 +808,22 @@ def stability_schedule(val, delta, n_list: Sequence[int]) -> StabilitySchedule:
     return StabilitySchedule(val=val, delta=delta, stages=tuple(stages))
 
 
-def block_spectrum(ch: Fsmc, sched: ControlSchedule,
-                   max_period: int = DEFAULT_BLOCK_BUDGET):
+def block_spectrum(ch: Fsmc, sched: ControlSchedule):
     """Information-density atoms of one block under uniform data: the output
     is uniform, so the density at agreement set E is period + log2 g(E) with
     probability g(E).  Equal g(E) form one atom, in order of their first E.
     By the factored law the rows E_suf != full repeat 2^-n G0 (2^n - 1
     times) and the last row is 2^-n G0 + G1, so the atoms come from 2^m
-    values of each kind, whatever n.  An atom whose g(E) leaves the normal
-    float range raises CapacityError."""
-    g0, g1, _ = _prefix_profiles(ch.automaton, sched, max_period)
+    values of each kind, whatever n.  A free length past the float exponent
+    range, where every 2^-n G0 atom underflows, raises CapacityError before
+    any n-bit integer is built, and so does any atom whose g(E) leaves the
+    normal float range."""
     n = sched.free_slots
+    limit = 1 - sys.float_info.min_exp      # 2^-limit is the least normal float
+    if n > limit:
+        raise CapacityError(f"free length {n} is past the float exponent range "
+                            f"({limit}): a 2^-n atom underflows a float")
+    g0, g1, _ = _prefix_profiles(ch.automaton, sched)
     scale = 1 << n
     counts: dict[Fraction, int] = {}     # 2^n g(E), exact -> number of such E
     for x in g0:
@@ -911,8 +916,7 @@ def _density_sums(values: np.ndarray, probs: np.ndarray, m_blocks: int, samples:
 
 def spectrum_concentration_demo(ch: Fsmc, sched: ControlSchedule, m_blocks: int,
                                 eta, delta, samples: int, seed: int,
-                                val: Optional[float] = None,
-                                max_period: int = DEFAULT_BLOCK_BUDGET) -> SpectrumDemoReport:
+                                val: Optional[float] = None) -> SpectrumDemoReport:
     """Sample the information density of the staged source's first stage
     (m_blocks i.i.d. copies of one block) and compare the deviation tail
     against the two-sided Hoeffding expression with the stage-1 margin
@@ -928,7 +932,7 @@ def spectrum_concentration_demo(ch: Fsmc, sched: ControlSchedule, m_blocks: int,
         raise CapacityError(f"eta {eta} must be finite")
     if not 0 < delta < math.inf:
         raise CapacityError(f"delta {delta} must be positive and finite")
-    values, probs = block_spectrum(ch, sched, max_period=max_period)
+    values, probs = block_spectrum(ch, sched)
     n_block = sched.period
     mean_block = float((values * probs).sum())
     c_n = mean_block / n_block

@@ -24,7 +24,7 @@ HALF = Fraction(1, 2)
 
 V_INPUT_SEP = ":"
 
-DEFAULT_TABLE_BUDGET = 1 << 22
+TABLE_BUDGET = 1 << 22
 
 
 class FsmcError(ValueError):
@@ -237,16 +237,16 @@ class SequenceDist:
         return out
 
 
-def joint_seq_dist(ch: Fsmc, xs: Sequence[str], budget: int = DEFAULT_TABLE_BUDGET) -> SequenceDist:
+def joint_seq_dist(ch: Fsmc, xs: Sequence[str]) -> SequenceDist:
     """Unroll the channel recursion exactly over the input sequence."""
     xs = tuple(xs)
     if not xs:
         raise FsmcError("need at least one input symbol")
     for x in xs:
         ch.input_index(x)
-    if len(ch.outputs) ** len(xs) * ch.n_states > budget:
-        raise FsmcError(
-            f"table of {len(ch.outputs)}^{len(xs)} x {ch.n_states} entries exceeds budget {budget}")
+    if len(ch.outputs) ** len(xs) * ch.n_states > TABLE_BUDGET:
+        raise FsmcError(f"table of {len(ch.outputs)}^{len(xs)} x {ch.n_states} entries "
+                        f"exceeds budget {TABLE_BUDGET}")
     table: dict[tuple[tuple[str, ...], str], Fraction] = {((), ch.initial): ONE}
     for x in xs:
         out = ch.output_law[x]

@@ -288,12 +288,6 @@ def reach_mass(p: Pfa, src: str, word: Iterable[str], dsts: Iterable[str]) -> Fr
     return sum((dist[p.state_index(d)] for d in dsts), ZERO)
 
 
-@dataclass(frozen=True)
-class FreezeReset:
-    freeze: Optional[str]
-    reset: Optional[str]
-
-
 def _is_identity(m: Matrix) -> bool:
     n = len(m)
     return all(m[i][j] == (ONE if i == j else ZERO) for i in range(n) for j in range(n))
@@ -302,19 +296,6 @@ def _is_identity(m: Matrix) -> bool:
 def _columns_equal(m: Matrix, v: Vector) -> bool:
     n = len(m)
     return all(m[i][j] == v[i] for i in range(n) for j in range(n))
-
-
-def detect_freeze_reset(p: Pfa) -> FreezeReset:
-    """First symbol acting as the identity / first symbol restoring the
-    initial distribution from every state, in alphabet order."""
-    freeze = reset = None
-    for sym in p.alphabet:
-        m = p.matrices[sym]
-        if freeze is None and _is_identity(m):
-            freeze = sym
-        if reset is None and _columns_equal(m, p.initial):
-            reset = sym
-    return FreezeReset(freeze=freeze, reset=reset)
 
 
 def gamma(p: Pfa) -> Pfa:
@@ -338,14 +319,13 @@ def gamma(p: Pfa) -> Pfa:
     )
 
 
-def reduce_extended_word(word: Iterable[str], freeze: str = FREEZE_SYMBOL,
-                         reset: str = RESET_SYMBOL) -> Word:
+def reduce_extended_word(word: Iterable[str]) -> Word:
     """Drop freeze symbols and everything up to and including the last reset."""
     w = tuple(word)
-    if reset in w:
-        last = max(i for i, s in enumerate(w) if s == reset)
+    if RESET_SYMBOL in w:
+        last = max(i for i, s in enumerate(w) if s == RESET_SYMBOL)
         w = w[last + 1:]
-    return tuple(s for s in w if s != freeze)
+    return tuple(s for s in w if s != FREEZE_SYMBOL)
 
 
 def count_words(n_symbols: int, max_len: int) -> int:

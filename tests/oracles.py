@@ -310,17 +310,17 @@ def _naive_pattern_walk(automaton, controls, start):
     return law, end
 
 
-def naive_block_profile(ch, sched, max_period=14):
+def naive_block_profile(ch, sched):
     """Agreement profile of one schedule period by walking the whole period
     twice, as block profiles were built before the factored law: the law of
     the second period, started from the state law the first period ends in,
     must equal the first exactly."""
-    from fsmcap.capacity import CapacityError, agreement_profile
+    from fsmcap.capacity import BLOCK_BUDGET, CapacityError, agreement_profile
     from fsmcap.fsmc import unlift
 
     n = sched.period
-    if n > max_period:
-        raise CapacityError(f"period {n} exceeds the block budget {max_period}")
+    if n > BLOCK_BUDGET:
+        raise CapacityError(f"period {n} exceeds the block budget {BLOCK_BUDGET}")
     controls = sched.controls()
     a = unlift(ch)
     first, end = _naive_pattern_walk(a, controls, a.initial)

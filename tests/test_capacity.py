@@ -309,7 +309,7 @@ def test_high_value_short_word_reaches_rate_070():
                    {"u": [[F(1, 10), F(1, 10)], [F(9, 10), F(9, 10)]]},
                    [1, 0], ["g"])
     ch = build_V(gamma(toy))
-    rate = achievable_rate(ch, ("u",), 13, max_period=14)
+    rate = achievable_rate(ch, ("u",), 13)
     assert rate >= 0.7
 
 
@@ -377,15 +377,30 @@ def test_rates_at_long_free_lengths(d_25):
     v = float(pfa_value(d_25, word))
     rates = []
     for n in (100, 1000, 10_000):
-        rate = achievable_rate(ch, word, n, max_period=n + 1)
-        chain = achievability_chain(ch, ControlSchedule(word, n), max_period=n + 1)
+        rate = achievable_rate(ch, word, n)
+        chain = achievability_chain(ch, ControlSchedule(word, n))
         assert math.isfinite(rate) and chain.chain_holds
         assert rate >= (n * v - 1) / (len(word) + n) - 1e-12
         rates.append(rate)
     assert rates[0] < rates[1] < rates[2] < v
-    # the budget still guards the period, whatever the cost
-    with pytest.raises(CapacityError, match="block budget"):
-        achievable_rate(ch, word, 10_000)
+    # the budget guards what costs: the m + 1 slots the factored law walks,
+    # and the 2^period entries of an expanded profile
+    long_word = ControlSchedule(("b",) * 14, 1)
+    for call in (block_rate_uniform, achievability_chain, block_spectrum,
+                 lambda ch, s: achievable_rate(ch, s.word, s.free_slots),
+                 lambda ch, s: spectrum_concentration_demo(ch, s, m_blocks=1, eta=2,
+                                                           delta=0.1, samples=1, seed=0)):
+        with pytest.raises(CapacityError, match="walks 15 slots, over the block budget 14"
+                           ) as err:
+            call(ch, long_word)
+        assert "\n" not in str(err.value)
+    period_15 = ControlSchedule(word, 14)
+    for call in (block_profile, induced_block_channel,
+                 lambda ch, s: achievable_rate(ch, s.word, s.free_slots, input_mode="ba")):
+        with pytest.raises(CapacityError, match="period 15 exceeds the block budget 14"
+                           ) as err:
+            call(ch, period_15)
+        assert "\n" not in str(err.value)
 
 
 def test_reset_is_checked_on_its_matrix():
@@ -423,12 +438,35 @@ def test_factored_law_guards(d_25):
     for call in (block_rate_uniform, block_profile, block_spectrum):
         with pytest.raises(CapacityError, match="not identically distributed"):
             call(sticky, sched)
-    # an atom 2^-n g below the float range is an error, not a math domain error
+    # an atom 2^-n g below the float range is an error, not a math domain
+    # error, whether one atom leaves it or, past the exponent range, all do
     ch = build_V(lifted)
-    with pytest.raises(CapacityError, match="underflows"):
-        block_spectrum(ch, ControlSchedule(("b",), 1100), max_period=1101)
-    values, probs = block_spectrum(ch, ControlSchedule(("b",), 1000), max_period=1001)
+    with pytest.raises(CapacityError, match="atom at free length 1022 underflows"):
+        block_spectrum(ch, ControlSchedule(("b",), 1022))
+    with pytest.raises(CapacityError, match="free length 1100 is past the float exponent"):
+        block_spectrum(ch, ControlSchedule(("b",), 1100))
+    values, probs = block_spectrum(ch, ControlSchedule(("b",), 1000))
     assert np.all(np.isfinite(values)) and abs(probs.sum() - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["d_25", "always_accept"])
+def test_spectrum_refuses_a_huge_free_length_up_front(name, request):
+    # always_accept has G0 = 0, so no atom underflows there: only the free
+    # length guard keeps the spectrum from building 10^7-bit integers
+    ch = lift(request.getfixturevalue(name))
+    sched = ControlSchedule(("b",), 10 ** 7)
+    tracemalloc.start()
+    try:
+        for call in (block_spectrum,
+                     lambda ch, s: spectrum_concentration_demo(ch, s, m_blocks=1, eta=2,
+                                                               delta=0.1, samples=1, seed=0)):
+            with pytest.raises(CapacityError, match="past the float exponent range") as err:
+                call(ch, sched)
+            assert "\n" not in str(err.value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,8 @@ def test_closed_form_mismatch_is_not_a_domain_error(monkeypatch):
     (["sigma", "decode", "x", "--arity", "1"], "sigma code"),
     (["capacity", "stability", "--val", "0.55", "--delta", "nan", "--n-list", "8,8"], "delta"),
     (["capacity", "bracket", "--pfa", "d_25.pfa", "--delta", "inf"], "delta"),
+    (["capacity", "bracket", "--pfa", "d_25.pfa", "--delta", "0.1", "--block", "0"],
+     "period 1 exceeds the block budget 0"),
     (["capacity", "stability", "--val", "0.5", "--delta", "0.1", "--n-list", "0,0"],
      "at least 1"),
     (["capacity", "ba", "--channel", "bsc11.dmc", "--tol", "nan"], "tolerance"),
@@ -288,6 +290,26 @@ def _stability_demo(capsys, tmp_path, monkeypatch, *extra):
     return run_cli(capsys, "capacity", "stability", "--val", "0.55", "--delta", "0.1",
                    "--n-list", "4,4", "--demo", "--word", "b", "--free", "3",
                    "--samples", "100", *extra)
+
+
+def test_demo_runs_a_long_free_length(capsys, tmp_path, monkeypatch):
+    # the factored law costs O(2^m) whatever the free length, so only the
+    # word is budgeted
+    (tmp_path / "d_25.pfa").write_text(fixtures.fixture_text("d_25.pfa"))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "capacity", "stability", "--val", "0.55", "--delta", "0.1",
+                             "--n-list", "8,8", "--demo", "--pfa", "d_25.pfa", "--word", "b",
+                             "--free", "200", "--samples", "1000", "--seed", "0")
+    assert code == 0 and err == ""
+    assert "n=12864 block_rate=0.492537313433" in out.splitlines()[-1]
+
+
+def test_demo_refuses_a_word_over_the_block_budget(capsys, tmp_path, monkeypatch):
+    # the later --word replaces the helper's
+    code, out, err = _stability_demo(capsys, tmp_path, monkeypatch, "--pfa", "d_25.pfa",
+                                     "--word", " ".join("b" * 14))
+    assert out == ""
+    _assert_one_error_line(code, err, "over the block budget 14")
 
 
 def test_demo_rejects_a_non_finite_eta(capsys, tmp_path, monkeypatch):

@@ -11,8 +11,9 @@ from fsmcap.gadgets import (FAMILY_TARGET_STATES, SKELETON_SIZE,
                             build_D_xy, build_family_member, dxy_block_word,
                             dxy_reach_closed_form, first_primes,
                             gadget_state_count, sigma_decode, sigma_encode)
-from fsmcap.pfa import (brute_force_value, detect_freeze_reset, iter_words,
-                        make_pfa, reach_mass, reach_prob, validate_pfa, value)
+from fsmcap.fsmc import lifted_automaton
+from fsmcap.pfa import (brute_force_value, iter_words, make_pfa, reach_mass,
+                        reach_prob, validate_pfa, value)
 from fsmcap.witness import synthesize_word
 
 F = Fraction
@@ -231,8 +232,8 @@ def test_amplifier_fresh_state_names():
 def test_family_member_counts(amp3):
     member = build_family_member(amp3, 1)
     assert len(member.alphabet) == 5
-    fr = detect_freeze_reset(member)
-    assert fr.freeze == "id" and fr.reset == "rt"
+    # the member already carries the freeze and the reset the lift needs
+    assert lifted_automaton(member) is member
 
 
 def test_family_member_27_states_hits_target():

@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 
 from fsmcap import fixtures, formats, fsmc, gadgets, pfa
 from fsmcap.pfa import (BudgetError, Pfa, PfaError, brute_force_value,
-                        detect_freeze_reset, emptiness_semidecide, evolve,
-                        gamma, initial_violations, iter_words, make_pfa, mat_vec,
-                        reach_prob, reduce_extended_word, table_violations,
-                        validate_pfa, value)
+                        emptiness_semidecide, evolve, gamma, initial_violations,
+                        iter_words, make_pfa, mat_vec, reach_prob,
+                        reduce_extended_word, table_violations, validate_pfa, value)
 import oracles
 from oracles import (naive_initial_violations, naive_mat_vec, naive_reach, naive_search,
                      naive_table_violations, naive_value, naive_violations)
@@ -134,21 +133,6 @@ def test_reach_prob_examples(example1):
 def test_reach_prob_unknown_state(example1):
     with pytest.raises(PfaError):
         reach_prob(example1, "nope", ("a",), "q1")
-
-
-def test_detect_freeze_reset_absent(example1):
-    fr = detect_freeze_reset(example1)
-    assert fr.freeze is None and fr.reset is None
-
-
-def test_detect_freeze_reset_on_lift(example1):
-    fr = detect_freeze_reset(gamma(example1))
-    assert fr.freeze == "id" and fr.reset == "rt"
-
-
-def test_detect_reset_point_mass():
-    p = make_pfa(["q1", "q2"], ["r"], {"r": [[1, 1], [0, 0]]}, [1, 0], [])
-    assert detect_freeze_reset(p).reset == "r"
 
 
 def test_gamma_counts(amp3):
