@@ -257,8 +257,6 @@ def test_closed_form_mismatch_is_not_a_domain_error(monkeypatch):
     (["sigma", "decode", "x", "--arity", "1"], "sigma code"),
     (["capacity", "stability", "--val", "0.55", "--delta", "nan", "--n-list", "8,8"], "delta"),
     (["capacity", "bracket", "--pfa", "d_25.pfa", "--delta", "inf"], "delta"),
-    (["capacity", "bracket", "--pfa", "d_25.pfa", "--delta", "0.1", "--block", "0"],
-     "period 1 exceeds the block budget 0"),
     (["capacity", "stability", "--val", "0.5", "--delta", "0.1", "--n-list", "0,0"],
      "at least 1"),
     (["capacity", "ba", "--channel", "bsc11.dmc", "--tol", "nan"], "tolerance"),
@@ -270,6 +268,8 @@ def test_closed_form_mismatch_is_not_a_domain_error(monkeypatch):
      "search budget -5 must be >= 1"),
     (["pfa", "search", "--pfa", "d_25.pfa", "--max-len", "3", "--above", "1/2",
       "--budget", "0"], "search budget 0 must be >= 1"),
+    (["capacity", "bracket", "--pfa", "d_25.pfa", "--delta", "0.1", "--block", "0"],
+     "period 1 exceeds the block budget 0"),
 ])
 def test_out_of_range_arguments_exit_1(capsys, tmp_path, monkeypatch, argv, fragment):
     for name in ("d_25.pfa", "bsc11.dmc"):
