@@ -13,12 +13,9 @@ from .gadgets import (GadgetError, SigmaCode, SigmaError, build_B_p, build_C_p,
 from .witness import (ClosedFormMismatch, WitnessError, WitnessReport,
                       c_epsilon, solve_b, synthesize_word, synthesize_words,
                       witness_lengths, zeta_tail_bound)
-from .fsmc import (Fsmc, FsmcError, SequenceDist, build_V, joint_seq_dist,
-                   sample, validate_fsmc)
+from .fsmc import Fsmc, FsmcError, build_V, sample, validate_fsmc
 from .capacity import (BaResult, BlockChannel, BracketBudget, CapacityBracket,
                        CapacityError, ControlSchedule, DiscreteChannel,
-                       SpectrumSample, achievable_rate, binary_entropy,
-                       blahut_arimoto, bsc, capacity_bracket, converse_check,
-                       entropy, induced_block_channel, information_spectrum,
-                       mutual_information, spectrum_concentration_demo,
-                       stability_schedule)
+                       achievable_rate, blahut_arimoto, bsc, capacity_bracket,
+                       converse_check, entropy, induced_block_channel,
+                       spectrum_concentration_demo, stability_schedule)

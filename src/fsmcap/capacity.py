@@ -45,12 +45,12 @@ class CapacityError(ValueError):
 # Information measures.
 # ---------------------------------------------------------------------------
 
-def _as_dist(p, ndim: int = 1, tol: float = 1e-9) -> np.ndarray:
-    """p as a float array of `ndim` dimensions, after checking that it is a
+def _as_dist(p, tol: float = 1e-9) -> np.ndarray:
+    """p as a 1-dimensional float array, after checking that it is a
     distribution within tol."""
     arr = np.asarray(p, dtype=float)
-    if arr.ndim != ndim or arr.size == 0:
-        raise CapacityError(f"need a {ndim}-dimensional distribution")
+    if arr.ndim != 1 or arr.size == 0:
+        raise CapacityError("need a 1-dimensional distribution")
     if np.any(arr < -tol):
         raise CapacityError("distribution has negative entries")
     if abs(arr.sum() - 1.0) > tol:
@@ -63,46 +63,6 @@ def entropy(p) -> float:
     arr = _as_dist(p)
     nz = arr[arr > 0]
     return float(-(nz * np.log2(nz)).sum())
-
-
-def binary_entropy(eps) -> float:
-    eps = float(eps)
-    if not (0.0 <= eps <= 1.0):
-        raise CapacityError(f"binary entropy argument {eps} outside [0, 1]")
-    if eps in (0.0, 1.0):
-        return 0.0
-    return -eps * math.log2(eps) - (1 - eps) * math.log2(1 - eps)
-
-
-@dataclass(frozen=True)
-class SpectrumSample:
-    """One atom of the information-density distribution."""
-    value: float
-    probability: float
-
-
-def information_spectrum(joint) -> list[SpectrumSample]:
-    """Distribution of log2(p(y|x)/p(y)); its mean is the mutual information."""
-    arr = _as_dist(joint, ndim=2)
-    px = arr.sum(axis=1)
-    py = arr.sum(axis=0)
-    out = []
-    for i in range(arr.shape[0]):
-        for j in range(arr.shape[1]):
-            p = arr[i, j]
-            if p > 0:
-                out.append(SpectrumSample(
-                    value=math.log2(p / (px[i] * py[j])), probability=float(p)))
-    return out
-
-
-def mutual_information(joint) -> float:
-    """I(X;Y) in bits from a joint table p[x][y]: the mean of its
-    information spectrum."""
-    total = 0.0
-    for atom in information_spectrum(joint):
-        total += atom.value * atom.probability
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -435,18 +395,6 @@ def _row_entropy(g0: np.ndarray, g1: np.ndarray, n: int) -> float:
     return float((1.0 - math.ldexp(1.0, -n)) * spread.sum() + last.sum())
 
 
-def block_rate_uniform(ch: Fsmc, sched: ControlSchedule) -> float:
-    """Exact block mutual information per channel use under uniform data.
-
-    The block channel is symmetric (every row and column is a permutation of
-    the agreement profile), so the output is uniform and the rate is
-    (period - row entropy) / period; uniform data achieves the block
-    capacity.
-    """
-    g0, g1, _ = _float_prefix_profiles(ch.automaton, sched)
-    return _uniform_rate(g0, g1, sched)
-
-
 def _uniform_rate(g0: np.ndarray, g1: np.ndarray, sched: ControlSchedule) -> float:
     period = sched.period
     return (period - _row_entropy(g0, g1, sched.free_slots)) / period
@@ -472,10 +420,6 @@ class ChainReport:
                 and self.h_suffix_given_prefix <= self.h_suffix + tol
                 and self.h_suffix <= self.final_bound + tol
                 and self.h_total <= self.m + 1 + (1 - self.word_value) * self.n + tol)
-
-
-def achievability_chain(ch: Fsmc, sched: ControlSchedule) -> ChainReport:
-    return _chain_report(sched, *_float_prefix_profiles(ch.automaton, sched))
 
 
 def _chain_report(sched: ControlSchedule, g0: np.ndarray, g1: np.ndarray,
@@ -683,9 +627,11 @@ def converse_check(ch: Fsmc, n: int, trials: int, seed: int = 0,
 class BracketBudget:
     word_len: int = 8
     block: int = 12
-    # the search budget: it bounds the distinct distributions the word
-    # search visits, which never outnumber the words
-    words: int = 200_000
+
+
+# the bracket's search budget: it bounds the distinct distributions the word
+# search visits, which never outnumber the words
+_BRACKET_SEARCH_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -694,13 +640,12 @@ class CapacityBracket:
     upper: float
     gap: float
     val_estimate: float
-    certificate: str            # 'value-1 word' | 'supplied exact value' |
-                                # 'supplied value bound' | 'trivial'
+    certificate: str            # 'value-1 word' | 'supplied value bound' | 'trivial'
     provenance: dict
 
 
 def capacity_bracket(a: Pfa, delta, budget: BracketBudget = BracketBudget(),
-                     val_bound=None, val_exact=None) -> CapacityBracket:
+                     val_bound=None) -> CapacityBracket:
     """Certified achievable rate and upper bound for the channel lift of `a`.
 
     The lower bound is the best exact block rate over schedules built from
@@ -712,16 +657,16 @@ def capacity_bracket(a: Pfa, delta, budget: BracketBudget = BracketBudget(),
     delta = float(delta)
     if not 0 < delta < math.inf:
         raise CapacityError(f"delta {delta} must be positive and finite")
+    if val_bound is not None and not 0 <= val_bound <= 1:
+        raise CapacityError(f"value bound {val_bound} outside [0, 1]")
     if budget.block < 1:    # the shortest schedule is the reset alone
         raise CapacityError(f"period 1 exceeds the block budget {budget.block}")
     search_len = min(budget.word_len, budget.block - 1)
-    result = brute_force_value(a, search_len, budget=budget.words)
+    result = brute_force_value(a, search_len, budget=_BRACKET_SEARCH_BUDGET)
     val_estimate = float(result.best_value)
 
     if result.best_value == 1:
         upper, certificate = 1.0, "value-1 word"
-    elif val_exact is not None:
-        upper, certificate = float(val_exact), "supplied exact value"
     elif val_bound is not None:
         upper, certificate = float(val_bound), "supplied value bound"
     else:

@@ -43,10 +43,12 @@ def _number(kind, token: str, what: str):
 
 
 def parse_word(text: str, alphabet) -> tuple[str, ...]:
-    """Whitespace/comma separated symbols; a single token splits per
-    character when every alphabet symbol is one character long."""
+    """Whitespace/comma separated symbols; a single token that is not a
+    symbol splits per character when every alphabet symbol is one character
+    long or every character of the token is a symbol."""
     tokens = [t for t in text.replace(",", " ").split() if t]
-    if len(tokens) == 1 and tokens[0] not in alphabet and all(len(s) == 1 for s in alphabet):
+    if len(tokens) == 1 and tokens[0] not in alphabet and (
+            all(len(s) == 1 for s in alphabet) or all(c in alphabet for c in tokens[0])):
         tokens = list(tokens[0])
     for t in tokens:
         if t not in alphabet:
@@ -181,7 +183,8 @@ def cmd_witness(run: Run, args) -> int:
     if args.pfa:
         inner = _load_pfa(run, args.pfa)
         kwargs["inner"] = inner
-        kwargs["inner_word"] = parse_word(args.word, inner.alphabet)
+        if args.word is not None:
+            kwargs["inner_word"] = parse_word(args.word, inner.alphabet)
     else:
         if args.x is None:
             raise CliError("plain mode needs --x")
@@ -237,12 +240,11 @@ def cmd_channel_sample(run: Run, args) -> int:
 def cmd_capacity_bracket(run: Run, args) -> int:
     automaton = _load_pfa(run, args.pfa)
     run.param(delta=args.delta, max_word_len=args.max_word_len, block=args.block,
-              val_bound=args.val_bound, val_exact=args.val_exact)
+              val_bound=args.val_bound)
     budget = capacity.BracketBudget(word_len=args.max_word_len, block=args.block)
     bracket = capacity.capacity_bracket(
         automaton, args.delta, budget,
-        val_bound=pfa.frac(args.val_bound) if args.val_bound else None,
-        val_exact=pfa.frac(args.val_exact) if args.val_exact else None)
+        val_bound=pfa.frac(args.val_bound) if args.val_bound else None)
     print(f"lower: {_real(bracket.lower)}  (m={bracket.provenance['m']},"
           f" n={bracket.provenance['n']}, delta={_real(args.delta)})")
     print(f"upper: {_real(bracket.upper)}  [{bracket.certificate}]")
@@ -421,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--max-word-len", type=int, default=8)
     q.add_argument("--block", type=int, default=12)
     q.add_argument("--val-bound")
-    q.add_argument("--val-exact")
     q.add_argument("--csv")
     q.set_defaults(handler=cmd_capacity_bracket)
     q = ksub.add_parser("ba")

@@ -9,7 +9,7 @@ automaton, and its inverse, which reads the automaton back from the channel.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -23,8 +23,6 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 V_INPUT_SEP = ":"
-
-TABLE_BUDGET = 1 << 22
 
 
 class FsmcError(ValueError):
@@ -211,61 +209,6 @@ def lifted_automaton(p: Pfa) -> Pfa:
 def lift(p: Pfa) -> Fsmc:
     """Channel lift of `p` extended by freeze and reset symbols."""
     return build_V(lifted_automaton(p))
-
-
-@dataclass
-class SequenceDist:
-    """Exact joint law of (output sequence, terminal state) given an input
-    sequence."""
-
-    inputs: tuple[str, ...]
-    table: dict[tuple[tuple[str, ...], str], Fraction] = field(default_factory=dict)
-
-    def total(self) -> Fraction:
-        return sum(self.table.values(), ZERO)
-
-    def output_marginal(self) -> dict[tuple[str, ...], Fraction]:
-        out: dict[tuple[str, ...], Fraction] = {}
-        for (ys, _s), pr in self.table.items():
-            out[ys] = out.get(ys, ZERO) + pr
-        return out
-
-    def state_marginal(self) -> dict[str, Fraction]:
-        out: dict[str, Fraction] = {}
-        for (_ys, s), pr in self.table.items():
-            out[s] = out.get(s, ZERO) + pr
-        return out
-
-
-def joint_seq_dist(ch: Fsmc, xs: Sequence[str]) -> SequenceDist:
-    """Unroll the channel recursion exactly over the input sequence."""
-    xs = tuple(xs)
-    if not xs:
-        raise FsmcError("need at least one input symbol")
-    for x in xs:
-        ch.input_index(x)
-    if len(ch.outputs) ** len(xs) * ch.n_states > TABLE_BUDGET:
-        raise FsmcError(f"table of {len(ch.outputs)}^{len(xs)} x {ch.n_states} entries "
-                        f"exceeds budget {TABLE_BUDGET}")
-    table: dict[tuple[tuple[str, ...], str], Fraction] = {((), ch.initial): ONE}
-    for x in xs:
-        out = ch.output_law[x]
-        mov = ch.state_law[x]
-        nxt: dict[tuple[tuple[str, ...], str], Fraction] = {}
-        for (ys, s), pr in table.items():
-            j = ch.state_index(s)
-            for yi, y in enumerate(ch.outputs):
-                py = out[yi][j]
-                if not py:
-                    continue
-                for si, s2 in enumerate(ch.states):
-                    ps = mov[si][j]
-                    if not ps:
-                        continue
-                    key = (ys + (y,), s2)
-                    nxt[key] = nxt.get(key, ZERO) + pr * py * ps
-        table = nxt
-    return SequenceDist(inputs=xs, table=table)
 
 
 def _draw(rng: random.Random, labels: Sequence[str], probs: Sequence[Fraction]) -> str:

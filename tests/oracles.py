@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the engine.
 
 Everything here is deliberately written against the definitions, not the
-library code paths: naive nested-loop matrix products, explicit path
-enumeration, and a 50-digit evaluation of the length formulas.
+library code paths: naive nested-loop matrix products, explicit
+enumeration of words and acceptance patterns, and a 50-digit evaluation of
+the length formulas.
 """
 
 import math
@@ -194,31 +195,6 @@ def naive_block_table(prof, length):
     idx = np.arange(1 << length)
     agree = (~(idx[:, None] ^ idx[None, :])) & ((1 << length) - 1)
     return gf[agree]
-
-
-def enum_paths_joint(ch, xs):
-    """Joint law of (outputs, terminal state) by brute force over every
-    (output sequence, state sequence) path."""
-    import itertools
-
-    table = {}
-    n = len(xs)
-    for ys in itertools.product(ch.outputs, repeat=n):
-        for states in itertools.product(ch.states, repeat=n):
-            prob = Fraction(1)
-            prev = ch.initial
-            for t in range(n):
-                x = xs[t]
-                j = ch.states.index(prev)
-                prob *= ch.output_law[x][ch.outputs.index(ys[t])][j]
-                prob *= ch.state_law[x][ch.states.index(states[t])][j]
-                if not prob:
-                    break
-                prev = states[t]
-            if prob:
-                key = (ys, states[-1])
-                table[key] = table.get(key, Fraction(0)) + prob
-    return table
 
 
 def mp_witness_lengths(x, eps, k):

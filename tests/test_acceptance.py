@@ -11,10 +11,9 @@ from fractions import Fraction
 import pytest
 
 from fsmcap import fixtures
-from fsmcap.capacity import (BracketBudget, ControlSchedule, binary_entropy,
-                             blahut_arimoto, bsc, capacity_bracket,
-                             converse_check, spectrum_concentration_demo,
-                             stability_schedule)
+from fsmcap.capacity import (BracketBudget, ControlSchedule, blahut_arimoto, bsc,
+                             capacity_bracket, converse_check, entropy,
+                             spectrum_concentration_demo, stability_schedule)
 from fsmcap.fsmc import build_V
 from fsmcap.gadgets import (FAMILY_TARGET_STATES, SKELETON_SIZE,
                             BOTTOM_FAIL_STATE, TOP_SUCCESS_CLASS, build_B_p,
@@ -154,7 +153,7 @@ def test_criterion_07_capacity_bracket_separation(always_accept, d_25):
 def test_criterion_08_blahut_arimoto():
     start = time.perf_counter()
     r11 = blahut_arimoto(bsc(0.11), tol=1e-8)
-    assert abs(r11.capacity - (1 - binary_entropy(0.11))) <= 1e-6
+    assert abs(r11.capacity - (1 - entropy([0.11, 0.89]))) <= 1e-6
     t11 = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -10,12 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsmcap.capacity import (BlockChannel, BracketBudget, CapacityError,
-                             ControlSchedule, DiscreteChannel,
-                             achievability_chain, block_profile,
-                             achievable_rate, binary_entropy, blahut_arimoto,
-                             block_rate_uniform, block_spectrum, bsc, capacity_bracket,
+                             ControlSchedule, DiscreteChannel, _chain_report,
+                             _float_prefix_profiles, achievable_rate, blahut_arimoto,
+                             block_profile, block_spectrum, bsc, capacity_bracket,
                              converse_check, entropy, induced_block_channel,
-                             information_spectrum, mutual_information,
                              spectrum_concentration_demo, stability_schedule)
 from fsmcap.fsmc import FsmcError, build_V, lift, unlift
 from fsmcap.gadgets import build_D_xy
@@ -42,63 +40,8 @@ def test_entropy_basics():
 def test_distribution_checks_take_the_dimension():
     with pytest.raises(CapacityError, match="1-dimensional"):
         entropy([[0.5, 0.5]])
-    with pytest.raises(CapacityError, match="2-dimensional"):
-        mutual_information([0.5, 0.5])
     with pytest.raises(CapacityError, match="negative"):
-        information_spectrum([[1.5, -0.5]])
-
-
-def test_mutual_information_sums_the_cells_in_order():
-    # the spectrum mean adds p log2(p / (p_x p_y)) cell by cell, row-major,
-    # so it agrees to the bit with the direct double loop
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        joint = rng.random((3, 4))
-        joint[rng.random((3, 4)) < 0.2] = 0.0
-        joint /= joint.sum()
-        px, py = joint.sum(axis=1), joint.sum(axis=0)
-        total = 0.0
-        for i, j in itertools.product(range(3), range(4)):
-            if joint[i, j] > 0:
-                total += joint[i, j] * math.log2(joint[i, j] / (px[i] * py[j]))
-        assert mutual_information(joint) == total
-
-
-def test_binary_entropy():
-    assert binary_entropy(0.5) == 1.0
-    assert binary_entropy(0) == 0.0
-    assert binary_entropy(1) == 0.0
-    assert abs(binary_entropy(0.11) - 0.499916) < 1e-6
-    with pytest.raises(CapacityError):
-        binary_entropy(1.2)
-
-
-def test_mutual_information_independent():
-    joint = np.outer([0.3, 0.7], [0.2, 0.8])
-    assert abs(mutual_information(joint)) < 1e-12
-
-
-def test_mutual_information_identity():
-    k = 4
-    joint = np.eye(k) / k
-    assert abs(mutual_information(joint) - math.log2(k)) < 1e-12
-
-
-def test_mutual_information_bsc():
-    eps = 0.11
-    joint = np.array([[0.5 * (1 - eps), 0.5 * eps], [0.5 * eps, 0.5 * (1 - eps)]])
-    assert abs(mutual_information(joint) - (1 - binary_entropy(eps))) < 1e-12
-    assert abs(mutual_information(joint) - 0.500084) < 1e-6
-
-
-def test_spectrum_expectation_equals_mi():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        joint = rng.random((3, 4))
-        joint /= joint.sum()
-        spectrum = information_spectrum(joint)
-        mean = sum(s.value * s.probability for s in spectrum)
-        assert abs(mean - mutual_information(joint)) < 1e-9
+        entropy([1.5, -0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +60,7 @@ def test_ba_useless():
 
 def test_ba_bsc_closed_form():
     r = blahut_arimoto(bsc(0.11), tol=1e-8)
-    assert abs(r.capacity - (1 - binary_entropy(0.11))) <= 1e-6
+    assert abs(r.capacity - (1 - entropy([0.11, 0.89]))) <= 1e-6
 
 
 def test_ba_asymmetric_monotone_lower_bounds():
@@ -276,7 +219,7 @@ def test_block_stationarity_needs_reset(example1):
 def test_block_rate_matches_ba_on_small_block(example1):
     ch = build_V(gamma(example1))
     sched = ControlSchedule(word=("b",), free_slots=5)
-    uniform = block_rate_uniform(ch, sched)
+    uniform = achievable_rate(ch, sched.word, sched.free_slots)
     block = induced_block_channel(ch, sched)
     r = blahut_arimoto(block, tol=1e-9)
     assert abs(r.capacity / sched.period - uniform) <= 1e-8
@@ -297,7 +240,7 @@ def test_achievable_rate_ba_never_worse(example1):
 def test_achievability_chain_holds(d_34, d_25):
     for gadget, word in ((d_34, ("a", "a", "b")), (d_25, ("b", "b"))):
         ch = build_V(gamma(gadget))
-        chain = achievability_chain(ch, ControlSchedule(word=word, free_slots=7))
+        chain = _chain(ch, ControlSchedule(word=word, free_slots=7))
         assert chain.chain_holds
         assert chain.h_total <= chain.m + 1 + (1 - chain.word_value) * chain.n + 1e-9
 
@@ -329,6 +272,11 @@ def test_witness_block_rate_bracket(d_34):
 # The factored freeze/reset law against the two-walk oracle.
 # ---------------------------------------------------------------------------
 
+def _chain(ch, sched):
+    """The entropy chain `achievable_rate` checks before it returns a rate."""
+    return _chain_report(sched, *_float_prefix_profiles(ch.automaton, sched))
+
+
 def _agrees_with_the_oracle(ch, sched):
     """Same profile Fractions and spectrum atoms as the two-walk oracle, and
     the rate and the chain within 1e-12."""
@@ -338,8 +286,9 @@ def _agrees_with_the_oracle(ch, sched):
     assert block_profile(ch, sched) == want
     for got, ref in zip(block_spectrum(ch, sched), naive_block_spectrum(want, sched.period)):
         assert np.array_equal(got, ref)
-    assert abs(block_rate_uniform(ch, sched) - naive_uniform_rate(want, sched.period)) <= 1e-12
-    chain = achievability_chain(ch, sched)
+    rate = achievable_rate(ch, sched.word, sched.free_slots)
+    assert abs(rate - naive_uniform_rate(want, sched.period)) <= 1e-12
+    chain = _chain(ch, sched)
     got = (chain.h_total, chain.h_prefix, chain.h_suffix)
     for g, r in zip(got, naive_chain_fields(want, sched)):
         assert abs(g - r) <= 1e-12
@@ -378,7 +327,7 @@ def test_rates_at_long_free_lengths(d_25):
     rates = []
     for n in (100, 1000, 10_000):
         rate = achievable_rate(ch, word, n)
-        chain = achievability_chain(ch, ControlSchedule(word, n))
+        chain = _chain(ch, ControlSchedule(word, n))
         assert math.isfinite(rate) and chain.chain_holds
         assert rate >= (n * v - 1) / (len(word) + n) - 1e-12
         rates.append(rate)
@@ -386,7 +335,7 @@ def test_rates_at_long_free_lengths(d_25):
     # the budget guards what costs: the m + 1 slots the factored law walks,
     # and the 2^period entries of an expanded profile
     long_word = ControlSchedule(("b",) * 14, 1)
-    for call in (block_rate_uniform, achievability_chain, block_spectrum,
+    for call in (block_spectrum,
                  lambda ch, s: achievable_rate(ch, s.word, s.free_slots),
                  lambda ch, s: spectrum_concentration_demo(ch, s, m_blocks=1, eta=2,
                                                            delta=0.1, samples=1, seed=0)):
@@ -416,7 +365,7 @@ def test_reset_is_checked_on_its_matrix():
     ch = build_V(a)
     sched = ControlSchedule(word=("a",), free_slots=3)
     assert len(naive_block_profile(ch, sched)) == 1 << sched.period
-    for call in (block_rate_uniform, block_profile, block_spectrum, achievability_chain,
+    for call in (block_profile, block_spectrum,
                  lambda ch, s: achievable_rate(ch, s.word, s.free_slots)):
         with pytest.raises(CapacityError, match="not identically distributed") as err:
             call(ch, sched)
@@ -435,7 +384,8 @@ def test_factored_law_guards(d_25):
     # a reset that keeps the state makes consecutive blocks differ
     sticky = build_V(dataclasses.replace(
         lifted, matrices={**lifted.matrices, "rt": lifted.matrices["id"]}))
-    for call in (block_rate_uniform, block_profile, block_spectrum):
+    for call in (block_profile, block_spectrum,
+                 lambda ch, s: achievable_rate(ch, s.word, s.free_slots)):
         with pytest.raises(CapacityError, match="not identically distributed"):
             call(sticky, sched)
     # an atom 2^-n g below the float range is an error, not a math domain
@@ -546,6 +496,19 @@ def test_bracket_budget_monotone(example1):
     big = capacity_bracket(example1, 0.1, BracketBudget(word_len=4, block=12))
     assert big.lower >= small.lower - 1e-12
     assert big.upper <= small.upper + 1e-12
+
+
+def test_bracket_refuses_a_value_bound_outside_the_unit_interval(monkeypatch, d_25):
+    # a value lies in [0, 1]; a bound outside it is refused before the search
+    budget = BracketBudget(word_len=2, block=6)
+    searches = _count_calls(monkeypatch, "brute_force_value")
+    for bound in (F(3, 2), -1, 1.5, math.nan, -math.inf):
+        with pytest.raises(CapacityError, match=r"^value bound .+ outside \[0, 1\]$"):
+            capacity_bracket(d_25, 0.1, budget, val_bound=bound)
+    assert not searches
+    for bound in (0, 1):
+        capacity_bracket(d_25, 0.1, budget, val_bound=bound)
+    assert len(searches) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +664,7 @@ def test_data_blind_output_rejected(d_34):
     assert validate_fsmc(blind) == []
     messages = set()
     for call in (lambda: accept_pattern_dist(blind, ("a", "b")),
-                 lambda: block_rate_uniform(blind, ControlSchedule(("a", "b"), 7)),
+                 lambda: achievable_rate(blind, ("a", "b"), 7),
                  lambda: converse_check(blind, n=2, trials=3)) * 2:
         with pytest.raises(FsmcError) as err:
             call()
@@ -712,7 +675,7 @@ def test_data_blind_output_rejected(d_34):
     coin = tuple(tuple(H for _ in row) for row in lift.output_law["0:b"])
     mixed = dataclasses.replace(lift, output_law={**lift.output_law, "0:b": coin, "1:b": coin})
     with pytest.raises(FsmcError):
-        block_rate_uniform(mixed, ControlSchedule(("a", "b"), 7))
+        achievable_rate(mixed, ("a", "b"), 7)
 
 
 def test_converse_rejects_empty_sizes(d_25):
@@ -806,7 +769,6 @@ def test_each_schedule_is_walked_once(monkeypatch, d_34):
     sched = ControlSchedule(word=("a", "b"), free_slots=7)
     walks = _count_calls(monkeypatch, "_pattern_law")
     for call in (lambda: achievable_rate(ch, sched.word, sched.free_slots),
-                 lambda: achievability_chain(ch, sched),
                  lambda: block_spectrum(ch, sched),
                  lambda: capacity_bracket(d_34, 0.1, BracketBudget(word_len=4, block=12))):
         walks.clear()

@@ -36,8 +36,13 @@ def test_word_parsing(example1):
     assert parse_word("baa", example1.alphabet) == ("b", "a", "a")
     assert parse_word("a b", example1.alphabet) == ("a", "b")
     assert parse_word("a id b", ("a", "b", "id", "rt")) == ("a", "id", "b")
+    # a lone token on a lifted alphabet splits when each character is a symbol
+    assert parse_word("bab", ("a", "b", "id", "rt")) == ("b", "a", "b")
+    assert parse_word("id", ("a", "b", "id", "rt")) == ("id",)
     with pytest.raises(Exception):
         parse_word("z", example1.alphabet)
+    with pytest.raises(Exception, match="symbol 'bid' is not in the alphabet"):
+        parse_word("bid", ("a", "b", "id", "rt"))
 
 
 def test_sigma_encode_decode(capsys):
@@ -270,6 +275,10 @@ def test_closed_form_mismatch_is_not_a_domain_error(monkeypatch):
       "--budget", "0"], "search budget 0 must be >= 1"),
     (["capacity", "bracket", "--pfa", "d_25.pfa", "--delta", "0.1", "--block", "0"],
      "period 1 exceeds the block budget 0"),
+    (["witness", "--pfa", "d_25.pfa", "--eps", "1/10", "--k", "3"],
+     "lifted mode needs an inner word"),
+    (["capacity", "bracket", "--pfa", "d_25.pfa", "--delta", "0.1", "--val-bound", "3/2"],
+     "3/2"),
 ])
 def test_out_of_range_arguments_exit_1(capsys, tmp_path, monkeypatch, argv, fragment):
     for name in ("d_25.pfa", "bsc11.dmc"):
@@ -302,6 +311,13 @@ def test_demo_runs_a_long_free_length(capsys, tmp_path, monkeypatch):
                              "--free", "200", "--samples", "1000", "--seed", "0")
     assert code == 0 and err == ""
     assert "n=12864 block_rate=0.492537313433" in out.splitlines()[-1]
+
+
+def test_demo_reads_an_unspaced_word_on_the_lifted_alphabet(capsys, tmp_path, monkeypatch):
+    # the lifted alphabet holds the two-letter id and rt, yet bb is b b
+    runs = [_stability_demo(capsys, tmp_path, monkeypatch, "--pfa", "d_25.pfa", "--word", word)
+            for word in ("bb", "b b")]
+    assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][2] == ""
 
 
 def test_demo_refuses_a_word_over_the_block_budget(capsys, tmp_path, monkeypatch):

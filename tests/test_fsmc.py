@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsmcap import fsmc as fsmc_module
-from fsmcap.fsmc import (Fsmc, FsmcError, build_V, joint_seq_dist, lift, lifted_automaton,
-                         sample, unlift, validate_fsmc)
+from fsmcap.fsmc import (Fsmc, FsmcError, build_V, lift, lifted_automaton, sample, unlift,
+                         validate_fsmc)
 from fsmcap.gadgets import build_D_xy, build_family_member
 from fsmcap.pfa import PfaError, gamma, make_pfa
-from oracles import enum_paths_joint
 from test_pfa import small_pfas
 
 F = Fraction
@@ -19,7 +17,7 @@ H = F(1, 2)
 
 
 def toy_channel(n_states=2):
-    """Small generic product-form channel for oracle comparisons."""
+    """Small generic product-form channel that is not a lift."""
     if n_states == 2:
         return Fsmc(
             inputs=("u", "v"), outputs=("0", "1"), states=("p", "q"),
@@ -163,53 +161,6 @@ def test_lifted_automaton_reads_as_the_lift(p, data):
         matrices["rt"] = tuple(tuple(initial[i] for _ in range(n)) for i in range(n))
     p = dataclasses.replace(p, alphabet=alphabet, matrices=matrices, initial=initial)
     assert _outcome(lifted_automaton, p) == _outcome(lambda q: unlift(lift(q)), p)
-
-
-def test_joint_one_step_accepting_start():
-    p = make_pfa(["f", "g"], ["a"], {"a": [[0, 1], [1, 0]]}, [1, 0], ["f"])
-    ch = build_V(p)
-    dist = joint_seq_dist(ch, ("1:a",))
-    # the data bit 1 comes through noiselessly; the state flips to g
-    assert dist.output_marginal() == {("1",): F(1)}
-    assert dist.state_marginal() == {"g": F(1)}
-
-
-def test_joint_matches_path_enumeration():
-    for ch in (toy_channel(2), toy_channel(3)):
-        for n in range(1, 5):
-            for xs in itertools.product(ch.inputs, repeat=n):
-                want = enum_paths_joint(ch, xs)
-                got = joint_seq_dist(ch, xs)
-                assert got.table == want
-
-
-def test_joint_fixed_input_sets():
-    ch = toy_channel(2)
-    for xs in (("u", "u", "u", "u"), ("u", "v", "u", "v"), ("v", "v", "v", "v")):
-        want = enum_paths_joint(ch, xs)
-        assert joint_seq_dist(ch, xs).table == want
-
-
-def test_joint_total_mass_random_inputs():
-    import random
-    rng = random.Random(23)
-    ch = toy_channel(2)
-    for _ in range(100):
-        xs = tuple(rng.choice(ch.inputs) for _ in range(rng.randrange(1, 6)))
-        assert joint_seq_dist(ch, xs).total() == 1
-
-
-def test_joint_budget():
-    ch = toy_channel(2)
-    with pytest.raises(FsmcError):
-        joint_seq_dist(ch, ("u",) * 30)
-
-
-def test_joint_state_marginal_ignores_data(example1):
-    ch = build_V(example1)
-    a = joint_seq_dist(ch, ("0:a", "0:b", "0:a"))
-    b = joint_seq_dist(ch, ("1:a", "1:b", "0:a"))
-    assert a.state_marginal() == b.state_marginal()
 
 
 def test_sample_deterministic(example1):

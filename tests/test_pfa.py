@@ -405,15 +405,12 @@ def test_search_leaves_the_automaton_unchanged(name):
     assert (p, repr(p), formats.serialize_pfa(p)) == before
 
 
-def test_search_refuses_a_budget_below_one(example1, d_34):
+def test_search_refuses_a_budget_below_one(example1):
     for budget in (0, -5):
         with pytest.raises(PfaError, match=f"^search budget {budget} must be >= 1$"):
             brute_force_value(example1, 3, budget=budget)
         with pytest.raises(PfaError, match=f"^search budget {budget} must be >= 1$"):
             emptiness_semidecide(example1, H, 0, budget=budget)
-    from fsmcap.capacity import BracketBudget, capacity_bracket
-    with pytest.raises(PfaError, match="^search budget -3 must be >= 1$"):
-        capacity_bracket(d_34, 0.1, BracketBudget(words=-3))
 
 
 def _random_pfa(rng, n):
