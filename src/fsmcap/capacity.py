@@ -16,8 +16,8 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .fsmc import Fsmc, lifted_automaton
-from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Pfa, _columns_equal, _int_law,
-                  _is_identity, brute_force_value)
+from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Pfa, _int_law, brute_force_value,
+                  freeze_and_reset)
 
 
 class _Numpy:
@@ -97,10 +97,6 @@ class DiscreteChannel:
     @property
     def n_inputs(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.matrix.shape[1]
 
     def output_law(self, r: np.ndarray) -> np.ndarray:
         """q = r P, the output law under the input law r."""
@@ -341,10 +337,11 @@ def _prefix_profiles(a: Pfa,
     if m + 1 > BLOCK_BUDGET:
         raise CapacityError(f"word of length {m} walks {m + 1} slots, over the block "
                             f"budget {BLOCK_BUDGET}")
-    if sched.free_slots > 1 and not _is_identity(a.matrix(FREEZE_SYMBOL)):
+    freeze, reset = freeze_and_reset(a)
+    if sched.free_slots > 1 and a.matrix(FREEZE_SYMBOL) != freeze:
         raise CapacityError(f"control {FREEZE_SYMBOL!r} is not the identity, so the free "
                             "slots do not hold the state the word reaches")
-    if not _columns_equal(a.matrix(RESET_SYMBOL), a.initial):
+    if a.matrix(RESET_SYMBOL) != reset:
         raise CapacityError("consecutive blocks are not identically distributed "
                             "(schedule does not end in a reset?)")
     # slot m outputs by acc(s_m); its control, the reset, moves the state

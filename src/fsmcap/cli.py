@@ -13,7 +13,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -44,11 +43,9 @@ def _number(kind, token: str, what: str):
 
 def parse_word(text: str, alphabet) -> tuple[str, ...]:
     """Whitespace/comma separated symbols; a single token that is not a
-    symbol splits per character when every alphabet symbol is one character
-    long or every character of the token is a symbol."""
+    symbol splits per character when every character of it is a symbol."""
     tokens = [t for t in text.replace(",", " ").split() if t]
-    if len(tokens) == 1 and tokens[0] not in alphabet and (
-            all(len(s) == 1 for s in alphabet) or all(c in alphabet for c in tokens[0])):
+    if len(tokens) == 1 and tokens[0] not in alphabet and all(c in alphabet for c in tokens[0]):
         tokens = list(tokens[0])
     for t in tokens:
         if t not in alphabet:
@@ -304,10 +301,10 @@ def cmd_capacity_stability(run: Run, args) -> int:
     if not args.pfa:
         raise CliError("--demo needs --pfa (and usually --word/--free)")
     etas = [_number(float, tok, "--etas") for tok in args.etas.replace(",", " ").split()]
-    automaton = _load_pfa(run, args.pfa)
-    extended = fsmc.lifted_automaton(automaton)
-    ch = fsmc.build_V(extended)
-    word = parse_word(args.word, extended.alphabet) if args.word else ()
+    if not etas:
+        raise CliError("--etas: no values given")
+    ch = fsmc.lift(_load_pfa(run, args.pfa))
+    word = parse_word(args.word, ch.automaton.alphabet) if args.word else ()
     sched = capacity.ControlSchedule(word=word, free_slots=args.free)
     run.param(word=args.word, free=args.free, etas=args.etas, samples=args.samples)
     run.seed = args.seed
@@ -346,9 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     """The whole argument parser, built once per process: parse_args leaves
     it unchanged, so every call to main reuses it."""
     parser = argparse.ArgumentParser(prog="fsmcap", description=__doc__)
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("FSMCAP_THREADS", "1")),
-                        help="bound on internal parallelism (results do not depend on it)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pfa", help="validate, evaluate and search automata")
@@ -477,7 +471,7 @@ def main(argv=None) -> int:
         getattr(args, f"{args.command}_cmd", None) or getattr(args, f"{args.command}_kind", None),
     ) if tok)
     run = Run(command=command, argv=argv)
-    run.param(threads=args.threads)
+    run.param(threads=1)
     try:
         return args.handler(run, args)
     except DOMAIN_ERRORS as exc:

@@ -169,10 +169,12 @@ def parse_fsmc(text: str, source: str = "<string>") -> Fsmc:
     reader = _Reader(text, source)
     inputs_line, inputs = reader.take_section("inputs")
     reader.check(inputs_line, duplicate_violations(inputs, "input symbols"))
-    _, outputs = reader.take_section("outputs")
+    outputs_line, outputs = reader.take_section("outputs")
+    reader.check(outputs_line, duplicate_violations(outputs, "output symbols"))
     states_line, states = reader.take_section("states")
     if not states:
         raise reader.error(states_line, "no states given")
+    reader.check(states_line, duplicate_violations(states, "state names"))
     init_line, init_tokens = reader.take_section("initial")
     if len(init_tokens) != 1:
         raise reader.error(init_line, "initial: expected a single state name")
@@ -188,7 +190,7 @@ def parse_fsmc(text: str, source: str = "<string>") -> Fsmc:
             raise reader.error(lineno, f"expected 'output <input>:' or 'state <input>:', found {line!r}")
         kind, sym = parts
         if sym not in inputs:
-            raise reader.error(lineno, f"{kind} table for unknown input {sym!r}")
+            raise reader.error(lineno, f"{kind} table for input {sym!r} not in the inputs")
         target = output_law if kind == "output" else state_law
         if sym in target:
             raise reader.error(lineno, f"duplicate {kind} table for input {sym!r}")

@@ -15,8 +15,8 @@ from functools import cached_property
 from typing import Sequence
 
 from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Matrix, Pfa, PfaError, ReadOnlyDict,
-                  _columns_equal, _is_identity, duplicate_violations, gamma,
-                  membership_violations, table_violations)
+                  duplicate_violations, freeze_and_reset, gamma, membership_violations,
+                  table_violations)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -79,6 +79,8 @@ class Fsmc:
 
 def validate_fsmc(ch: Fsmc) -> list[str]:
     out = duplicate_violations(ch.inputs, "input symbols")
+    out += duplicate_violations(ch.outputs, "output symbols")
+    out += duplicate_violations(ch.states, "state names")
     out += membership_violations([ch.initial], ch.states, "initial state")
     for sym in ch.inputs:
         for kind, table, n_rows in (("output", ch.output_law, len(ch.outputs)),
@@ -87,7 +89,9 @@ def validate_fsmc(ch: Fsmc) -> list[str]:
                 out += table_violations(f"{kind} table {sym!r}", table[sym], n_rows, ch.states)
             else:
                 out.append(f"no {kind} table for input {sym!r}")
-    return out
+    return out + [f"{kind} table for input {sym!r} not in the inputs"
+                  for kind, table in (("output", ch.output_law), ("state", ch.state_law))
+                  for sym in table if sym not in ch.inputs]
 
 
 def check_fsmc(ch: Fsmc) -> Fsmc:
@@ -120,18 +124,13 @@ def _initial_state(p: Pfa) -> str:
     return p.states[support[0]]
 
 
-def build_V(p: Pfa) -> Fsmc:
-    """Channel lift of an automaton.
-
-    Inputs are (data bit, control symbol) pairs written ``d:c``; outputs are
-    bits.  The output is the data bit when the current state is accepting and
-    a fair coin otherwise; the state moves by the control symbol's matrix.
-    Requires a deterministic initial distribution.
-    """
-    s0 = _initial_state(p)
+def _lift_laws(p: Pfa) -> tuple[dict[str, Matrix], dict[str, Matrix]]:
+    """The lift's output law and state law for each input ``d:c``, all
+    inputs with d = 0 first: the output is the data bit when the current
+    state is accepting and a fair coin otherwise; the state moves by the
+    control symbol's matrix."""
     n = p.n_states
     accepting = [s in p.accepting for s in p.states]
-    inputs = tuple(v_input(d, c) for d in ("0", "1") for c in p.alphabet)
     output_law = {}
     state_law = {}
     for d in ("0", "1"):
@@ -141,51 +140,54 @@ def build_V(p: Pfa) -> Fsmc:
             sym = v_input(d, c)
             output_law[sym] = table
             state_law[sym] = p.matrices[c]
-    return Fsmc(inputs=inputs, outputs=("0", "1"), states=p.states,
+    return output_law, state_law
+
+
+def build_V(p: Pfa) -> Fsmc:
+    """Channel lift of an automaton (`_lift_laws`).
+
+    Inputs are (data bit, control symbol) pairs written ``d:c``; outputs are
+    bits.  Requires a deterministic initial distribution.
+    """
+    s0 = _initial_state(p)
+    output_law, state_law = _lift_laws(p)
+    return Fsmc(inputs=tuple(output_law), outputs=("0", "1"), states=p.states,
                 output_law=output_law, state_law=state_law, initial=s0)
 
 
 def unlift(ch: Fsmc) -> Pfa:
     """Inverse of build_V: read the automaton back out of a lifted channel.
 
-    Checks that the outputs are bits, the inputs are a ``d:c`` product, the
-    state law ignores the data bit, and every input's output law forwards the
-    data bit from accepting states and is a fair coin elsewhere, with each
-    state forwarding under every input or under none.  Controls keep the
-    order of their first appearance among the inputs.
+    Checks that the outputs are bits and the inputs a ``d:c`` product, then
+    reads the candidate: controls in the order of their first appearance,
+    each with its ``0:c`` state law, and the states where the first
+    control's ``0:c`` input outputs 0 surely as accepting.  Every input's
+    laws must be the ones `_lift_laws` gives for that candidate.
     """
     if tuple(ch.outputs) != ("0", "1"):
         raise FsmcError("expected a binary-output channel")
     if not ch.inputs:
         raise FsmcError("a lifted channel needs at least one input")
     matrices = {}
-    noiseless: dict[int, tuple[str, bool]] = {}
     for sym in ch.inputs:
         bit, control = split_v_input(sym)
         other = v_input("1" if bit == "0" else "0", control)
         if other not in ch.inputs:
             raise FsmcError(f"input {other!r} missing: not a data/control product")
-        if ch.state_law[sym] != ch.state_law[other]:
-            raise FsmcError(f"state law for control {control!r} depends on the data bit")
-        matrices.setdefault(control, ch.state_law[sym])
-        law = ch.output_law[sym]
-        for j, state in enumerate(ch.states):
-            col = (law[0][j], law[1][j])
-            if col == _FORWARDED[bit]:
-                flag = True
-            elif col == (HALF, HALF):
-                flag = False
-            else:
-                raise FsmcError(f"output law of input {sym!r} in state {state!r} neither "
-                                "forwards the data bit nor is uniform")
-            first_sym, first_flag = noiseless.setdefault(j, (sym, flag))
-            if flag != first_flag:
-                raise FsmcError(f"state {state!r} forwards the data bit under only one "
-                                f"of the inputs {first_sym!r} and {sym!r}")
+        matrices.setdefault(control, ch.state_law[v_input("0", control)])
+    first = ch.output_law[v_input("0", next(iter(matrices)))]
     s0 = ch.state_index(ch.initial)
-    return Pfa(states=ch.states, alphabet=tuple(matrices), matrices=matrices,
-               initial=tuple(ONE if i == s0 else ZERO for i in range(ch.n_states)),
-               accepting=frozenset(s for j, s in enumerate(ch.states) if noiseless[j][1]))
+    p = Pfa(states=ch.states, alphabet=tuple(matrices), matrices=matrices,
+            initial=tuple(ONE if i == s0 else ZERO for i in range(ch.n_states)),
+            accepting=frozenset(s for j, s in enumerate(ch.states) if first[0][j] == 1))
+    output_law, state_law = _lift_laws(p)
+    for sym in ch.inputs:
+        for kind, laws, lifted in (("output", ch.output_law, output_law),
+                                   ("state", ch.state_law, state_law)):
+            if laws[sym] != lifted[sym]:
+                raise FsmcError(f"{kind} law of input {sym!r} is not the lift of the "
+                                "automaton the channel carries")
+    return p
 
 
 def lifted_automaton(p: Pfa) -> Pfa:
@@ -199,8 +201,7 @@ def lifted_automaton(p: Pfa) -> Pfa:
     if FREEZE_SYMBOL not in p.alphabet or RESET_SYMBOL not in p.alphabet:
         p = gamma(p)
     _initial_state(p)
-    if not (_is_identity(p.matrices[FREEZE_SYMBOL])
-            and _columns_equal(p.matrices[RESET_SYMBOL], p.initial)):
+    if (p.matrices[FREEZE_SYMBOL], p.matrices[RESET_SYMBOL]) != freeze_and_reset(p):
         raise PfaError(f"symbols {FREEZE_SYMBOL!r} and {RESET_SYMBOL!r} are not the freeze "
                        "and the reset of the automaton")
     return p

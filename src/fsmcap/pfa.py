@@ -288,28 +288,22 @@ def reach_mass(p: Pfa, src: str, word: Iterable[str], dsts: Iterable[str]) -> Fr
     return sum((dist[p.state_index(d)] for d in dsts), ZERO)
 
 
-def _is_identity(m: Matrix) -> bool:
-    n = len(m)
-    return all(m[i][j] == (ONE if i == j else ZERO) for i in range(n) for j in range(n))
-
-
-def _columns_equal(m: Matrix, v: Vector) -> bool:
-    n = len(m)
-    return all(m[i][j] == v[i] for i in range(n) for j in range(n))
+def freeze_and_reset(p: Pfa) -> tuple[Matrix, Matrix]:
+    """The freeze matrix (the identity) and the reset matrix (every column
+    the initial distribution) of `p`."""
+    n = p.n_states
+    return (tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)),
+            tuple(tuple(p.initial[i] for _ in range(n)) for i in range(n)))
 
 
 def gamma(p: Pfa) -> Pfa:
-    """Extend the alphabet with a freeze symbol (identity matrix) and a reset
-    symbol (every column equals the initial distribution)."""
+    """Extend the alphabet with a freeze and a reset symbol
+    (`freeze_and_reset`)."""
     for reserved in (FREEZE_SYMBOL, RESET_SYMBOL):
         if reserved in p.alphabet:
             raise PfaError(f"alphabet already contains reserved symbol {reserved!r}")
-    n = p.n_states
-    identity = tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-    reset = tuple(tuple(p.initial[i] for _ in range(n)) for i in range(n))
     matrices = dict(p.matrices)
-    matrices[FREEZE_SYMBOL] = identity
-    matrices[RESET_SYMBOL] = reset
+    matrices[FREEZE_SYMBOL], matrices[RESET_SYMBOL] = freeze_and_reset(p)
     return Pfa(
         states=p.states,
         alphabet=p.alphabet + (FREEZE_SYMBOL, RESET_SYMBOL),

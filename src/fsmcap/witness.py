@@ -45,27 +45,24 @@ def solve_b(x) -> float:
                        "b > 1 in floating point")
 
 
-def c_epsilon(x, eps, b: Optional[float] = None) -> float:
-    """The additive offset (1/b) log_x(eps (b-1)/b)."""
+def c_epsilon(x, eps) -> float:
+    """The additive offset (1/b) log_x(eps (b-1)/b), with b = solve_b(x)."""
     x = frac(x)
     eps = frac(eps)
     if not (0 < eps < x):
         raise WitnessError(f"tolerance {eps} outside (0, x)")
-    if b is None:
-        b = solve_b(x)
+    b = solve_b(x)
     arg = float(eps) * (b - 1.0) / b
     return math.log(arg) / (b * math.log(float(x)))
 
 
-def witness_lengths(x, eps, k: int, b: Optional[float] = None) -> list[int]:
+def witness_lengths(x, eps, k: int) -> list[int]:
     """Block lengths n_i = ceil(log_x(1/i) + C_eps) for i = 2..k, clamped to
     at least 1; nondecreasing in i."""
     x = frac(x)
     if k < 2:
         raise WitnessError(f"need k >= 2, got {k}")
-    if b is None:
-        b = solve_b(x)
-    c_eps = c_epsilon(x, eps, b=b)
+    c_eps = c_epsilon(x, eps)
     log_x = math.log(float(x))
     return [max(1, math.ceil(math.log(1.0 / i) / log_x + c_eps)) for i in range(2, k + 1)]
 
@@ -158,7 +155,7 @@ def synthesize_words(x=None, eps=None, k: int = 2, y=HALF,
         lengths = [1] * (k - 1)
     else:
         b = solve_b(x)
-        lengths = witness_lengths(x, eps, k, b=b)
+        lengths = witness_lengths(x, eps, k)
     return _reports(gadget, block, lengths, x, eps, y, b)
 
 

@@ -419,3 +419,46 @@ def naive_concentration_demo(ch, sched, m_blocks, eta, delta, samples, seed, val
         empirical_tail_rate=float(np.mean(np.abs(sums / (n_total * c_n) - 1.0) >= eta * delta)),
         analytic_val=_hoeffding_bound(n_total, c_n, delta, eta, val),
         analytic_rate=_hoeffding_bound(n_total, c_n, delta, eta, c_n))
+
+
+def naive_unlift(ch):
+    """The automaton a lifted channel carries, read back by rules stated
+    state by state, as `unlift` checked them before it compared against the
+    lift's own laws: the outputs are bits, the inputs a `d:c` product, the
+    state law ignores the data bit, and every output column forwards the
+    data bit or is a fair coin, the same way under every input.  Raises
+    FsmcError where a rule fails."""
+    from fsmcap.fsmc import FsmcError, split_v_input, v_input
+    from fsmcap.pfa import Pfa
+
+    half, one, zero = Fraction(1, 2), Fraction(1), Fraction(0)
+    forwarded = {"0": (one, zero), "1": (zero, one)}
+    if tuple(ch.outputs) != ("0", "1"):
+        raise FsmcError("expected a binary-output channel")
+    if not ch.inputs:
+        raise FsmcError("a lifted channel needs at least one input")
+    matrices = {}
+    noiseless = {}
+    for sym in ch.inputs:
+        bit, control = split_v_input(sym)
+        other = v_input("1" if bit == "0" else "0", control)
+        if other not in ch.inputs:
+            raise FsmcError(f"input {other!r} missing")
+        if ch.state_law[sym] != ch.state_law[other]:
+            raise FsmcError(f"state law for control {control!r} depends on the data bit")
+        matrices.setdefault(control, ch.state_law[sym])
+        law = ch.output_law[sym]
+        for j in range(len(ch.states)):
+            col = (law[0][j], law[1][j])
+            if col == forwarded[bit]:
+                flag = True
+            elif col == (half, half):
+                flag = False
+            else:
+                raise FsmcError(f"output law of input {sym!r} neither forwards nor is a coin")
+            if noiseless.setdefault(j, flag) != flag:
+                raise FsmcError(f"state {j} forwards under only some inputs")
+    s0 = ch.states.index(ch.initial)
+    return Pfa(states=ch.states, alphabet=tuple(matrices), matrices=matrices,
+               initial=tuple(one if i == s0 else zero for i in range(len(ch.states))),
+               accepting=frozenset(s for j, s in enumerate(ch.states) if noiseless[j]))

@@ -11,6 +11,7 @@ from fsmcap.cli import build_parser, main, parse_word
 from fsmcap.formats import load_pfa, serialize_fsmc, serialize_pfa
 from fsmcap.fsmc import lift
 from fsmcap import fixtures
+from test_formats import CHANNEL, CHANNEL_VIOLATIONS
 
 
 @pytest.fixture()
@@ -43,6 +44,9 @@ def test_word_parsing(example1):
         parse_word("z", example1.alphabet)
     with pytest.raises(Exception, match="symbol 'bid' is not in the alphabet"):
         parse_word("bid", ("a", "b", "id", "rt"))
+    # a token with a character that is no symbol stays whole
+    with pytest.raises(Exception, match="symbol 'abz' is not in the alphabet"):
+        parse_word("abz", ("a", "b"))
 
 
 def test_sigma_encode_decode(capsys):
@@ -279,6 +283,8 @@ def test_closed_form_mismatch_is_not_a_domain_error(monkeypatch):
      "lifted mode needs an inner word"),
     (["capacity", "bracket", "--pfa", "d_25.pfa", "--delta", "0.1", "--val-bound", "3/2"],
      "3/2"),
+    (["capacity", "stability", "--val", "0.5", "--delta", "0.1", "--n-list", "2,2", "--demo",
+      "--pfa", "d_25.pfa", "--free", "3", "--etas", ""], "--etas: no values given"),
 ])
 def test_out_of_range_arguments_exit_1(capsys, tmp_path, monkeypatch, argv, fragment):
     for name in ("d_25.pfa", "bsc11.dmc"):
@@ -407,6 +413,27 @@ def test_binary_input_file_is_a_domain_error(capsys, tmp_path):
     binary.write_bytes(b"\xff\xfe\x00")
     code, _, err = run_cli(capsys, "pfa", "validate", "--pfa", binary)
     _assert_one_error_line(code, err, "not a UTF-8 text file")
+
+
+@pytest.mark.parametrize("case", sorted(CHANNEL_VIOLATIONS))
+def test_invalid_channel_file_is_one_error_line(capsys, tmp_path, case):
+    old, new, line, _ = CHANNEL_VIOLATIONS[case]
+    bad = tmp_path / "bad.fsmc"
+    bad.write_text(CHANNEL.replace(old, new))
+    code, out, err = run_cli(capsys, "channel", "sample", "--channel", bad, "--input", "u",
+                             "--seed", "7")
+    assert out == ""
+    _assert_one_error_line(code, err, f"{bad}:{line}: ")
+
+
+def test_bad_threads_variable_is_ignored(tmp_path):
+    # no option reads FSMCAP_THREADS, so a malformed value cannot stop a command
+    src = str(Path(fsmcap.__file__).resolve().parents[1])
+    env = {**os.environ, "FSMCAP_THREADS": "abc",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "fsmcap.cli", "sigma", "encode", "1/2"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "18\n", "")
 
 
 def test_non_finite_channel_entry_is_a_domain_error(capsys, tmp_path):

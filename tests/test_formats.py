@@ -152,6 +152,44 @@ def test_fsmc_parser_reports_the_validator_message(example1, rows):
     assert str(err.value) == f"bad.fsmc:{header + 1}: {violation}"
 
 
+CHANNEL = """\
+inputs: u
+outputs: 0 1
+states: s t
+initial: s
+output u:
+1 1/2
+0 1/2
+state u:
+1 0
+0 1
+"""
+
+# (old text, new text, line of the violation, the same change on the parsed
+# channel): each leaves exactly one violation, which construction raises.
+CHANNEL_VIOLATIONS = {
+    "duplicate output": ("outputs: 0 1", "outputs: 0 0", 2,
+                         lambda ch: dataclasses.replace(ch, outputs=("0", "0"))),
+    "duplicate state": ("states: s t", "states: s s", 3,
+                        lambda ch: dataclasses.replace(ch, states=("s", "s"))),
+    "table for an unknown input": ("state u:\n1 0\n0 1", "state u:\n1 0\n0 1\nstate w:", 11,
+                                   lambda ch: dataclasses.replace(
+                                       ch, state_law={**ch.state_law, "w": ch.state_law["u"]})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHANNEL_VIOLATIONS))
+def test_fsmc_parser_and_construction_refuse_alike(case):
+    old, new, line, change = CHANNEL_VIOLATIONS[case]
+    with pytest.raises(FsmcError) as built:
+        change(parse_fsmc(CHANNEL))
+    violation = str(built.value)
+    assert "; " not in violation
+    with pytest.raises(FormatError) as err:
+        parse_fsmc(CHANNEL.replace(old, new), source="bad.fsmc")
+    assert str(err.value) == f"bad.fsmc:{line}: {violation}"
+
+
 def test_dmc_parse():
     rows = parse_dmc("89/100 11/100\n0.11 0.89\n")
     assert rows[0][0] == 0.89

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,52 @@ def test_lift_applies_gamma_unless_present(example1, family3):
                            extended.accepting)
     with pytest.raises(PfaError):
         lift(not_a_reset)
+
+
+def _flip_column(table, j, bit):
+    """`table` with state j's output column swapped between forwarding
+    `bit` and a fair coin."""
+    forwarded = (F(int(bit == "0")), F(int(bit == "1")))
+    col = (H, H) if (table[0][j], table[1][j]) == forwarded else forwarded
+    return tuple(tuple(col[y] if k == j else e for k, e in enumerate(row))
+                 for y, row in enumerate(table))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_pfas(), st.data())
+def test_unlift_refuses_as_the_per_state_rules_do(p, data):
+    # a lift on one to three controls, with its inputs reordered and one
+    # law changed, is read back as the per-state rules read it, or refused
+    # by both
+    from oracles import naive_unlift
+    alphabet = p.alphabet[:data.draw(st.integers(1, len(p.alphabet)))]
+    start = data.draw(st.integers(0, p.n_states - 1))
+    p = dataclasses.replace(p, alphabet=alphabet,
+                            matrices={c: p.matrices[c] for c in alphabet},
+                            initial=tuple(F(int(i == start)) for i in range(p.n_states)))
+    ch = build_V(p)
+    ch = dataclasses.replace(ch, inputs=tuple(data.draw(st.permutations(ch.inputs))))
+    sym = data.draw(st.sampled_from(ch.inputs))
+    bit, control = sym.split(":")
+    other = f"{'1' if bit == '0' else '0'}:{control}"
+    output_law, state_law = dict(ch.output_law), dict(ch.state_law)
+    change = data.draw(st.sampled_from(["none", "data-blind", "flip", "flip both",
+                                        "state law"]))
+    if change == "data-blind":
+        output_law[sym] = output_law[other]
+    elif change.startswith("flip"):
+        j = data.draw(st.integers(0, p.n_states - 1))
+        for s in (sym, other) if change == "flip both" else (sym,):
+            output_law[s] = _flip_column(output_law[s], j, s[0])
+    elif change == "state law":
+        state_law[f"1:{control}"] = p.matrices[data.draw(st.sampled_from(alphabet))]
+    ch = dataclasses.replace(ch, output_law=output_law, state_law=state_law)
+    read = [_outcome(f, ch) for f in (unlift, naive_unlift)]
+    # refused by both, unlift naming the input and the law, or the same automaton
+    assert read[0] == read[1] or all(type(r) is tuple and r[0] is FsmcError for r in read)
+    if type(read[0]) is tuple:
+        assert re.fullmatch(r"(output|state) law of input '[01]:[abc]' is not the lift of "
+                            "the automaton the channel carries", read[0][1])
 
 
 def _outcome(make, p):

@@ -46,8 +46,7 @@ def test_witness_lengths_monotone_and_single():
     assert all(b >= a for a, b in zip(lengths, lengths[1:]))
     single = witness_lengths(F(3, 4), F(1, 10), 2)
     assert len(single) == 1
-    b = solve_b(F(3, 4))
-    want = math.ceil(math.log(0.5) / math.log(0.75) + c_epsilon(F(3, 4), F(1, 10), b=b))
+    want = math.ceil(math.log(0.5) / math.log(0.75) + c_epsilon(F(3, 4), F(1, 10)))
     assert single[0] == max(1, want)
 
 
@@ -64,10 +63,10 @@ def test_partial_sums_bounded_by_zeta_tail():
     x = F(3, 4)
     eps = F(1, 10)
     b = solve_b(x)
-    c_eps = c_epsilon(x, eps, b=b)
+    c_eps = c_epsilon(x, eps)
     prev = 0.0
     for k in range(2, 30):
-        lengths = witness_lengths(x, eps, k, b=b)
+        lengths = witness_lengths(x, eps, k)
         partial, b_mp = mp_partial_sum_bound(x, lengths)
         assert float(partial) >= prev - 1e-15
         prev = float(partial)
