@@ -152,12 +152,6 @@ class BlockChannel:
     def n_inputs(self) -> int:
         return self.profile.size
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense table p[y|x], 4^period floats, built on each access."""
-        idx = np.arange(self.n_inputs)
-        return self.profile[(~(idx[:, None] ^ idx[None, :])) & (self.n_inputs - 1)]
-
     def _convolve(self, a: np.ndarray) -> np.ndarray:
         """(a * h)[x] = sum_y a[y] h[x ^ y]."""
         return _fwht(_fwht(a) * self._h_hat) / self.n_inputs
@@ -376,7 +370,7 @@ def induced_block_channel(ch: Fsmc, sched: ControlSchedule) -> BlockChannel:
     """Memoryless channel on data blocks of one schedule period: inputs and
     outputs are bit sequences of length m+n, transition probabilities exact
     until the final float conversion of the agreement profile.  Memory grows
-    as 2^(m+n); only its `matrix` holds 4^(m+n) entries."""
+    as 2^(m+n)."""
     prof = block_profile(ch, sched)
     return BlockChannel(np.array([float(x) for x in prof]))
 
@@ -390,11 +384,6 @@ def _row_entropy(g0: np.ndarray, g1: np.ndarray, n: int) -> float:
         full = g1 + np.ldexp(g0, -n)
         last = np.where(g1 > 0, -full * np.log2(full), np.ldexp(spread, -n))
     return float((1.0 - math.ldexp(1.0, -n)) * spread.sum() + last.sum())
-
-
-def _uniform_rate(g0: np.ndarray, g1: np.ndarray, sched: ControlSchedule) -> float:
-    period = sched.period
-    return (period - _row_entropy(g0, g1, sched.free_slots)) / period
 
 
 @dataclass(frozen=True)
@@ -442,7 +431,7 @@ def _chained_uniform_rate(sched: ControlSchedule, g0: np.ndarray, g1: np.ndarray
     chain = _chain_report(sched, g0, g1, v)
     if not chain.chain_holds:
         raise CapacityError(f"entropy chain violated: {chain}")
-    return _uniform_rate(g0, g1, sched)
+    return (sched.period - chain.h_total) / sched.period
 
 
 def achievable_rate(ch: Fsmc, word: Sequence[str], free_slots: int,
@@ -580,11 +569,9 @@ def _converse_trial_stats(a: Pfa, n: int, trials: int, seed: int):
     return list(zip(h_y_given_x.tolist(), ((h_y - h_y_given_x) / n).tolist()))
 
 
-def converse_check(ch: Fsmc, n: int, trials: int, seed: int = 0,
-                   horizon: Optional[int] = None) -> ConverseReport:
+def converse_check(ch: Fsmc, n: int, trials: int, seed: int = 0) -> ConverseReport:
     """For random product input laws, verify H(Y^n|X^n C^n) >= n (1 - val)
-    and rate <= val within 1e-9, with val the brute-force value at the given
-    horizon.
+    and rate <= val within 1e-9, with val the brute-force value at horizon n.
 
     A violation means the horizon underestimated the value or the engine is
     wrong; the report re-runs the search with a deeper horizon to tell the
@@ -598,18 +585,17 @@ def converse_check(ch: Fsmc, n: int, trials: int, seed: int = 0,
     if seed < 0:
         raise CapacityError(f"seed {seed} must be >= 0")
     a = ch.automaton
-    horizon = n if horizon is None else horizon
-    val = float(brute_force_value(a, horizon).best_value)
+    val = float(brute_force_value(a, n).best_value)
     stats = _converse_trial_stats(a, n, trials, seed)
     bound = n * (1 - val)
     violations = sum(1 for h, rate in stats
                      if h < bound - 1e-9 or rate > val + 1e-9)
     raised_horizon = raised_val = None
     if violations:
-        raised_horizon = horizon + 2
+        raised_horizon = n + 2
         raised_val = float(brute_force_value(a, raised_horizon).best_value)
     return ConverseReport(
-        n=n, trials=trials, horizon=horizon, val_horizon=val,
+        n=n, trials=trials, horizon=n, val_horizon=val,
         entropy_bound=bound,
         min_conditional_entropy=min(h for h, _ in stats),
         max_rate=max(rate for _, rate in stats),

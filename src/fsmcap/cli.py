@@ -103,8 +103,7 @@ def _load_pfa(run: Run, path) -> pfa.Pfa:
     return formats.load_pfa(run.input_file(path))
 
 
-def _emit_pfa(run: Run, automaton: pfa.Pfa, out) -> None:
-    text = formats.serialize_pfa(automaton)
+def _emit(run: Run, text: str, out) -> None:
     if out:
         run.write_output(out, text)
     else:
@@ -170,7 +169,7 @@ def cmd_gadget(run: Run, args) -> int:
         print(f"states: {len(out_pfa.states)} = 2*{inner.n_states}+{gadgets.SKELETON_SIZE}"
               f" = {expected}{note}", file=sys.stderr)
         print(f"alphabet size: {len(out_pfa.alphabet)}", file=sys.stderr)
-    _emit_pfa(run, out_pfa, args.out)
+    _emit(run, formats.serialize_pfa(out_pfa), args.out)
     return 0
 
 
@@ -205,14 +204,9 @@ def cmd_witness(run: Run, args) -> int:
 
 
 def cmd_channel_build(run: Run, args) -> int:
-    automaton = _load_pfa(run, args.pfa)
-    ch = fsmc.build_V(automaton)
-    text = formats.serialize_fsmc(ch)
+    ch = fsmc.build_V(_load_pfa(run, args.pfa))
     print(f"inputs: {len(ch.inputs)}  states: {len(ch.states)}", file=sys.stderr)
-    if args.out:
-        run.write_output(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(run, formats.serialize_fsmc(ch), args.out)
     return 0
 
 
@@ -258,8 +252,7 @@ def cmd_capacity_bracket(run: Run, args) -> int:
 def cmd_capacity_ba(run: Run, args) -> int:
     rows = formats.load_dmc(run.input_file(args.channel))
     run.param(tol=args.tol, max_iters=args.max_iters)
-    import numpy as np
-    result = capacity.blahut_arimoto(capacity.DiscreteChannel(np.array(rows)),
+    result = capacity.blahut_arimoto(capacity.DiscreteChannel(rows),
                                      tol=args.tol, max_iters=args.max_iters)
     print(f"capacity: {_real(result.capacity)}")
     print(f"certified gap: {_real(result.gap)}")
@@ -270,11 +263,9 @@ def cmd_capacity_ba(run: Run, args) -> int:
 
 def cmd_capacity_converse(run: Run, args) -> int:
     automaton = _load_pfa(run, args.pfa)
-    run.param(n=args.n, trials=args.trials, horizon=args.horizon)
+    run.param(n=args.n, trials=args.trials)
     run.seed = args.seed
-    ch = fsmc.lift(automaton)
-    report = capacity.converse_check(ch, args.n, args.trials, seed=args.seed,
-                                     horizon=args.horizon)
+    report = capacity.converse_check(fsmc.lift(automaton), args.n, args.trials, seed=args.seed)
     print(f"value at horizon {report.horizon}: {_real(report.val_horizon)}")
     print(f"entropy bound n(1-val): {_real(report.entropy_bound)}")
     print(f"min conditional entropy: {_real(report.min_conditional_entropy)}")
@@ -328,6 +319,8 @@ def cmd_sigma(run: Run, args) -> int:
         code = gadgets.sigma_encode([pfa.frac(tok) for tok in args.rationals])
         print(code.value)
     else:
+        if sum(map(str.isdigit, args.value)) > gadgets.SIGMA_DIGIT_BUDGET:
+            raise CliError(f"sigma code has more than {gadgets.SIGMA_DIGIT_BUDGET} digits")
         code = gadgets.SigmaCode(value=_number(int, args.value, "sigma code"), arity=args.arity)
         values = gadgets.sigma_decode(code)
         print(" ".join(_rat(v) for v in values))
@@ -429,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--trials", type=int, required=True)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--horizon", type=int)
     q.set_defaults(handler=cmd_capacity_converse)
     q = ksub.add_parser("stability")
     q.add_argument("--val", type=float, required=True)

@@ -23,6 +23,7 @@ section is checked as it is read, by the same checks as ``validate_pfa`` and
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,7 +37,17 @@ class FormatError(ValueError):
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    """p/q in full; Python's int-to-str digit limit is lifted for this call if it meets it."""
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def _clean_lines(text: str):

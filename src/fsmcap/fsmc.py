@@ -231,8 +231,10 @@ def sample(ch: Fsmc, xs: Sequence[str], seed: int) -> tuple[str, ...]:
 
     Randomness comes from ``random.Random(seed)`` (Mersenne Twister), with
     each draw made by comparing a 53-bit uniform rational against the exact
-    cumulative distribution.
+    cumulative distribution.  Seeds are nonnegative: Random(-s) is Random(s).
     """
+    if seed < 0:
+        raise FsmcError(f"seed {seed} must be >= 0")
     for x in xs:
         ch.input_index(x)
     rng = random.Random(seed)

@@ -259,6 +259,9 @@ class SigmaError(ValueError):
     """Value outside the image of the codec."""
 
 
+SIGMA_DIGIT_BUDGET = 4300    # codes are decimal text: Python's default int-str digit limit
+
+
 @dataclass(frozen=True)
 class SigmaCode:
     value: int
@@ -285,13 +288,13 @@ def sigma_encode(values: Sequence) -> SigmaCode:
     for f in fracs:
         if f <= 0:
             raise SigmaError(f"entry {f} is not positive")
-    n = len(fracs)
-    primes = first_primes(2 * n)
-    total = 1
-    for j, f in enumerate(fracs):
-        total *= primes[j] ** f.numerator
-        total *= primes[n + j] ** f.denominator
-    return SigmaCode(value=total, arity=n)
+    primes = first_primes(2 * len(fracs))
+    exps = [f.numerator for f in fracs] + [f.denominator for f in fracs]
+    # log10 of the code, before any power; an exponent capped at 4 budgets is a float and passes it
+    if sum(min(e, 4 * SIGMA_DIGIT_BUDGET) * math.log10(p)
+           for p, e in zip(primes, exps)) >= SIGMA_DIGIT_BUDGET:
+        raise SigmaError(f"the code has more than {SIGMA_DIGIT_BUDGET} digits")
+    return SigmaCode(value=math.prod(p ** e for p, e in zip(primes, exps)), arity=len(fracs))
 
 
 def sigma_decode(code: SigmaCode) -> tuple[Fraction, ...]:
@@ -299,6 +302,8 @@ def sigma_decode(code: SigmaCode) -> tuple[Fraction, ...]:
     n = code.arity
     if n < 1:
         raise SigmaError(f"arity {n} must be >= 1")
+    if math.log10(abs(code.value) or 1) >= SIGMA_DIGIT_BUDGET:
+        raise SigmaError(f"the code has more than {SIGMA_DIGIT_BUDGET} digits")
     remaining = code.value
     if remaining < 2:
         raise SigmaError(f"{code.value} is not in the image of the codec")

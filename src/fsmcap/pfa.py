@@ -108,6 +108,10 @@ class Pfa:
             object.__setattr__(self, "matrices", ReadOnlyDict(self.matrices))
         check_pfa(self)
 
+    def __repr__(self) -> str:   # accepting sorted: a frozenset's order follows the hash seed
+        return (f"Pfa(states={self.states!r}, alphabet={self.alphabet!r}, matrices={self.matrices!r}, "
+                f"initial={self.initial!r}, accepting=frozenset({sorted(self.accepting)!r}))")
+
     @property
     def n_states(self) -> int:
         return len(self.states)
@@ -142,9 +146,6 @@ class Pfa:
     def _horizon(self) -> _HorizonBound:
         # not a field, like _columns
         return _HorizonBound(self)
-
-    def accept_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.states) if s in self.accepting)
 
 
 def make_pfa(states, alphabet, matrices, initial, accepting) -> Pfa:
@@ -264,7 +265,7 @@ def evolve(p: Pfa, word: Iterable[str], start: Optional[Sequence[Fraction]] = No
 
 
 def accept_mass(p: Pfa, dist: Sequence[Fraction]) -> Fraction:
-    return sum((dist[i] for i in p.accept_indices()), ZERO)
+    return sum((x for s, x in zip(p.states, dist) if s in p.accepting), ZERO)
 
 
 def value(p: Pfa, word: Iterable[str]) -> Fraction:

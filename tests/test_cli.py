@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fsmcap
 from fsmcap.cli import build_parser, main, parse_word
-from fsmcap.formats import load_pfa, serialize_fsmc, serialize_pfa
+from fsmcap.formats import format_rational, load_pfa, serialize_fsmc, serialize_pfa
 from fsmcap.fsmc import lift
 from fsmcap import fixtures
 from test_formats import CHANNEL, CHANNEL_VIOLATIONS
@@ -31,6 +32,17 @@ def test_pfa_value_prints_rational(capsys, example1_path):
     code, out, _ = run_cli(capsys, "pfa", "value", "--pfa", example1_path, "--word", "baa")
     assert code == 0
     assert out.strip() == "1/4"
+
+
+def test_pfa_value_prints_a_value_past_the_int_digit_limit(capsys, tmp_path):
+    # value of a^n is 1 - (996/997)^n, whose denominator 997^1500 has 4499 digits
+    path = tmp_path / "slow.pfa"
+    path.write_text("states: q1 q2\nalphabet: a\ninitial: 1 0\naccepting: q2\n"
+                    "matrix a:\n996/997 0\n1/997 1\n")
+    code, out, err = run_cli(capsys, "pfa", "value", "--pfa", path, "--word", "a" * 1500)
+    assert (code, err) == (0, "")
+    assert out == format_rational(1 - Fraction(996, 997) ** 1500) + "\n"
+    assert len(out.rstrip("\n").split("/")[1]) == 4499
 
 
 def test_word_parsing(example1):
@@ -258,8 +270,7 @@ def test_closed_form_mismatch_is_not_a_domain_error(monkeypatch):
     (["witness", "--x", "3/4", "--eps", "1/10", "--k", "1"], "need k >= 2"),
     (["capacity", "ba", "--channel", "bsc11.dmc", "--max-iters", "0"], "max_iters"),
     (["pfa", "search", "--pfa", "d_25.pfa", "--max-len", "-1"], "-1"),
-    (["capacity", "converse", "--pfa", "d_25.pfa", "--n", "2", "--trials", "3",
-      "--horizon", "-1"], "-1"),
+    (["capacity", "converse", "--pfa", "d_25.pfa", "--n", "7", "--trials", "3"], "n <= 6"),
     (["capacity", "converse", "--pfa", "d_25.pfa", "--n", "2", "--trials", "3",
       "--seed", "-1"], "seed"),
     (["capacity", "stability", "--val", "0.55", "--delta", "0.1", "--n-list", "8,x"], "--n-list"),
@@ -285,6 +296,11 @@ def test_closed_form_mismatch_is_not_a_domain_error(monkeypatch):
      "3/2"),
     (["capacity", "stability", "--val", "0.5", "--delta", "0.1", "--n-list", "2,2", "--demo",
       "--pfa", "d_25.pfa", "--free", "3", "--etas", ""], "--etas: no values given"),
+    (["channel", "sample", "--channel", "v.fsmc", "--input", "1:b", "--seed", "-5"],
+     "seed -5 must be >= 0"),
+    (["sigma", "encode", "20000/1"], "the code has more than 4300 digits"),
+    (["sigma", "encode", "1/20000"], "the code has more than 4300 digits"),
+    (["sigma", "decode", "7" * 5000, "--arity", "1"], "sigma code has more than 4300 digits"),
 ])
 def test_out_of_range_arguments_exit_1(capsys, tmp_path, monkeypatch, argv, fragment):
     for name in ("d_25.pfa", "bsc11.dmc"):

@@ -1,10 +1,11 @@
 import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
 
 from fsmcap import fixtures
-from fsmcap.formats import (FormatError, load_pfa, parse_dmc, parse_fsmc,
+from fsmcap.formats import (FormatError, format_rational, load_pfa, parse_dmc, parse_fsmc,
                             parse_pfa, serialize_fsmc, serialize_pfa)
 from fsmcap.fsmc import FsmcError, build_V
 from fsmcap.pfa import PfaError, gamma, make_matrix, validate_pfa
@@ -213,3 +214,13 @@ def test_unreadable_path_is_a_format_error(tmp_path):
 def test_bsc11_fixture():
     rows = fixtures.bsc11_rows()
     assert rows == [[0.89, 0.11], [0.11, 0.89]]
+
+
+def test_format_rational_prints_past_the_int_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    # 5001 and 4401 digits, both past Python's default limit of 4300
+    text = format_rational(Fraction(10 ** 5000 + 1, 10 ** 4400))
+    assert text == "1" + "0" * 4999 + "1/1" + "0" * 4400
+    assert format_rational(Fraction(-3, 4)) == "-3/4" and format_rational(7) == "7"
+    # the limit is back where it was
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

@@ -217,6 +217,13 @@ def test_sample_deterministic(example1):
     assert sample(ch, xs, seed=42) != sample(ch, xs, seed=43) or True  # seeds may collide
 
 
+def test_sample_refuses_a_negative_seed(example1):
+    # random.Random(-s) is random.Random(s), so a negative seed would repeat another's draws
+    ch = build_V(gamma(example1))
+    with pytest.raises(FsmcError, match="seed -5 must be >= 0"):
+        sample(ch, ("0:a", "1:b"), seed=-5)
+
+
 def test_sample_noiseless_when_always_accepting(always_accept):
     ch = build_V(always_accept)
     xs = tuple(f"{i % 2}:a" for i in range(64))

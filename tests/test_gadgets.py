@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fsmcap.gadgets import (FAMILY_TARGET_STATES, SKELETON_SIZE,
+from fsmcap.gadgets import (FAMILY_TARGET_STATES, SIGMA_DIGIT_BUDGET, SKELETON_SIZE,
                             BOTTOM_FAIL_STATE, BOTTOM_HOLD_CLASS,
                             TOP_SUCCESS_CLASS, GadgetError, SigmaCode,
                             SigmaError, build_B_p, build_C_p, build_D_Ay,
@@ -302,6 +302,19 @@ def test_sigma_rejects_nonpositive():
         sigma_encode([F(0)])
     with pytest.raises(SigmaError):
         sigma_encode([F(-1, 2)])
+
+
+def test_sigma_refuses_codes_past_the_digit_budget():
+    # 3 * 2^e has 4300 digits, the budget, and 3 * 2^(e + 1) has 4301
+    e = (10 ** SIGMA_DIGIT_BUDGET // 3).bit_length() - 1
+    code = sigma_encode([F(e)])
+    assert len(str(code.value)) == SIGMA_DIGIT_BUDGET and sigma_decode(code) == (F(e),)
+    for values in ([F(e + 1)], [F(20000)], [F(1, 20000)], [F(10 ** 400)], [F(1, 2), F(7, 10 ** 400)]):
+        with pytest.raises(SigmaError, match="more than 4300 digits"):
+            sigma_encode(values)
+    for value in (3 * 2 ** (e + 1), -(10 ** 5000)):
+        with pytest.raises(SigmaError, match="more than 4300 digits"):
+            sigma_decode(SigmaCode(value, 1))
 
 
 def test_sigma_decode_rejects_outside_image():

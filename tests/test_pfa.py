@@ -521,6 +521,12 @@ def test_replace_builds_a_checked_automaton_with_fresh_caches(d_34):
         dataclasses.replace(d_34, matrices={**d_34.matrices, "a": ((F(1),) * 8,) * 8})
 
 
+def test_repr_lists_the_accepting_states_sorted(family3):
+    assert repr(family3).endswith(", accepting=frozenset(['q3', 'q5a']))")
+    for accepting in (["q5a", "q3"], ["q3", "q5a"]):
+        assert repr(dataclasses.replace(family3, accepting=frozenset(accepting))) == repr(family3)
+
+
 @pytest.mark.parametrize("name", ["example1", "family3"])
 def test_read_only_matrices_keep_repr_equality_pickle_and_copies(name):
     p = getattr(fixtures, name)()
