@@ -18,4 +18,5 @@ from .capacity import (BaResult, BlockChannel, BracketBudget, CapacityBracket,
                        CapacityError, ControlSchedule, DiscreteChannel,
                        achievable_rate, blahut_arimoto, bsc, capacity_bracket,
                        converse_check, entropy, induced_block_channel,
-                       spectrum_concentration_demo, stability_schedule)
+                       spectrum_concentration_demo, spectrum_concentration_demos,
+                       stability_schedule)

@@ -850,14 +850,29 @@ def spectrum_concentration_demo(ch: Fsmc, sched: ControlSchedule, m_blocks: int,
     against the two-sided Hoeffding expression with the stage-1 margin
     eta - 1/val, normalized both by the supplied value and by the exact
     block rate."""
+    (report,) = spectrum_concentration_demos(ch, sched, m_blocks, (eta,), delta,
+                                             samples, seed, val)
+    return report
+
+
+def spectrum_concentration_demos(ch: Fsmc, sched: ControlSchedule, m_blocks: int,
+                                 etas: Sequence, delta, samples: int, seed: int,
+                                 val: Optional[float] = None) -> list[SpectrumDemoReport]:
+    """`spectrum_concentration_demo` for each eta, in order, from one
+    spectrum and one draw: only the threshold eta * delta depends on eta,
+    so each report equals the one-eta call with the same seed.  Every eta
+    is checked before any work starts."""
     if m_blocks < 1 or samples < 1:
         raise CapacityError("need at least one block and one sample")
     if seed < 0:
         raise CapacityError(f"seed {seed} must be >= 0")
-    eta = float(eta)
+    etas = [float(eta) for eta in etas]
     delta = float(delta)
-    if not math.isfinite(eta):
-        raise CapacityError(f"eta {eta} must be finite")
+    if not etas:
+        raise CapacityError("need at least one eta")
+    for eta in etas:
+        if not math.isfinite(eta):
+            raise CapacityError(f"eta {eta} must be finite")
     if not 0 < delta < math.inf:
         raise CapacityError(f"delta {delta} must be positive and finite")
     values, probs = block_spectrum(ch, sched)
@@ -872,11 +887,12 @@ def spectrum_concentration_demo(ch: Fsmc, sched: ControlSchedule, m_blocks: int,
                             f"{val}; both must be positive")
     n_total = m_blocks * n_block
     sums = _density_sums(values, probs, m_blocks, samples, np.random.default_rng(seed))
-    tail_val = float(np.mean(np.abs(sums / (n_total * val) - 1.0) >= eta * delta))
-    tail_rate = float(np.mean(np.abs(sums / (n_total * c_n) - 1.0) >= eta * delta))
-    return SpectrumDemoReport(
+    dev_val = np.abs(sums / (n_total * val) - 1.0)
+    dev_rate = np.abs(sums / (n_total * c_n) - 1.0)
+    return [SpectrumDemoReport(
         eta=eta, delta=delta, n_total=n_total, samples=samples,
         block_rate=c_n, val=val,
-        empirical_tail_val=tail_val, empirical_tail_rate=tail_rate,
+        empirical_tail_val=float(np.mean(dev_val >= eta * delta)),
+        empirical_tail_rate=float(np.mean(dev_rate >= eta * delta)),
         analytic_val=_hoeffding_bound(n_total, c_n, delta, eta, val),
-        analytic_rate=_hoeffding_bound(n_total, c_n, delta, eta, c_n))
+        analytic_rate=_hoeffding_bound(n_total, c_n, delta, eta, c_n)) for eta in etas]

@@ -301,10 +301,9 @@ def cmd_capacity_stability(run: Run, args) -> int:
     run.seed = args.seed
     m_blocks = schedule.stages[0].m_t
     rows = ["eta,empirical,analytic"]
-    for eta in etas:
-        rep = capacity.spectrum_concentration_demo(
-            ch, sched, m_blocks, eta, args.delta,
-            samples=args.samples, seed=args.seed, val=args.val)
+    for rep in capacity.spectrum_concentration_demos(ch, sched, m_blocks, etas, args.delta,
+                                                     samples=args.samples, seed=args.seed,
+                                                     val=args.val):
         rows.append(f"{_real(rep.eta)},{_real(rep.empirical_tail_val)},{_real(rep.analytic_val)}")
         lines.append(f"eta={_real(rep.eta)}: n={rep.n_total} block_rate={_real(rep.block_rate)} "
                      f"empirical={_real(rep.empirical_tail_val)} analytic={_real(rep.analytic_val)}")

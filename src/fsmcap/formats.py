@@ -23,13 +23,12 @@ section is checked as it is read, by the same checks as ``validate_pfa`` and
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .fsmc import Fsmc
 from .pfa import (Pfa, PfaError, duplicate_violations, frac, initial_violations,
-                  membership_violations, table_violations)
+                  membership_violations, past_digit_limit, table_violations)
 
 
 class FormatError(ValueError):
@@ -37,17 +36,9 @@ class FormatError(ValueError):
 
 
 def format_rational(value: Fraction) -> str:
-    """p/q in full; Python's int-to-str digit limit is lifted for this call if it meets it."""
-    value = Fraction(value)
-    try:
-        return str(value)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return str(value)
-        finally:
-            sys.set_int_max_str_digits(limit)
+    """p/q in full, also past Python's int-to-str digit limit
+    (`past_digit_limit`), so that `frac` reads every printed value back."""
+    return past_digit_limit(str, Fraction(value))
 
 
 def _clean_lines(text: str):

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .pfa import Matrix, Pfa, PfaError, frac, gamma
 
@@ -238,17 +238,25 @@ def dxy_block_word(lengths: Sequence[int]) -> tuple[str, ...]:
     return tuple(word)
 
 
+def dxy_reach_closed_forms(x, lengths: Sequence[int]) -> Iterator[tuple[Fraction, Fraction]]:
+    """`dxy_reach_closed_form` of every prefix of `lengths`, the empty one
+    first, as running products: one power of x and one of 1-x per block."""
+    x = frac(x)
+    survive = ONE
+    caught = ONE
+    yield ZERO, ZERO
+    for n in lengths:
+        survive *= 1 - x ** n
+        caught *= 1 - (1 - x) ** n
+        yield ONE - survive, ONE - caught
+
+
 def dxy_reach_closed_form(x, lengths: Sequence[int]) -> tuple[Fraction, Fraction]:
     """Exact success-class and failure-sink reach probabilities for the block
     word a^{n1} b ... a^{nt} b: (1 - prod(1 - x^{n_i}),
     1 - prod(1 - (1-x)^{n_i}))."""
-    x = frac(x)
-    survive = ONE
-    caught = ONE
-    for n in lengths:
-        survive *= 1 - x ** n
-        caught *= 1 - (1 - x) ** n
-    return ONE - survive, ONE - caught
+    *_, last = dxy_reach_closed_forms(x, lengths)
+    return last
 
 
 # ---------------------------------------------------------------------------

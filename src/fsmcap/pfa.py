@@ -9,17 +9,19 @@ Every public function takes and returns Fractions.  The word search
 (`brute_force_value`, `emptiness_semidecide`) works on integers inside its
 walk: each matrix becomes integer columns over one common denominator, each
 distribution a tuple of integer numerators in lowest terms, and a Fraction
-is built only for the value returned.  An automaton builds its integer
-columns once, on first use, and keeps them (`Pfa.columns`), with the
-state-observed horizon bound that lets the walk skip subtrees that cannot
-beat the best value so far (`_HorizonBound`).  Its matrices are a
-`ReadOnlyDict`, so neither can go stale.
+is built only for the value returned.  `evolve`, `value` and the reach
+probabilities walk a word on the same columns (`_advance`).  An automaton
+builds its integer columns once, on first use, and keeps them
+(`Pfa.columns`), with the state-observed horizon bound that lets the walk
+skip subtrees that cannot beat the best value so far (`_HorizonBound`).
+Its matrices are a `ReadOnlyDict`, so neither can go stale.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -41,6 +43,10 @@ ONE = Fraction(1)
 
 _EXACT_TYPES = {int, Fraction}
 
+# `_advance` divides out the gcd of its laws once their factor passes this
+# many bits, and again each time the factor doubles its bit length
+_REDUCE_BITS = 64
+
 # the horizon bound is rounded up onto multiples of 2**-_BOUND_BITS once its
 # common denominator grows past 2**_BOUND_BITS
 _BOUND_BITS = 64
@@ -54,16 +60,39 @@ class BudgetError(RuntimeError):
     """An enumeration would exceed its configured budget."""
 
 
+def past_digit_limit(convert, value):
+    """convert(value), retried once with Python's int-str digit limit lifted
+    if it raises ValueError, as that limit does for a number of more than
+    4,300 digits; the limit is restored after the retry."""
+    try:
+        return convert(value)
+    except ValueError:
+        # 0: no limit, or a Python before 3.10.7, which has none
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            raise
+        sys.set_int_max_str_digits(0)
+        try:
+            return convert(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def frac(value) -> Fraction:
-    """Coerce ints, 'p/q' strings and fractions to Fraction; refuse floats."""
+    """Coerce ints, 'p/q' strings and fractions to Fraction; refuse floats.
+    Text is parsed past the int-str digit limit (`past_digit_limit`), and a
+    refused token is echoed by its first 40 characters only."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise PfaError(f"refusing float {value!r}: probabilities must be exact rationals")
     try:
-        return Fraction(value)
+        return past_digit_limit(Fraction, value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise PfaError(f"not a rational: {value!r}") from exc
+        shown = repr(value)
+        if len(shown) > 40:
+            shown = shown[:40] + "..."
+        raise PfaError(f"not a rational: {shown}") from exc
 
 
 def make_vector(entries) -> Vector:
@@ -256,12 +285,65 @@ def mat_vec(m: Matrix, u: Sequence[Fraction]) -> Vector:
     return tuple(out)
 
 
-def evolve(p: Pfa, word: Iterable[str], start: Optional[Sequence[Fraction]] = None) -> Vector:
-    """Distribution after reading `word`; the empty word returns the start."""
-    dist = tuple(start) if start is not None else p.initial
+def _advance(p: Pfa, word: Iterable[str],
+             rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Move laws held as integer numerators over one shared denominator d
+    by `word`: the laws after it are the returned rows over d * factor.
+
+    Each step moves every row by the symbol's integer columns
+    (`Pfa.columns`) and multiplies the factor once by the symbol's
+    denominator, the sum of any of its columns; no Fraction is built.  Once
+    the factor has doubled its bit length since the last look, the rows and
+    the factor are divided by their gcd, so laws whose true denominators
+    stay small (a reset, a uniform mixer) do not carry the whole product,
+    and a walk without cancellation takes only a logarithmic number of
+    gcds.  The empty word returns the rows and 1.  An unknown symbol raises
+    PfaError."""
+    steps: dict[str, tuple[IntColumns, int]] = {}
+    factor, limit = 1, _REDUCE_BITS
     for sym in word:
-        dist = mat_vec(p.matrix(sym), dist)
-    return dist
+        step = steps.get(sym)
+        if step is None:
+            cols = p.columns(sym)
+            step = steps[sym] = cols, sum(m for _, m in cols[0])
+        cols, den = step
+        factor *= den
+        moved = []
+        for row in rows:
+            out = [0] * len(row)
+            for j, x in enumerate(row):
+                if x:
+                    for i, m in cols[j]:
+                        out[i] += m * x
+            moved.append(out)
+        rows = moved
+        if factor.bit_length() > limit:
+            g = math.gcd(factor, *itertools.chain.from_iterable(rows))
+            if g > 1:
+                rows = [[x // g for x in row] for row in rows]
+                factor //= g
+            limit = max(_REDUCE_BITS, 2 * factor.bit_length())
+    return rows, factor
+
+
+def _moved(p: Pfa, word: Iterable[str], start: Sequence) -> tuple[list[int], int]:
+    """`start` (ints or Fractions, a law or not) after `word`, as integer
+    numerators over one denominator."""
+    den = math.lcm(*[e.denominator for e in start])
+    (row,), factor = _advance(p, word, [[e.numerator * (den // e.denominator) for e in start]])
+    return row, den * factor
+
+
+def evolve(p: Pfa, word: Iterable[str], start: Optional[Sequence[Fraction]] = None) -> Vector:
+    """Distribution after reading `word`; the empty word returns the start.
+    The walk is on integers (`_advance`); a Fraction is built per entry of
+    the result only."""
+    start = tuple(start) if start is not None else p.initial
+    word = tuple(word)
+    if not word:
+        return start
+    row, den = _moved(p, word, start)
+    return tuple([Fraction(x, den) for x in row])
 
 
 def accept_mass(p: Pfa, dist: Sequence[Fraction]) -> Fraction:
@@ -270,7 +352,8 @@ def accept_mass(p: Pfa, dist: Sequence[Fraction]) -> Fraction:
 
 def value(p: Pfa, word: Iterable[str]) -> Fraction:
     """Probability that reading `word` from the initial distribution accepts."""
-    return accept_mass(p, evolve(p, word))
+    row, den = _moved(p, word, p.initial)
+    return Fraction(sum(x for s, x in zip(p.states, row) if s in p.accepting), den)
 
 
 def point_dist(p: Pfa, state: str) -> Vector:
@@ -280,13 +363,12 @@ def point_dist(p: Pfa, state: str) -> Vector:
 
 def reach_prob(p: Pfa, src: str, word: Iterable[str], dst: str) -> Fraction:
     """Probability of sitting in `dst` after reading `word` from `src`."""
-    dist = evolve(p, word, start=point_dist(p, src))
-    return dist[p.state_index(dst)]
+    return reach_mass(p, src, word, (dst,))
 
 
 def reach_mass(p: Pfa, src: str, word: Iterable[str], dsts: Iterable[str]) -> Fraction:
-    dist = evolve(p, word, start=point_dist(p, src))
-    return sum((dist[p.state_index(d)] for d in dsts), ZERO)
+    row, den = _moved(p, word, point_dist(p, src))
+    return Fraction(sum(row[p.state_index(d)] for d in dsts), den)
 
 
 def freeze_and_reset(p: Pfa) -> tuple[Matrix, Matrix]:

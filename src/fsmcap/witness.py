@@ -16,9 +16,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from . import gadgets
-from .pfa import Pfa, Word, accept_mass, evolve, frac, point_dist, value
+from .pfa import Pfa, Word, _advance, _int_law, frac, value
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
@@ -91,15 +90,6 @@ class WitnessReport:
     b: Optional[float]
 
 
-def _closed_forms(x: Fraction, y: Fraction, lengths: Sequence[int]):
-    """Success class, failure sink, hold mass and value for the synthesized
-    word (separators after every block except the last)."""
-    p_top, p_bot_sink = gadgets.dxy_reach_closed_form(x, lengths[:-1])
-    residual_home = (1 - p_bot_sink) * (1 - x) ** lengths[-1]
-    p_bot_hold = ONE - p_bot_sink - residual_home
-    return p_top, p_bot_sink, p_bot_hold, y * (p_top + p_bot_hold)
-
-
 def synthesize_word(x=None, eps=None, k: int = 2, y=HALF,
                     inner: Optional[Pfa] = None,
                     inner_word: Optional[Sequence[str]] = None) -> WitnessReport:
@@ -161,24 +151,36 @@ def synthesize_words(x=None, eps=None, k: int = 2, y=HALF,
 
 def _reports(gadget: Pfa, block: Word, lengths: Sequence[int], x: Fraction,
              eps: Fraction, y: Fraction, b: Optional[float]) -> Iterator[WitnessReport]:
-    top = [gadget.state_index(s) for s in gadgets.TOP_SUCCESS_CLASS]
-    sink = gadget.state_index(gadgets.BOTTOM_FAIL_STATE)
-    hold = [gadget.state_index(s) for s in gadgets.BOTTOM_HOLD_CLASS]
-    from_q1, from_q4 = point_dist(gadget, "q1"), point_dist(gadget, "q4")
-    from_start = gadget.initial
+    """The laws from q1, from q4 and from the start, as integer rows over
+    one denominator moved piece by piece (`pfa._advance`), checked per k
+    against closed forms that are running products
+    (`gadgets.dxy_reach_closed_forms`).  Per k only the four reported
+    Fractions are built."""
+    index = gadget.state_index
+    top = [index(s) for s in gadgets.TOP_SUCCESS_CLASS]
+    sink = index(gadgets.BOTTOM_FAIL_STATE)
+    hold = [index(s) for s in gadgets.BOTTOM_HOLD_CLASS]
+    accepting = [j for j, s in enumerate(gadget.states) if s in gadget.accepting]
+    from_start = _int_law(gadget.initial)
+    den = sum(from_start)
+    rows = [[den if j == home else 0 for j in range(gadget.n_states)]
+            for home in (index("q1"), index("q4"))] + [from_start]
+    closed = gadgets.dxy_reach_closed_forms(x, lengths)
     word: Word = ()
-    for i, n in enumerate(lengths):
+    for i, (n, (cf_top, cf_sink)) in enumerate(zip(lengths, closed)):
         piece = (("b",) if i else ()) + block * n
         word += piece
-        from_q1 = evolve(gadget, piece, start=from_q1)
-        from_q4 = evolve(gadget, piece, start=from_q4)
-        from_start = evolve(gadget, piece, start=from_start)
-        p_top = sum((from_q1[j] for j in top), ZERO)
-        p_sink = from_q4[sink]
-        p_hold = sum((from_q4[j] for j in hold), ZERO)
-        val = accept_mass(gadget, from_start)
+        rows, factor = _advance(gadget, piece, rows)
+        den *= factor
+        from_q1, from_q4, from_start = rows
+        p_top = Fraction(sum([from_q1[j] for j in top]), den)
+        p_sink = Fraction(from_q4[sink], den)
+        p_hold = Fraction(sum([from_q4[j] for j in hold]), den)
+        val = Fraction(sum([from_start[j] for j in accepting]), den)
 
-        cf_top, cf_sink, cf_hold, cf_val = _closed_forms(x, y, lengths[:i + 1])
+        # the blocks before the last end in a separator; the last one does not
+        cf_hold = ONE - cf_sink - (1 - cf_sink) * (1 - x) ** n
+        cf_val = y * (cf_top + cf_hold)
         mismatches = [
             (name, got, want)
             for name, got, want in (

@@ -48,12 +48,17 @@ def naive_mat_vec(m, u) -> list:
     return out
 
 
-def naive_reach(automaton, src, word, dst) -> Fraction:
-    """Same nested-loop product, but from a point mass on src."""
+def naive_law(automaton, src, word) -> dict:
+    """Nested-loop products from a point mass on src: the law after `word`,
+    keyed by state."""
     dist = [Fraction(int(s == src)) for s in automaton.states]
     for sym in word:
         dist = naive_mat_vec(automaton.matrices[sym], dist)
-    return dist[automaton.states.index(dst)]
+    return dict(zip(automaton.states, dist))
+
+
+def naive_reach(automaton, src, word, dst) -> Fraction:
+    return naive_law(automaton, src, word)[dst]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from fsmcap.capacity import (BlockChannel, BracketBudget, CapacityError,
                              _float_prefix_profiles, achievable_rate, blahut_arimoto,
                              block_profile, block_spectrum, bsc, capacity_bracket,
                              converse_check, entropy, induced_block_channel,
-                             spectrum_concentration_demo, stability_schedule)
+                             spectrum_concentration_demo, spectrum_concentration_demos,
+                             stability_schedule)
 from fsmcap.fsmc import FsmcError, build_V, lift, unlift
 from fsmcap.gadgets import build_D_xy
 from fsmcap.pfa import gamma, make_pfa
@@ -624,6 +625,38 @@ def test_demo_draws_equal_generator_choice(always_accept, word, atoms, m_blocks,
     for seed, val in ((0, None), (9, 0.3)):
         args = (ch, sched, m_blocks, 1.5, 0.1, samples, seed, val)
         assert spectrum_concentration_demo(*args) == naive_concentration_demo(*args)
+
+
+@pytest.mark.parametrize("word, m_blocks, samples", [((), 32, 2000), (("u", "v"), 64, 3000)])
+def test_one_draw_serves_every_eta(always_accept, word, m_blocks, samples):
+    from oracles import naive_concentration_demo
+
+    ch = lift(always_accept if not word else _three_state_mixer())
+    sched = ControlSchedule(word=word, free_slots=3)
+    etas = (1.5, 2, 3, 0.5, 2)
+    for seed, val in ((0, None), (9, 0.3)):
+        reports = spectrum_concentration_demos(ch, sched, m_blocks, etas, 0.1, samples, seed, val)
+        assert [r.eta for r in reports] == [float(e) for e in etas]
+        for eta, rep in zip(etas, reports):
+            args = (ch, sched, m_blocks, eta, 0.1, samples, seed, val)
+            assert rep == spectrum_concentration_demo(*args) == naive_concentration_demo(*args)
+
+
+@pytest.mark.parametrize("etas, fragment", [
+    ((2, math.nan), "eta"), ((math.inf, 2), "eta"), ((1.5, 2, -math.inf), "eta"), ((), "eta"),
+])
+def test_demos_refuse_a_bad_eta_before_any_draw(always_accept, monkeypatch, etas, fragment):
+    from fsmcap import capacity
+
+    def no_draw(*args):
+        raise AssertionError("drew before checking every eta")
+
+    monkeypatch.setattr(capacity, "block_spectrum", no_draw)
+    monkeypatch.setattr(capacity, "_density_sums", no_draw)
+    ch = build_V(gamma(always_accept))
+    sched = ControlSchedule(word=(), free_slots=4)
+    with pytest.raises(CapacityError, match=fragment):
+        spectrum_concentration_demos(ch, sched, 4, etas, 0.1, samples=10, seed=0)
 
 
 def test_demo_draws_in_bounded_memory():

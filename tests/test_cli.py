@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import fsmcap
 from fsmcap.cli import build_parser, main, parse_word
-from fsmcap.formats import format_rational, load_pfa, serialize_fsmc, serialize_pfa
+from fsmcap.formats import format_rational, load_pfa, parse_pfa, serialize_fsmc, serialize_pfa
 from fsmcap.fsmc import lift
 from fsmcap import fixtures
 from test_formats import CHANNEL, CHANNEL_VIOLATIONS
@@ -43,6 +44,16 @@ def test_pfa_value_prints_a_value_past_the_int_digit_limit(capsys, tmp_path):
     assert (code, err) == (0, "")
     assert out == format_rational(1 - Fraction(996, 997) ** 1500) + "\n"
     assert len(out.rstrip("\n").split("/")[1]) == 4499
+
+
+def test_rationals_past_the_int_digit_limit_parse_and_a_bad_one_echoes_a_prefix(capsys):
+    long = "1/" + "3" * 5000
+    code, out, err = run_cli(capsys, "gadget", "dxy", "--x", long, "--y", "1/2")
+    assert (code, err) == (0, "")
+    assert parse_pfa(out).matrices["a"][1][1] == Fraction(3, 10 ** 5000 - 1)
+    code, out, err = run_cli(capsys, "gadget", "dxy", "--x", long + "x", "--y", "1/2")
+    assert (code, out) == (1, "")
+    assert err == "error: not a rational: '1/" + "3" * 37 + "...\n"
 
 
 def test_word_parsing(example1):
@@ -261,7 +272,8 @@ def test_closed_form_mismatch_is_not_a_domain_error(monkeypatch):
     from fsmcap import gadgets
     from fsmcap.witness import ClosedFormMismatch
 
-    monkeypatch.setattr(gadgets, "dxy_reach_closed_form", lambda x, lengths: (1, 1))
+    monkeypatch.setattr(gadgets, "dxy_reach_closed_forms",
+                        lambda x, lengths: itertools.repeat((1, 1)))
     with pytest.raises(ClosedFormMismatch, match="closed form"):
         main(["witness", "--x", "3/4", "--eps", "1/10", "--k", "3"])
 

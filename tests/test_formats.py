@@ -8,7 +8,7 @@ from fsmcap import fixtures
 from fsmcap.formats import (FormatError, format_rational, load_pfa, parse_dmc, parse_fsmc,
                             parse_pfa, serialize_fsmc, serialize_pfa)
 from fsmcap.fsmc import FsmcError, build_V
-from fsmcap.pfa import PfaError, gamma, make_matrix, validate_pfa
+from fsmcap.pfa import PfaError, frac, gamma, make_matrix, make_pfa, validate_pfa
 
 GOOD = """\
 # worked example
@@ -224,3 +224,28 @@ def test_format_rational_prints_past_the_int_digit_limit():
     assert format_rational(Fraction(-3, 4)) == "-3/4" and format_rational(7) == "7"
     # the limit is back where it was
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_frac_reads_every_printed_value_back_past_the_int_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    value = Fraction(10 ** 5000 + 1, 3 ** 9000)     # 5001 and 4295 digits
+    for v in (value, 1 / value, -value, Fraction(1, (10 ** 5000 - 1) // 3)):
+        assert frac(format_rational(v)) == v
+    assert frac("1/" + "3" * 5000) == Fraction(3, 10 ** 5000 - 1)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_frac_echoes_a_short_prefix_of_a_long_bad_token():
+    with pytest.raises(PfaError) as err:
+        frac("1/3x" + "3" * 5000)
+    assert str(err.value) == "not a rational: '1/3x" + "3" * 35 + "..."
+    with pytest.raises(PfaError, match=r"^not a rational: '1/x'$"):
+        frac("1/x")
+
+
+def test_pfa_entries_past_the_int_digit_limit_round_trip():
+    e = Fraction(1, 10 ** 5000 + 7)
+    p = make_pfa(["s", "t"], ["a"], {"a": [[1 - e, 0], [e, 1]]}, [1 - e, e], ["t"])
+    text = serialize_pfa(p)
+    assert len(text) > 20_000
+    assert parse_pfa(text) == p

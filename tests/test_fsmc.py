@@ -214,7 +214,8 @@ def test_sample_deterministic(example1):
     ch = build_V(gamma(example1))
     xs = ("0:a", "1:b", "0:id", "1:rt") * 5
     assert sample(ch, xs, seed=42) == sample(ch, xs, seed=42)
-    assert sample(ch, xs, seed=42) != sample(ch, xs, seed=43) or True  # seeds may collide
+    # two seeds may collide, but not all of ten on a 20-symbol input
+    assert len({sample(ch, xs, seed=seed) for seed in range(10)}) >= 2
 
 
 def test_sample_refuses_a_negative_seed(example1):

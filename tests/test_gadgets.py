@@ -9,7 +9,7 @@ from fsmcap.gadgets import (FAMILY_TARGET_STATES, SIGMA_DIGIT_BUDGET, SKELETON_S
                             TOP_SUCCESS_CLASS, GadgetError, SigmaCode,
                             SigmaError, build_B_p, build_C_p, build_D_Ay,
                             build_D_xy, build_family_member, dxy_block_word,
-                            dxy_reach_closed_form, first_primes,
+                            dxy_reach_closed_form, dxy_reach_closed_forms, first_primes,
                             gadget_state_count, sigma_decode, sigma_encode)
 from fsmcap.fsmc import lifted_automaton
 from fsmcap.pfa import (brute_force_value, iter_words, make_pfa, reach_mass,
@@ -80,6 +80,14 @@ def test_dxy_closed_forms_match_simulation():
                 top, bot = dxy_reach_closed_form(x, lengths)
                 assert reach_mass(g, "q1", word, TOP_SUCCESS_CLASS) == top
                 assert reach_prob(g, "q4", word, BOTTOM_FAIL_STATE) == bot
+
+
+def test_dxy_closed_forms_are_the_closed_form_of_every_prefix():
+    for x in (F(0), F(3, 5), F(3, 4), F(1)):
+        lengths = [1, 2, 2, 4, 7]
+        forms = list(dxy_reach_closed_forms(x, lengths))
+        assert forms == [dxy_reach_closed_form(x, lengths[:t]) for t in range(len(lengths) + 1)]
+        assert forms[0] == (0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from fsmcap import fixtures, formats, fsmc, gadgets, pfa
 from fsmcap.pfa import (BudgetError, Pfa, PfaError, brute_force_value,
                         emptiness_semidecide, evolve, gamma, initial_violations,
-                        iter_words, make_pfa, mat_vec, reach_prob,
+                        iter_words, make_pfa, mat_vec, reach_mass, reach_prob,
                         reduce_extended_word, table_violations, validate_pfa, value)
 import oracles
 from oracles import (naive_initial_violations, naive_mat_vec, naive_reach, naive_search,
@@ -293,6 +293,60 @@ def small_pfas(draw, max_den=4):
     initial = draw(stochastic_columns(n, max_den))
     accepting = [s for s in states if draw(st.booleans())]
     return make_pfa(states, alphabet, matrices, initial, accepting)
+
+
+# three states, columns over the denominators 4, 3, 7 (a) and 5, 1, 1 (b),
+# the initial law over 6
+MIXED_DENOMINATORS = make_pfa(
+    ["q0", "q1", "q2"], ["a", "b"],
+    {"a": [[H, F(1, 3), F(2, 7)], [F(1, 4), F(2, 3), F(5, 7)], [F(1, 4), 0, 0]],
+     "b": [[F(3, 5), 0, 1], [0, 1, 0], [F(2, 5), 0, 0]]},
+    [F(1, 6), F(1, 2), F(1, 3)], ["q2"])
+
+
+def test_the_kernel_divides_out_what_a_long_word_cancels(uniform_mixer, d_34):
+    # every law of the mixer is (1/2, 1/2): 2^400 would be carried unreduced
+    (row,), factor = pfa._advance(uniform_mixer, ("a",) * 400, [[1, 0]])
+    assert factor.bit_length() <= pfa._REDUCE_BITS + 1
+    assert [F(x, factor) for x in row] == [H, H]
+    # the coin's laws keep their 4^n denominators: nothing to divide out
+    word = ("a",) * 150 + ("b",)
+    law = evolve(d_34, word, start=(0, 1, 0, 0, 0, 0, 0, 0))
+    assert law[1:4] == (1 - F(3, 4) ** 150, 0, F(3, 4) ** 150)
+    assert value(d_34, word) == naive_value(d_34, word)
+
+
+START_ENTRIES = st.one_of(st.integers(-3, 3),
+                          st.fractions(min_value=-2, max_value=2, max_denominator=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_pfas(max_den=7), st.data())
+@example(MIXED_DENOMINATORS, None)
+def test_integer_kernel_matches_the_nested_loop(p, data):
+    # evolve, value, reach_prob and reach_mass against the naive products,
+    # from the initial law and from start vectors that are not laws or hold ints
+    if data is None:
+        word, start = ("a", "b", "a", "a"), (2, F(-1, 3), 0)
+    else:
+        # up to 40 letters: long enough that the kernel divides out gcds
+        word = tuple(data.draw(st.lists(st.sampled_from(p.alphabet), max_size=40)))
+        start = tuple(data.draw(st.lists(START_ENTRIES, min_size=p.n_states,
+                                         max_size=p.n_states)))
+    want = list(start)
+    for sym in word:
+        want = naive_mat_vec(p.matrices[sym], want)
+    got = evolve(p, word, start=start)
+    assert list(got) == want
+    if word:
+        assert type(got) is tuple and all(type(e) is F for e in got)
+    else:
+        assert got == tuple(start) and list(map(type, got)) == list(map(type, start))
+    assert value(p, word) == naive_value(p, word)
+    assert type(value(p, word)) is F
+    src, dst = p.states[0], p.states[-1]
+    assert reach_prob(p, src, word, dst) == naive_reach(p, src, word, dst)
+    assert reach_mass(p, src, word, p.states) == 1
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 
 from fsmcap.witness import (WitnessError, c_epsilon, solve_b, synthesize_word,
                             witness_lengths, zeta_tail_bound)
-from oracles import mp_partial_sum_bound, mp_witness_lengths
+from oracles import mp_partial_sum_bound, mp_witness_lengths, naive_law
 
 F = Fraction
 H = F(1, 2)
@@ -140,9 +140,10 @@ def test_synthesize_lifted_rejects_low_inner_value(uniform_mixer):
 
 
 def test_incremental_reports_match_direct_simulation(always_accept):
-    # every report of the one-pass walk equals a fresh simulation of its word
+    # every report of the one-pass walk equals a fresh simulation of its
+    # word by the nested-loop oracles, which share no code with the walk
     from fsmcap import gadgets
-    from fsmcap.pfa import make_pfa, reach_mass, reach_prob, value
+    from fsmcap.pfa import make_pfa
     from fsmcap.witness import synthesize_words
     inner = make_pfa(["g", "h"], ["a"],
                      {"a": [[F(1, 4), F(1, 4)], [F(3, 4), F(3, 4)]]},
@@ -157,10 +158,13 @@ def test_incremental_reports_match_direct_simulation(always_accept):
         assert reports[-1] == final
         for r in reports:
             assert r.lengths == final.lengths[:r.k - 1]
-            assert r.p_q1_q3 == reach_mass(gadget, "q1", r.word, gadgets.TOP_SUCCESS_CLASS)
-            assert r.p_q4_q6 == reach_prob(gadget, "q4", r.word, gadgets.BOTTOM_FAIL_STATE)
-            assert r.p_q4_hold == reach_mass(gadget, "q4", r.word, gadgets.BOTTOM_HOLD_CLASS)
-            assert r.value == value(gadget, r.word)
+            from_q1, from_q4, from_q0 = (naive_law(gadget, src, r.word)
+                                         for src in ("q1", "q4", "q0"))
+            assert r.p_q1_q3 == sum(from_q1[s] for s in gadgets.TOP_SUCCESS_CLASS)
+            assert r.p_q4_q6 == from_q4[gadgets.BOTTOM_FAIL_STATE]
+            assert r.p_q4_hold == sum(from_q4[s] for s in gadgets.BOTTOM_HOLD_CLASS)
+            # the gadget starts at q0
+            assert r.value == sum(from_q0[s] for s in gadget.accepting)
 
 
 def test_synthesize_words_checks_arguments_eagerly():
