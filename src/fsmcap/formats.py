@@ -27,8 +27,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from .fsmc import Fsmc
-from .pfa import (Pfa, PfaError, duplicate_violations, frac, initial_violations,
-                  membership_violations, past_digit_limit, table_violations)
+from .pfa import (Pfa, PfaError, clipped_repr, duplicate_violations, frac,
+                  initial_violations, membership_violations, past_digit_limit,
+                  table_violations)
 
 
 class FormatError(ValueError):
@@ -247,14 +248,15 @@ def parse_dmc(text: str, source: str = "<string>"):
         row = []
         for tok in tokens:
             try:
-                entry = float(Fraction(tok))
+                entry = float(past_digit_limit(Fraction, tok))
             except (ValueError, ZeroDivisionError, OverflowError):
                 try:
                     entry = float(tok)
                 except ValueError:
-                    raise FormatError(f"{source}:{lineno}: not a number: {tok!r}") from None
+                    raise FormatError(
+                        f"{source}:{lineno}: not a number: {clipped_repr(tok)}") from None
             if not math.isfinite(entry):
-                raise FormatError(f"{source}:{lineno}: not a finite number: {tok!r}")
+                raise FormatError(f"{source}:{lineno}: not a finite number: {clipped_repr(tok)}")
             row.append(entry)
         rows.append(row)
     if not rows:

@@ -12,9 +12,10 @@ distribution a tuple of integer numerators in lowest terms, and a Fraction
 is built only for the value returned.  `evolve`, `value` and the reach
 probabilities walk a word on the same columns (`_advance`).  An automaton
 builds its integer columns once, on first use, and keeps them
-(`Pfa.columns`), with the state-observed horizon bound that lets the walk
-skip subtrees that cannot beat the best value so far (`_HorizonBound`).
-Its matrices are a `ReadOnlyDict`, so neither can go stale.
+(`Pfa.columns`), with the bounds that let the walk skip subtrees that
+cannot beat the best value so far: the state-observed horizon bound and its
+blind-lookahead sets (`_HorizonBound`).  Its matrices are a `ReadOnlyDict`,
+so none of these can go stale.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import le, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 FREEZE_SYMBOL = "id"
@@ -37,6 +38,8 @@ Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 Word = tuple[str, ...]
 IntColumns = list[list[tuple[int, int]]]
+# vectors of integer numerators over one common denominator
+Bound = tuple[tuple[tuple[int, ...], ...], int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -50,6 +53,9 @@ _REDUCE_BITS = 64
 # the horizon bound is rounded up onto multiples of 2**-_BOUND_BITS once its
 # common denominator grows past 2**_BOUND_BITS
 _BOUND_BITS = 64
+
+# a walk looks no deeper ahead once a lookahead set holds more vectors
+_SET_CAP = 16
 
 
 class PfaError(ValueError):
@@ -89,10 +95,14 @@ def frac(value) -> Fraction:
     try:
         return past_digit_limit(Fraction, value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        shown = repr(value)
-        if len(shown) > 40:
-            shown = shown[:40] + "..."
-        raise PfaError(f"not a rational: {shown}") from exc
+        raise PfaError(f"not a rational: {clipped_repr(value)}") from exc
+
+
+def clipped_repr(value) -> str:
+    """repr(value), cut to its first 40 characters and '...' past that, so
+    that an error line echoing a long token stays short."""
+    shown = repr(value)
+    return shown[:40] + "..." if len(shown) > 40 else shown
 
 
 def make_vector(entries) -> Vector:
@@ -450,46 +460,54 @@ def _lowest_terms(nums: list[int]) -> tuple[int, ...]:
 
 
 class _HorizonBound:
-    """The value of the state-observed optimal-stopping problem, per horizon.
+    """Upper bounds on the value of every extension of a distribution.
 
-    V_0 is the accepting indicator and V_k(s) = max(V_{k-1}(s),
-    max over symbols of sum_t M[t][s] V_{k-1}(t)): the best chance of
-    acceptance within k more letters for a controller that sees the state
-    (Puterman, Markov Decision Processes, 1994).  A word cannot see the
-    state, so u.V_k bounds the value of every extension of u by at most k
-    letters.
+    The state-observed optimal-stopping value, per horizon: V_0 is the
+    accepting indicator and V_k(s) = max(V_{k-1}(s), max over symbols of
+    sum_t M[t][s] V_{k-1}(t)), the best chance of acceptance within k more
+    letters for a controller that sees the state (Puterman, Markov Decision
+    Processes, 1994).  A word cannot see the state, so u.V_k bounds the
+    value of every extension of u by at most k letters.
 
-    Each V_k is kept as integer numerators over one common denominator, in
-    lowest terms.  A denominator past 2**_BOUND_BITS is rounded up onto that
-    dyadic grid, which keeps every V_k an upper bound and at most 1.  Levels
-    are built on demand; once a level equals the one before it, it holds for
-    every deeper horizon and no more are built.
+    Keeping the first d of those k letters blind gives a tighter bound, a
+    finite-lookahead tightening of this MDP bound (Hauskrecht, JAIR 13,
+    2000): with B_v the backward map of word v, the set
+    A_k^(d) = {B_v V_{k-d} : |v| = d} | {B_v acc : |v| < d}, pruned to the
+    vectors no other one dominates, has max over alpha of u.alpha >= the
+    value of every extension of u by at most k letters.  Every alpha is at
+    most V_k pointwise, A_k^(0) = {V_k}, and A_k^(k) gives the exact best
+    value of the words of length <= k.  The sets are built along diagonals:
+    S_m^0 = {V_m} and S_m^i = {acc} | the union over symbols of B_sym
+    S_m^(i-1), so that A_k^(d) = S_(k-d)^d (`node`).
+
+    Each V_k and each set is kept as integer numerators over one common
+    denominator, in lowest terms.  A denominator past 2**_BOUND_BITS is
+    rounded up onto that dyadic grid, which keeps every vector an upper
+    bound and at most 1.  Levels are built on demand; once a level equals
+    the one before it, it holds for every deeper horizon and no more are
+    built.  Sets are built when a walk pays for them (`pick`) and kept.
+    `set_work` counts the work spent building sets: backward products plus
+    dominance checks.
     """
 
     def __init__(self, p: Pfa):
         cols = [p.columns(sym) for sym in p.alphabet]
         dens = [sum(m for _, m in c[0]) for c in cols]
         self.scale = math.lcm(*dens)
-        # per state: the states it moves to surely (itself, for stopping)
-        # and its distinct other columns, on one denominator
-        self.steps = []
-        for s in range(p.n_states):
-            sure, mixed = {s}, {}
-            for c, den in zip(cols, dens):
-                if len(c[s]) == 1:
-                    sure.add(c[s][0][0])
-                else:
-                    mixed[tuple([(t, m * (self.scale // den)) for t, m in c[s]])] = None
-            self.steps.append((tuple(sure), list(mixed)))
+        # per symbol and state: the column of the state, on one common
+        # denominator; (B_sym alpha)(s) is its alpha-weighted sum
+        self.backward = [[[(t, m * (self.scale // den)) for t, m in col] for col in c]
+                         for c, den in zip(cols, dens)]
         self.levels = [(tuple(int(s in p.accepting) for s in p.states), 1)]
         self.settled = False
+        # (m, i) -> (S_m^i as numerator tuples, denominator, work to build it)
+        self.sets: dict[tuple[int, int], tuple[tuple[tuple[int, ...], ...], int, int]] = {}
+        self.set_work = 0
 
     def _extend(self) -> None:
         v, den = self.levels[-1]
-        get = v.__getitem__
-        nums = [max([max(map(get, sure)) * self.scale,
-                     *[sum(m * v[t] for t, m in col) for col in mixed]])
-                for sure, mixed in self.steps]
+        nums = [max([x * self.scale, *[sum([m * v[t] for t, m in cols[s]]) for cols in self.backward]])
+                for s, x in enumerate(v)]
         nums, den = _reduced(nums, den * self.scale)
         if den > 1 << _BOUND_BITS:
             nums, den = _reduced([-((-x << _BOUND_BITS) // den) for x in nums], 1 << _BOUND_BITS)
@@ -498,20 +516,146 @@ class _HorizonBound:
         else:
             self.levels.append((nums, den))
 
-    def at(self, k: int, limit: int) -> Optional[tuple[tuple[int, ...], int]]:
-        """V_k as (numerators, denominator), built to depth at most `limit`;
-        None if that cannot show it.  A level equal to the one before it
-        shows every deeper one.  Levels built by earlier calls beyond `limit`
-        are not used, so the bound a walk gets does not depend on them."""
+    def index(self, k: int, limit: int) -> Optional[int]:
+        """The index of the level that is V_k, built to depth at most
+        `limit`; None if that cannot show it.  A level equal to the one
+        before it shows every deeper one.  Levels built by earlier calls
+        beyond `limit` are not used, so the bound a walk gets does not
+        depend on them."""
         levels = self.levels
         while len(levels) <= min(k, limit) and not self.settled:
             self._extend()
         top = len(levels) - 1
         if k <= min(top, limit):
-            return levels[k]
+            return k
         if self.settled and top < min(k, limit):
-            return levels[top]
+            return top
         return None
+
+    def node(self, m: int, i: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+        """S_m^i = A_(m+i)^(i) as (vectors, denominator, work to build it
+        from S_m^(i-1)), built once and kept.  V_m must be shown (`index`).
+        The candidates are acc, then B_sym alpha per symbol and alpha in
+        order, rounded as the levels are; `_undominated` keeps the ones no
+        other candidate dominates."""
+        got = self.sets.get((m, i))
+        if got is None:
+            if i == 0:
+                nums, den = self.levels[min(m, len(self.levels) - 1)]
+                got = ((nums,), den, 0)
+            else:
+                prev, den, _ = self.node(m, i - 1)
+                den *= self.scale
+                cands = [tuple([den * x for x in self.levels[0][0]])]
+                cands += [tuple([sum([c * a[t] for t, c in col]) for col in cols])
+                          for cols in self.backward for a in prev]
+                g = math.gcd(den, *itertools.chain.from_iterable(cands))
+                cands, den = [tuple([x // g for x in a]) for a in cands], den // g
+                if den > 1 << _BOUND_BITS:
+                    cands = [tuple([-((-x << _BOUND_BITS) // den) for x in a]) for a in cands]
+                    den = 1 << _BOUND_BITS
+                kept, checks = _undominated(cands, _SET_CAP)
+                g = math.gcd(den, *itertools.chain.from_iterable(kept))
+                work = len(cands) - 1 + checks
+                got = tuple([tuple([x // g for x in a]) for a in kept]), den // g, work
+                self.set_work += work
+            self.sets[m, i] = got
+        return got
+
+    def pick(self, k: int, limit: int, ledger: _Ledger, work: int) -> tuple[Optional[Bound], float]:
+        """The bound for remaining depth k of a walk that has computed
+        `work` child products and expanded `limit` - 1 distributions, as
+        (vectors, denominator) or None, and the least work at which the walk
+        may pay for a deeper set.
+
+        The bound is the deepest set A_k^(d) = S_(k-d)^d the walk has paid
+        for, or V_k if `index(k, limit)` shows it and no set is deeper.
+        Before it looks, the walk pays for what it can, in this order: the
+        exact sets S_0^1, S_0^2, ..., each of which serves its own remaining
+        depth with the exact best value; then, for each d deeper than the
+        bound, the chain S_(k-d)^1..S_(k-d)^d, if `index` shows V_(k-d)
+        (`_pay`).  It stops at the first set it cannot pay for yet."""
+        shown = self.index(k, limit) is not None
+        deepest = ledger.best.get(k, 0 if shown else -1)
+        stuck = math.inf
+        if deepest < k:
+            stuck = self._pay(0, k, ledger, work)
+            # without V_k, V_(k-d) is shown for d >= k - limit
+            d = max(ledger.best.get(k, deepest) + 1, 0 if shown else k - limit)
+            while stuck == math.inf and d < k:
+                stuck = self._pay(k - d, d, ledger, work)
+                d += 1
+            deepest = ledger.best.get(k, deepest)
+        return (None if deepest < 0 else self.node(k - deepest, deepest)[:2]), stuck
+
+    def _pay(self, m: int, d: int, ledger: _Ledger, work: int) -> float:
+        """Pay for what the walk can of S_m^1..S_m^d, whose V_m must be
+        shown, stopping after a set of more than _SET_CAP vectors.  A set
+        not in the walk's `ledger` is paid for only if its most possible
+        work (`_most_work`), with what the ledger holds, fits within `work`;
+        the ledger then holds its work.  So a walk never pays twice for a
+        set, the sets it pays for never cost more than its own work, and
+        sets kept from earlier walks are used only once paid for: the bound
+        depends on the walk alone.  Returns the work at which the next set
+        becomes payable if that stopped it, else infinity."""
+        i = ledger.paid.get(m, 0)
+        while i < d:
+            size = len(self.node(m, i)[0])
+            if size > _SET_CAP:
+                break
+            cost = _most_work(len(self.backward) * size)
+            if ledger.spent + cost > work:
+                return ledger.spent + cost
+            i += 1
+            vectors, _, cost = self.node(m, i)
+            ledger.spent += cost
+            ledger.paid[m] = i
+            if len(vectors) <= _SET_CAP and ledger.best.get(m + i, 0) < i:
+                ledger.best[m + i] = i
+        return math.inf
+
+
+class _Ledger:
+    """What one walk has paid for: per diagonal m, the depth to which it has
+    paid for S_m (always a prefix); per remaining depth k, the deepest
+    lookahead d it has paid for whose set is within _SET_CAP; and their
+    total work."""
+
+    __slots__ = ("paid", "best", "spent")
+
+    def __init__(self):
+        self.paid: dict[int, int] = {}
+        self.best: dict[int, int] = {}
+        self.spent = 0
+
+
+def _most_work(products: int) -> int:
+    """The most work a set built from `products` backward products can
+    take: those products, plus a dominance check of the t-th of its
+    products + 1 candidates against at most min(t, _SET_CAP) kept ones."""
+    top = min(products, _SET_CAP)
+    return products + top * (top + 1) // 2 + (products - top) * _SET_CAP
+
+
+def _undominated(vectors: list[tuple[int, ...]],
+                 cap: int) -> tuple[list[tuple[int, ...]], int]:
+    """The vectors no other one dominates pointwise, each once, in order of
+    decreasing sum (stable), and the number of dominance checks made; once
+    more than `cap` are kept, the ones kept so far.  A vector is checked
+    against the kept ones in order until one dominates it: whatever
+    dominates it has at least its sum, so it comes first, and is kept or
+    dominated by a kept vector itself."""
+    kept, checks = [], 0
+    for v in sorted(vectors, key=sum, reverse=True):
+        for w in kept:
+            checks += 1
+            if all(map(le, v, w)):
+                break
+        else:
+            kept.append(v)
+            if len(kept) > cap:
+                break
+    return kept, checks
 
 
 def _reduced(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -541,15 +685,22 @@ def _walk(p: Pfa, max_len: int, budget: int, bar: Fraction,
     improvement, or the first value above a threshold, is the word a scan of
     every word finds.
 
-    A visit u at depth l is not expanded when u.V_{max_len-l} <= `bar`
-    (`_HorizonBound`): no extension of u within the horizon beats `bar`,
-    and `bar` only rises.  It stays seen, so a later copy of u, which sits
-    at least as deep, is skipped as well; and a distribution first reached
-    below u and reached again elsewhere has a value no extension of u beats
-    either.  So the answer is the one of the walk without the bound.  V_k
-    is used once the walk has expanded k - 1 distributions, or once the
-    levels settle that early, so the bound never costs much more than the
-    walk.  The walk also ends at the first empty level.
+    A visit u at depth l is not expanded when u.alpha <= `bar` for every
+    alpha of the lookahead set the walk has paid for at remaining depth
+    max_len - l (`_HorizonBound.pick`): no extension of u within the horizon
+    beats `bar`, and `bar` only rises.  It stays seen, so a later copy of u,
+    which sits at least as deep, is skipped as well; and a distribution
+    first reached below u and reached again elsewhere has a value no
+    extension of u beats either.  So the answer is the one of the walk
+    without the bound.  V_k is used once the walk has expanded k - 1
+    distributions, or once the levels settle that early, and a set of
+    vectors built from V_(k-d) only once its work fits within the child
+    products the walk has computed, so the bound never costs much more than
+    the walk, and it depends only on the automaton, max_len and `bar`.
+    The bound is looked up again only when a deeper set may have been paid
+    for: when the work passes what `pick` names, or, while the walk has no
+    bound, at each new parent, which shows more levels.  The walk also ends
+    at the first empty level.
 
     A distribution is held as a tuple of integer numerators in lowest
     terms, one object that is both its key in the seen set and its entry in
@@ -585,14 +736,19 @@ def _walk(p: Pfa, max_len: int, budget: int, bar: Fraction,
             return (), Fraction(acc, total)
         bar_num, bar_den = acc, total
     level = [start]
-    bound = horizon.at(max_len, 1)
-    if bound is not None and sum(map(mul, bound[0], start)) * bar_den <= bar_num * total * bound[1]:
+    ledger = _Ledger()
+    # with no symbols only the empty word is walked, and no set is built
+    bound = horizon.pick(max_len, 1, ledger, 0)[0] if columns else None
+    if bound is not None and all(sum(map(mul, alpha, start)) * bar_den <= bar_num * total * bound[1]
+                                 for alpha in bound[0]):
         level = []
+    per = len(columns)
     length = 0
     while level and length < max_len:
         length += 1
         need = max_len - length
-        bound = None
+        # look the bound up at the first child that needs it
+        bound, retry, looked = None, 0, -1
         nxt = []
         for k, dist in enumerate(level, len(parent) - len(level)):
             for s, cols in enumerate(columns):
@@ -615,12 +771,18 @@ def _walk(p: Pfa, max_len: int, budget: int, bar: Fraction,
                     bar_num, bar_den = acc, total
                 if not need:
                     continue
-                if bound is None:
-                    # k + 1 distributions expanded so far
-                    bound = horizon.at(need, k + 2)
-                if (bound is not None and sum(map(mul, bound[0], child)) * bar_den
-                        <= bar_num * total * bound[1]):
-                    continue
+                # k distributions expanded so far and one being expanded
+                work = per * k + s + 1
+                if work >= retry or (bound is None and looked != k):
+                    bound, retry = horizon.pick(need, k + 2, ledger, work)
+                    looked = k
+                if bound is not None:
+                    top = bar_num * total * bound[1]
+                    for alpha in bound[0]:
+                        if sum(map(mul, alpha, child)) * bar_den > top:
+                            break
+                    else:
+                        continue
                 parent.append(k)
                 letter.append(s)
                 nxt.append(child)

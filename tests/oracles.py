@@ -65,9 +65,11 @@ def naive_reach(automaton, src, word, dst) -> Fraction:
 class NaiveSearch:
     """Every visit of the walk, in order: (shortest-then-lex word, value)
     of each distinct distribution.  A walk to L holds the walk to every
-    shorter horizon as the visits of words no longer than it."""
+    shorter horizon as the visits of words no longer than it.  `work` is
+    the number of child distributions the walk computed."""
 
     visits: list
+    work: int = 0
 
     def upto(self, max_len=None) -> list:
         return [(w, v) for w, v in self.visits if max_len is None or len(w) <= max_len]
@@ -89,6 +91,15 @@ class NaiveSearch:
 BOUND_BITS = 64
 
 
+def _grid_up(vectors):
+    """Round every entry up onto multiples of 2**-BOUND_BITS if the least
+    common denominator of all of them passes 2**BOUND_BITS."""
+    grid = 2 ** BOUND_BITS
+    if math.lcm(*(x.denominator for v in vectors for x in v)) > grid:
+        return [tuple(Fraction(math.ceil(x * grid), grid) for x in v) for v in vectors]
+    return vectors
+
+
 def naive_horizon(automaton, depth):
     """V_0, ..., V_depth of the state-observed stopping problem on Fractions,
     stopping at the first level equal to the one before it: V_0 is the
@@ -98,7 +109,6 @@ def naive_horizon(automaton, depth):
     (levels, settled)."""
     states, n = automaton.states, len(automaton.states)
     levels = [tuple(Fraction(int(s in automaton.accepting)) for s in states)]
-    grid = 2 ** BOUND_BITS
     while len(levels) <= depth:
         v = levels[-1]
         nxt = []
@@ -108,12 +118,67 @@ def naive_horizon(automaton, depth):
                 m = automaton.matrices[sym]
                 best = max(best, sum((m[t][s] * v[t] for t in range(n)), Fraction(0)))
             nxt.append(best)
-        if math.lcm(*(x.denominator for x in nxt)) > grid:
-            nxt = [Fraction(math.ceil(x * grid), grid) for x in nxt]
-        if tuple(nxt) == v:
+        (nxt,) = _grid_up([tuple(nxt)])
+        if nxt == v:
             return levels, True
-        levels.append(tuple(nxt))
+        levels.append(nxt)
     return levels, False
+
+
+def naive_backward(automaton, sym, alpha):
+    """(B_sym alpha)(s) = sum over t of M_sym[t][s] alpha(t): the alpha-
+    weighted value after reading sym from state s."""
+    m, n = automaton.matrices[sym], len(automaton.states)
+    return tuple(sum((m[t][s] * alpha[t] for t in range(n)), Fraction(0)) for s in range(n))
+
+
+def naive_undominated(vectors, cap):
+    """(kept, checks): the vectors taken in order of decreasing sum (stable),
+    each kept unless a kept one is at least it everywhere, stopping once
+    more than `cap` are kept; checks counts the comparisons made."""
+    kept, checks = [], 0
+    for v in sorted(vectors, key=sum, reverse=True):
+        dominated = False
+        for w in kept:
+            checks += 1
+            if all(x <= y for x, y in zip(v, w)):
+                dominated = True
+                break
+        if not dominated:
+            kept.append(v)
+            if len(kept) > cap:
+                break
+    return kept, checks
+
+
+class NaiveLookahead:
+    """The lookahead sets S_m^0 = {V_m} and S_m^i = the undominated rounded
+    vectors of {acc} and B_sym S_m^(i-1) over the symbols, on Fractions, with
+    the work to build each: the backward products plus the dominance checks
+    (`naive_undominated`)."""
+
+    def __init__(self, automaton, levels, cap):
+        self.automaton, self.levels, self.cap = automaton, levels, cap
+        self.acc = tuple(Fraction(int(s in automaton.accepting)) for s in automaton.states)
+        self.sets = {}
+
+    def node(self, m, i):
+        if (m, i) not in self.sets:
+            if i == 0:
+                self.sets[m, 0] = ([self.levels[min(m, len(self.levels) - 1)]], 0)
+            else:
+                prev, _ = self.node(m, i - 1)
+                cands = [self.acc] + [naive_backward(self.automaton, sym, a)
+                                      for sym in self.automaton.alphabet for a in prev]
+                kept, checks = naive_undominated(_grid_up(cands), self.cap)
+                self.sets[m, i] = (kept, len(cands) - 1 + checks)
+        return self.sets[m, i]
+
+    def most_work(self, m, i):
+        """Products plus the most dominance checks of S_m^(i+1): the t-th
+        candidate against at most min(t, cap) kept vectors."""
+        products = len(self.automaton.alphabet) * len(self.node(m, i)[0])
+        return products + sum(min(t, self.cap) for t in range(products + 1))
 
 
 def naive_search(automaton, max_len, pruned=False, threshold=None) -> NaiveSearch:
@@ -121,31 +186,67 @@ def naive_search(automaton, max_len, pruned=False, threshold=None) -> NaiveSearc
     it before it moved to integer numerators: each distinct distribution is
     visited once, at its shortest-then-lexicographic word.
 
-    With `pruned`, a visit at depth l is not expanded when its
-    V_{max_len-l}-weighted mass (`naive_horizon`) is at most the bar: the
-    `threshold`, at which the walk stops at the first visit above it, or
-    else the best value so far.  V_k is used for the children of the i-th
-    expanded visit only if it shows at depth <= i + 1 (the root: 1): k is
-    that deep, or the levels settle before both.  The visits are then every
-    distribution the pruned walk sees, expanded or not."""
+    With `pruned`, a visit at depth l with remaining depth k = max_len - l
+    is not expanded when its alpha-weighted mass is at most the bar for
+    every alpha of its bound: the `threshold`, at which the walk stops at
+    the first visit above it, or else the best value so far.  The bound is
+    looked up afresh for every such visit, after w child distributions and
+    i expanded visits (the root: 0 and 0), from a ledger of what the walk
+    has paid for.  V_j (`naive_horizon`) is shown if it is at depth <= i + 1
+    or the levels settle before both.  First the walk pays, in order, for
+    S_0^1, S_0^2, ... up to S_0^k; then for S_(k-d)^1..S_(k-d)^d, for each
+    d from one past its bound up to k - 1 whose V_(k-d) is shown.  Each set
+    not yet paid for is paid for, adding its work to the ledger, if the
+    ledger plus its most possible work is at most w; the walk stops paying
+    at the first set that does not fit, and goes on to the next d after a
+    set of more than pfa._SET_CAP vectors.  The bound is then the deepest
+    S_(k-d)^d paid for, of at most _SET_CAP vectors, or else V_k if shown.
+    The visits are every distribution the pruned walk sees, expanded or
+    not."""
+    from fsmcap import pfa
+
     accepting = [i for i, s in enumerate(automaton.states) if s in automaton.accepting]
     levels, settled = naive_horizon(automaton, max_len) if pruned else ([], False)
     top = len(levels) - 1
+    sets = NaiveLookahead(automaton, levels, pfa._SET_CAP)
+    paid, best, spent = {}, {}, [0]
 
     def val(dist):
         return sum((dist[i] for i in accepting), Fraction(0))
 
-    def expand(dist, depth, limit, bar):
+    def shown(j, limit):
+        return j <= min(top, limit) or (settled and top < min(j, limit))
+
+    def pay(m, d, work):
+        """False if the walk stopped at a set it cannot pay for yet."""
+        while paid.get(m, 0) < d:
+            i = paid.get(m, 0)
+            if len(sets.node(m, i)[0]) > sets.cap:
+                return True
+            if spent[0] + sets.most_work(m, i) > work:
+                return False
+            kept, cost = sets.node(m, i + 1)
+            spent[0] += cost
+            paid[m] = i + 1
+            if len(kept) <= sets.cap:
+                best[m + i + 1] = max(best.get(m + i + 1, 0), i + 1)
+        return True
+
+    def bound(k, limit, work):
+        if pay(0, k, work):
+            for d in range(best.get(k, 0) + 1, k):
+                if shown(k - d, limit) and not pay(k - d, d, work):
+                    break
+        if k in best:
+            return sets.node(k - best[k], best[k])[0]
+        return [levels[min(k, top)]] if shown(k, limit) else []
+
+    def expand(dist, depth, limit, work, bar):
         if not pruned:
             return True
-        k = max_len - depth
-        if k <= min(top, limit):
-            v = levels[k]
-        elif settled and top < min(k, limit):
-            v = levels[top]
-        else:
-            return True
-        return sum((x * y for x, y in zip(dist, v)), Fraction(0)) > bar
+        vectors = bound(max_len - depth, limit, work)
+        return not vectors or any(sum((x * y for x, y in zip(dist, a)), Fraction(0)) > bar
+                                  for a in vectors)
 
     bar = threshold if threshold is not None else Fraction(-1)
     start = tuple(automaton.initial)
@@ -155,26 +256,27 @@ def naive_search(automaton, max_len, pruned=False, threshold=None) -> NaiveSearc
             return NaiveSearch(visits)
         bar = visits[0][1]
     seen = {start}
-    level = [((), start)] if expand(start, 0, 1, bar) else []
-    expanded = 0
+    level = [((), start)] if expand(start, 0, 1, 0, bar) else []
+    expanded = work = 0
     for depth in range(1, max_len + 1):
         nxt = []
         for word, dist in level:
             expanded += 1
             for sym in automaton.alphabet:
                 child = tuple(naive_mat_vec(automaton.matrices[sym], dist))
+                work += 1
                 if child in seen:
                     continue
                 seen.add(child)
                 visits.append((word + (sym,), val(child)))
                 if pruned and visits[-1][1] > bar:
                     if threshold is not None:
-                        return NaiveSearch(visits)
+                        return NaiveSearch(visits, work)
                     bar = visits[-1][1]
-                if expand(child, depth, expanded + 1, bar):
+                if depth < max_len and expand(child, depth, expanded + 1, work, bar):
                     nxt.append((word + (sym,), child))
         level = nxt
-    return NaiveSearch(visits)
+    return NaiveSearch(visits, work)
 
 
 def naive_agreement_profile(pattern_dist, length) -> list:

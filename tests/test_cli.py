@@ -472,6 +472,22 @@ def test_non_finite_channel_entry_is_a_domain_error(capsys, tmp_path):
     _assert_one_error_line(code, err, f"{bad}:1: not a finite number: 'nan'")
 
 
+def test_channel_entries_past_the_int_digit_limit(capsys, tmp_path):
+    # an entry of more than 4,300 digits is read; a refused one is echoed
+    # by its first 40 characters
+    long = "1/" + "3" * 5000
+    ok = tmp_path / "long.dmc"
+    ok.write_text(f"{long} 1\n0 1\n")
+    code, out, err = run_cli(capsys, "capacity", "ba", "--channel", ok)
+    assert (code, err) == (0, "") and out.startswith("capacity: 0\n")
+    for token, what in ((long + "x", "not a number"), ("1" + "0" * 5000, "not a finite number")):
+        bad = tmp_path / "bad.dmc"
+        bad.write_text(f"{token} 1\n0 1\n")
+        code, out, err = run_cli(capsys, "capacity", "ba", "--channel", bad)
+        assert out == ""
+        _assert_one_error_line(code, err, f"{bad}:1: {what}: '{token[:39]}...\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["pfa", "value", "--pfa", "{dir}", "--word", "a"],
     ["gadget", "dxy", "--x", "3/4", "--y", "1/2", "--out", "{dir}"],

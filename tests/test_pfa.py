@@ -6,6 +6,7 @@ import pickle
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -518,7 +519,7 @@ def test_the_bound_is_rounded_up_onto_its_grid():
     # V_k(s) = 1 - (2/3)^k has denominator 3^k, past 2^64 from k = 41 on
     p = make_pfa(["s", "t"], ["a"], {"a": [[F(2, 3), 0], [F(1, 3), 1]]}, [1, 0], ["t"])
     horizon = p._horizon
-    horizon.at(80, 80)
+    horizon.index(80, 80)
     levels = [tuple(F(x, den) for x in nums) for nums, den in horizon.levels]
     assert (levels, horizon.settled) == oracles.naive_horizon(p, 80)
     assert len(levels) == 81 and all(den <= 2 ** 64 for _, den in horizon.levels)
@@ -539,6 +540,13 @@ def test_a_stationary_start_ends_the_walk_at_its_first_empty_level():
     assert len(p._horizon.levels) <= 2
 
 
+def test_an_empty_alphabet_builds_no_lookahead_set():
+    # a set costs nothing without symbols, so none may be paid for
+    p = make_pfa(["s", "t"], [], {}, [1, 0], ["t"])
+    assert brute_force_value(p, 10**6) == pfa.SearchResult(best_word=(), best_value=F(0))
+    assert p._horizon.sets == {}
+
+
 def test_the_bound_is_built_no_deeper_than_the_walk_pays_for():
     # one new distribution per level, (2^-l, 1 - 2^-l), and every one beats
     # the last, so nothing is pruned.  A child at depth l needs V_{40-l} and
@@ -546,6 +554,76 @@ def test_the_bound_is_built_no_deeper_than_the_walk_pays_for():
     p = make_pfa(["s", "t"], ["a"], {"a": [[H, 0], [H, 1]]}, [1, 0], ["t"])
     assert brute_force_value(p, 40) == pfa.SearchResult(("a",) * 40, 1 - F(1, 2**40))
     assert len(p._horizon.levels) - 1 == 20
+
+
+def test_the_budget_boundary_does_not_depend_on_earlier_searches():
+    # a deeper search builds and keeps more lookahead sets; a later walk
+    # uses only those it pays for itself, so it sees as many distributions
+    seen = len(naive_search(fixtures.family3(), 12, pruned=True).visits)
+    fresh, warm = fixtures.family3(), fixtures.family3()
+    brute_force_value(warm, 16)
+    assert len(warm._horizon.sets) > 0
+    for p in (fresh, warm):
+        brute_force_value(p, 12, budget=seen)
+        with pytest.raises(BudgetError, match=f"more than {seen - 1} distinct"):
+            brute_force_value(p, 12, budget=seen - 1)
+    assert len(warm._horizon.sets) > len(fresh._horizon.sets)
+
+
+@pytest.mark.parametrize("name, max_len", [("family3", 10), ("family3", 14), ("d_25", 14),
+                                           ("d_34", 14), ("amp3", 10), ("example1", 12)])
+def test_a_first_walk_builds_no_more_set_work_than_its_own_work(name, max_len):
+    # set work counts backward products and dominance checks; walk work the
+    # child distributions the walk computes
+    for search, threshold in ((lambda p: brute_force_value(p, max_len), None),
+                              (lambda p: emptiness_semidecide(p, H, max_len), H)):
+        p = getattr(fixtures, name)()
+        search(p)
+        assert p._horizon.set_work <= naive_search(p, max_len, True, threshold).work
+
+
+def test_family3_to_length_14_sees_at_most_2000_distributions():
+    # the state-observed bound alone lets the walk see 16,488
+    seen = len(naive_search(fixtures.family3(), 14, pruned=True).visits)
+    assert seen <= 2000
+    brute_force_value(fixtures.family3(), 14, budget=seen)
+    with pytest.raises(BudgetError):
+        brute_force_value(fixtures.family3(), 14, budget=seen - 1)
+
+
+def _extension_values(p, u, k):
+    """max over the words w of length <= k of the accepted mass of u after
+    w, by explicit products."""
+    accepting = [i for i, s in enumerate(p.states) if s in p.accepting]
+    best, level = sum(u[i] for i in accepting), [u]
+    for _ in range(k):
+        level = [naive_mat_vec(p.matrices[sym], v) for v in level for sym in p.alphabet]
+        best = max([best] + [sum(v[i] for i in accepting) for v in level])
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_pfas(), st.integers(0, 6), st.data())
+def test_lookahead_sets_bound_every_extension(p, k, data):
+    # A_k^(d) = S_(k-d)^d: max over alpha of u.alpha bounds every extension
+    # of u by at most k letters, every alpha is at most V_k, and with d = k
+    # the bound is exact.  No cap, so the sets are whole.
+    d = data.draw(st.integers(0, k))
+    horizon = p._horizon
+    with mock.patch.object(pfa, "_SET_CAP", sys.maxsize):
+        assert horizon.index(k, k) is not None
+        vectors, den, _ = horizon.node(k - d, d)
+    v_nums, v_den = horizon.levels[horizon.index(k, k)]
+    assert den <= 2 ** 64
+    for alpha in vectors:
+        assert all(F(a, den) <= F(v, v_den) for a, v in zip(alpha, v_nums))
+    n = p.n_states
+    for u in [p.initial] + [tuple(F(int(i == j)) for i in range(n)) for j in range(n)]:
+        bound = max(sum(F(a * x, den) for a, x in zip(alpha, u)) for alpha in vectors)
+        best = _extension_values(p, u, k)
+        assert bound >= best
+        if d == k:
+            assert bound == best
 
 
 def test_matrices_are_read_only():
