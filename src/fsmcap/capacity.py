@@ -12,12 +12,12 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import Optional, Sequence
 
 from .fsmc import Fsmc, lifted_automaton
-from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Pfa, _int_law, brute_force_value,
-                  freeze_and_reset)
+from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, IntColumns, Pfa, _numerators, _step,
+                  brute_force_value, freeze_and_reset)
 
 
 class _Numpy:
@@ -242,42 +242,39 @@ class ControlSchedule:
                 + (RESET_SYMBOL,))
 
 
-def _pattern_step(columns: list[list[tuple[int, int]]], accepting: list[bool],
+def _pattern_step(cols: IntColumns, accepting: list[int],
                   frontier: dict[int, list[int]], t: int) -> dict[int, list[int]]:
     """One slot of the joint law of (acceptance mask so far, state), on
     integer numerators: split each state vector on whether the state before
-    slot t accepts, then move both parts by the control's integer columns
-    (`Pfa.columns`).  Every vector gains the same factor, the columns'
-    denominator, so the frontier stays on one common denominator; it is a
-    law, so that denominator is the sum of all its numerators."""
-    n = len(accepting)
+    slot t accepts (`accepting` holds 1 or 0 per state), then move each
+    nonzero part by the control's integer columns (`pfa._step`).  Most
+    vectors sit on one side, and move whole.  Every vector gains the
+    columns' denominator, so the frontier stays on one common
+    denominator."""
     bit = 1 << t
     nxt: dict[int, list[int]] = {}
     for mask, vec in frontier.items():
-        acc = [0] * n
-        non = [0] * n
-        for j, x in enumerate(vec):
-            if x:
-                out = acc if accepting[j] else non
-                for i, m in columns[j]:
-                    out[i] += m * x
-        if any(acc):
-            nxt[mask | bit] = acc
-        if any(non):
-            nxt[mask] = non
+        acc = list(map(mul, vec, accepting))
+        if acc == vec:
+            nxt[mask | bit] = _step(cols, vec)
+        elif not any(acc):
+            nxt[mask] = _step(cols, vec)
+        else:
+            nxt[mask | bit] = _step(cols, acc)
+            nxt[mask] = _step(cols, list(map(sub, vec, acc)))
     return nxt
 
 
 def _pattern_law(a: Pfa, controls: Sequence[str]) -> dict[int, Fraction]:
     """Acceptance-pattern law along `controls`, from the initial law."""
-    columns = {c: a.columns(c) for c in dict.fromkeys(controls)}
-    accepting = [s in a.accepting for s in a.states]
-    frontier = {0: _int_law(a.initial)}
+    accepting = [int(s in a.accepting) for s in a.states]
+    start, den = _numerators(a.initial)
+    frontier = {0: start}
     for t, c in enumerate(controls):
-        frontier = _pattern_step(columns[c], accepting, frontier, t)
-    masses = {mask: sum(vec) for mask, vec in frontier.items()}
-    den = sum(masses.values())
-    return {mask: Fraction(x, den) for mask, x in masses.items()}
+        cols, factor = a.columns(c)
+        frontier = _pattern_step(cols, accepting, frontier, t)
+        den *= factor
+    return {mask: Fraction(sum(vec), den) for mask, vec in frontier.items()}
 
 
 def accept_pattern_dist(ch: Fsmc, controls: Sequence[str]) -> dict[int, Fraction]:
@@ -295,18 +292,18 @@ def agreement_profile(pattern_dist: dict[int, Fraction], length: int) -> list[Fr
     2^-L sum over patterns inside E of P(pattern) 2^{|pattern|}.
 
     The subset-sum transform runs on integer numerators over one common
-    denominator, so no step pays for a gcd."""
+    denominator (`pfa._numerators`), so no step pays for a gcd."""
     size = 1 << length
-    lcm = math.lcm(*(pr.denominator for pr in pattern_dist.values()))
+    nums, den = _numerators(pattern_dist.values())
     g = [0] * size
-    for mask, pr in pattern_dist.items():
-        g[mask] = pr.numerator * (lcm // pr.denominator) << bin(mask).count("1")
+    for mask, x in zip(pattern_dist, nums):
+        g[mask] = x << bin(mask).count("1")
     for bit in range(length):
         step = 1 << bit
         for e in range(size):
             if e & step:
                 g[e] += g[e ^ step]
-    den = lcm * size
+    den *= size
     return [Fraction(x, den) for x in g]
 
 
@@ -485,20 +482,20 @@ def _control_pattern_laws(a: Pfa, n: int) -> np.ndarray:
     length n, exact until each mass becomes one correctly rounded float.
     The slot-0 control is w's most significant base-|C| digit.  Words that
     share a prefix share its walk: level t holds the (mask, state) frontier
-    of every length-t prefix, on integer numerators."""
-    columns = [a.columns(c) for c in a.alphabet]
-    accepting = [s in a.accepting for s in a.states]
-    level = [{0: _int_law(a.initial)}]
+    of every length-t prefix, on integer numerators, with its denominator."""
+    steps = [a.columns(c) for c in a.alphabet]
+    accepting = [int(s in a.accepting) for s in a.states]
+    start, den = _numerators(a.initial)
+    level = [({0: start}, den)]
     for t in range(n - 1):
-        level = [_pattern_step(cols, accepting, frontier, t)
-                 for frontier in level for cols in columns]
+        level = [(_pattern_step(cols, accepting, frontier, t), den * factor)
+                 for frontier, den in level for cols, factor in steps]
     # the last control moves the state only after the last output, and a
     # move keeps each part's mass, so every choice of it gives the same mask
     # law: split the last frontier without moving it, copy for all
     laws = np.zeros((len(level), 1 << n))
     bit = 1 << (n - 1)
-    for w, frontier in enumerate(level):
-        den = sum(map(sum, frontier.values()))
+    for w, (frontier, den) in enumerate(level):
         for mask, vec in frontier.items():
             acc = sum(map(mul, vec, accepting))
             laws[w, mask | bit] = acc / den

@@ -53,10 +53,6 @@ def parse_word(text: str, alphabet) -> tuple[str, ...]:
     return tuple(tokens)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 class Run:
     """Collects parameters, input files and outputs for the manifest."""
 
@@ -70,13 +66,16 @@ class Run:
     def param(self, **kwargs):
         self.parameters.update({k: v for k, v in kwargs.items() if v is not None})
 
-    def input_file(self, path) -> Path:
+    def load(self, parse, path):
+        """parse(text, source) of input file `path`, read once: the manifest
+        records the SHA-256 of the bytes parsed."""
         path = Path(path)
         try:
-            self.inputs[str(path)] = _sha256(path)
+            data = path.read_bytes()
         except OSError as exc:
             raise CliError(f"{path}: cannot read ({exc.strerror})") from None
-        return path
+        self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
+        return parse(formats.decode_text(data, path), source=str(path))
 
     def manifest(self) -> dict:
         return {
@@ -100,7 +99,13 @@ class Run:
 
 
 def _load_pfa(run: Run, path) -> pfa.Pfa:
-    return formats.load_pfa(run.input_file(path))
+    return run.load(formats.parse_pfa, path)
+
+
+def _fail(message) -> int:
+    """Exit status 1, after the one-line diagnostic on stderr."""
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def _emit(run: Run, text: str, out) -> None:
@@ -213,7 +218,7 @@ def cmd_channel_build(run: Run, args) -> int:
 def cmd_channel_sample(run: Run, args) -> int:
     if args.count < 1:
         raise CliError(f"--count {args.count} must be at least 1")
-    ch = formats.load_fsmc(run.input_file(args.channel))
+    ch = run.load(formats.parse_fsmc, args.channel)
     run.param(input=args.input, count=args.count)
     run.seed = args.seed
     xs = parse_word(args.input, ch.inputs)
@@ -250,7 +255,7 @@ def cmd_capacity_bracket(run: Run, args) -> int:
 
 
 def cmd_capacity_ba(run: Run, args) -> int:
-    rows = formats.load_dmc(run.input_file(args.channel))
+    rows = run.load(formats.parse_dmc, args.channel)
     run.param(tol=args.tol, max_iters=args.max_iters)
     result = capacity.blahut_arimoto(capacity.DiscreteChannel(rows),
                                      tol=args.tol, max_iters=args.max_iters)
@@ -258,7 +263,10 @@ def cmd_capacity_ba(run: Run, args) -> int:
     print(f"certified gap: {_real(result.gap)}")
     print(f"iterations: {result.iterations}{'' if result.converged else ' (not converged)'}")
     print("input distribution: " + " ".join(_real(p) for p in result.input_dist))
-    return 1 if not result.converged else 0
+    if result.converged:
+        return 0
+    return _fail(f"Blahut-Arimoto did not converge in {result.iterations} iterations "
+                 f"(certified gap {_real(result.gap)} > tol {_real(args.tol)})")
 
 
 def cmd_capacity_converse(run: Run, args) -> int:
@@ -271,10 +279,11 @@ def cmd_capacity_converse(run: Run, args) -> int:
     print(f"min conditional entropy: {_real(report.min_conditional_entropy)}")
     print(f"max rate: {_real(report.max_rate)}")
     print(f"violations: {report.violations}/{report.trials}")
-    if report.violations:
-        print(f"re-check at horizon {report.raised_horizon}: value {_real(report.raised_val)}")
-        return 1
-    return 0
+    if not report.violations:
+        return 0
+    print(f"re-check at horizon {report.raised_horizon}: value {_real(report.raised_val)}")
+    return _fail(f"{report.violations}/{report.trials} trials violate the converse; value at "
+                 f"horizon n + 2 = {report.raised_horizon}: {_real(report.raised_val)}")
 
 
 def cmd_capacity_stability(run: Run, args) -> int:
@@ -466,8 +475,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(run, args)
     except DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
 
 
 if __name__ == "__main__":

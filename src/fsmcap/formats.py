@@ -154,13 +154,20 @@ def serialize_pfa(p: Pfa) -> str:
     return "\n".join(lines) + "\n"
 
 
+def decode_text(data: bytes, source) -> str:
+    """The bytes of file `source` as UTF-8 text."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{source}: not a UTF-8 text file ({exc.reason})") from None
+
+
 def _read_text(path: Path) -> str:
     try:
-        return path.read_text()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
+        data = path.read_bytes()
     except OSError as exc:
         raise FormatError(f"{path}: cannot read ({exc.strerror})") from None
+    return decode_text(data, path)
 
 
 def load_pfa(path) -> Pfa:
@@ -229,11 +236,6 @@ def serialize_fsmc(ch: Fsmc) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_fsmc(path) -> Fsmc:
-    path = Path(path)
-    return parse_fsmc(_read_text(path), source=str(path))
-
-
 def parse_dmc(text: str, source: str = "<string>"):
     """Memoryless channel table: one line per input, entries p(y|x) as
     rationals or decimals.  Returns a list of float rows."""
@@ -262,8 +264,3 @@ def parse_dmc(text: str, source: str = "<string>"):
     if not rows:
         raise FormatError(f"{source}: empty channel table")
     return rows
-
-
-def load_dmc(path):
-    path = Path(path)
-    return parse_dmc(_read_text(path), source=str(path))

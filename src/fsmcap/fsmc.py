@@ -135,7 +135,7 @@ def _lift_laws(p: Pfa) -> tuple[dict[str, Matrix], dict[str, Matrix]]:
     state_law = {}
     for d in ("0", "1"):
         out_cols = [_FORWARDED[d] if accepting[j] else (HALF, HALF) for j in range(n)]
-        table = tuple(tuple(out_cols[j][y] for j in range(n)) for y in range(2))
+        table = tuple(zip(*out_cols))
         for c in p.alphabet:
             sym = v_input(d, c)
             output_law[sym] = table

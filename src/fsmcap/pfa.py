@@ -5,17 +5,21 @@ transition matrix is column-stochastic: entry [i][j] is the probability of
 moving from state j to state i, so reading a symbol maps a distribution u
 to M @ u.  All arithmetic is exact; floats are rejected at the boundary.
 
-Every public function takes and returns Fractions.  The word search
-(`brute_force_value`, `emptiness_semidecide`) works on integers inside its
-walk: each matrix becomes integer columns over one common denominator, each
-distribution a tuple of integer numerators in lowest terms, and a Fraction
-is built only for the value returned.  `evolve`, `value` and the reach
-probabilities walk a word on the same columns (`_advance`).  An automaton
-builds its integer columns once, on first use, and keeps them
-(`Pfa.columns`), with the bounds that let the walk skip subtrees that
-cannot beat the best value so far: the state-observed horizon bound and its
-blind-lookahead sets (`_HorizonBound`).  Its matrices are a `ReadOnlyDict`,
-so none of these can go stale.
+Every public function takes and returns Fractions.  Inside, laws and
+matrices are integer numerators over one common denominator, and a Fraction
+is built only for what is returned.  One kernel holds that form: `_numerators`
+converts (the validation checks, `_int_columns`, the start of every walk,
+`capacity.agreement_profile`); `_step` moves a row by a symbol's sparse
+integer columns (`_advance` behind `evolve`, `value`, the reach
+probabilities and `witness`; the word search `_walk`; the acceptance-pattern
+walks of `capacity`); `_reduced` divides vectors and their denominator by
+their gcd, and `_on_grid` also rounds them up onto a dyadic grid (`_advance`,
+the search bound `_HorizonBound`).  An automaton builds its integer columns
+and their denominators once, on first use, and keeps them (`Pfa.columns`),
+with the bounds that let the word search skip subtrees that cannot beat the
+best value so far: the state-observed horizon bound and its blind-lookahead
+sets (`_HorizonBound`).  Its matrices are a `ReadOnlyDict`, so none of these
+can go stale.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ DEFAULT_SEARCH_BUDGET = 5_000_000
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 Word = tuple[str, ...]
+# sparse integer columns: column j lists (i, numerator) per nonzero entry
 IntColumns = list[list[tuple[int, int]]]
 # vectors of integer numerators over one common denominator
 Bound = tuple[tuple[tuple[int, ...], ...], int]
@@ -168,14 +173,15 @@ class Pfa:
             raise PfaError(f"unknown symbol {symbol!r}") from None
 
     @cached_property
-    def _columns(self) -> dict[str, IntColumns]:
+    def _columns(self) -> dict[str, tuple[IntColumns, int]]:
         # not a field: ==, repr and dataclasses.replace ignore it, and a
         # replaced automaton builds its own on first use
         return {sym: _int_columns(m) for sym, m in self.matrices.items()}
 
-    def columns(self, symbol: str) -> IntColumns:
-        """`matrix(symbol)` as sparse integer columns (`_int_columns`),
-        built for every symbol on first use and kept with the automaton."""
+    def columns(self, symbol: str) -> tuple[IntColumns, int]:
+        """`matrix(symbol)` as sparse integer columns and their common
+        denominator (`_int_columns`), built for every symbol on first use
+        and kept with the automaton."""
         try:
             return self._columns[symbol]
         except KeyError:
@@ -212,15 +218,48 @@ def _first_inexact(entries: Sequence) -> Optional[int]:
     return next((k for k, e in enumerate(entries) if not isinstance(e, (int, Fraction))), None)
 
 
-def _column_sums(ratios: Sequence[tuple[int, int]], n: int) -> tuple[list[int], int]:
-    """Sums of the n interleaved columns of row-major (numerator,
-    denominator) pairs, as integer numerators over one common denominator."""
+def _numerators(values: Iterable) -> tuple[list[int], int]:
+    """Ints and Fractions as integer numerators over their least common
+    denominator, and that denominator; a zero costs no product."""
+    ratios = [e.as_integer_ratio() for e in values]
     den = math.lcm(*{d for _, d in ratios})
-    totals = [0] * n
-    for k, (x, d) in enumerate(ratios):
+    return [x * (den // d) if x else 0 for x, d in ratios], den
+
+
+def _int_columns(m: Sequence[Sequence[Fraction]]) -> tuple[IntColumns, int]:
+    """The columns of a table (rows of equal length, at least one) as
+    sparse integer columns over one common denominator, and that
+    denominator."""
+    width = len(m[0])
+    nums, den = _numerators([e for row in m for e in row])
+    return [[(i, x) for i, x in enumerate(nums[j::width]) if x] for j in range(width)], den
+
+
+def _step(cols: IntColumns, row: Sequence[int]) -> list[int]:
+    """A numerator row moved by integer columns, over the row's denominator
+    times theirs."""
+    out = [0] * len(row)
+    for j, x in enumerate(row):
         if x:
-            totals[k % n] += x * (den // d)
-    return totals, den
+            for i, m in cols[j]:
+                out[i] += m * x
+    return out
+
+
+def _reduced(vectors: Sequence[Sequence[int]], den: int) -> Bound:
+    """Numerator vectors over `den`, and `den`, divided by their gcd."""
+    g = math.gcd(den, *itertools.chain.from_iterable(vectors))
+    return tuple([tuple([x // g for x in v]) for v in vectors]), den // g
+
+
+def _on_grid(vectors: Sequence[Sequence[int]], den: int) -> Bound:
+    """`_reduced`, then, with the denominator still past 2**_BOUND_BITS,
+    every numerator rounded up onto multiples of 2**-_BOUND_BITS and reduced
+    again, so an upper bound stays one and stays at most 1."""
+    vectors, den = _reduced(vectors, den)
+    if den <= 1 << _BOUND_BITS:
+        return vectors, den
+    return _reduced([[-((-x << _BOUND_BITS) // den) for x in v] for v in vectors], 1 << _BOUND_BITS)
 
 
 def table_violations(what: str, m, n_rows: int, states: Sequence[str]) -> list[str]:
@@ -231,14 +270,14 @@ def table_violations(what: str, m, n_rows: int, states: Sequence[str]) -> list[s
     n = len(states)
     if len(m) != n_rows or any(len(row) != n for row in m):
         return [f"{what} is not {n_rows}x{n}"]
-    entries = [e for row in m for e in row]
+    entries = list(itertools.chain.from_iterable(m))
     k = _first_inexact(entries)
     if k is not None:
         return [f"{what} entry ({k // n},{k % n}) = {entries[k]!r} is not an int or a Fraction"]
-    ratios = [e.as_integer_ratio() for e in entries]
+    nums, den = _numerators(entries)
     out = [f"{what} entry ({k // n},{k % n}) = {entries[k]} is negative"
-           for k, (x, _) in enumerate(ratios) if x < 0]
-    totals, den = _column_sums(ratios, n)
+           for k, x in enumerate(nums) if x < 0] if min(nums, default=0) < 0 else []
+    totals = [sum(nums[j::n]) for j in range(n)]
     out += [f"{what} column {j} ({state!r}) sums to {Fraction(totals[j], den)}"
             for j, state in enumerate(states) if totals[j] != den]
     return out
@@ -250,12 +289,11 @@ def initial_violations(initial: Sequence[Fraction], n: int) -> list[str]:
     j = _first_inexact(initial)
     if j is not None:
         return [f"initial entry {j} = {initial[j]!r} is not an int or a Fraction"]
-    ratios = [e.as_integer_ratio() for e in initial]
+    nums, den = _numerators(initial)
     out = [f"initial entry {j} = {initial[j]} is negative"
-           for j, (x, _) in enumerate(ratios) if x < 0]
-    (total,), den = _column_sums(ratios, 1)
-    if total != den:
-        out.append(f"initial distribution sums to {Fraction(total, den)}")
+           for j, x in enumerate(nums) if x < 0]
+    if sum(nums) != den:
+        out.append(f"initial distribution sums to {Fraction(sum(nums), den)}")
     return out
 
 
@@ -296,51 +334,34 @@ def mat_vec(m: Matrix, u: Sequence[Fraction]) -> Vector:
 
 
 def _advance(p: Pfa, word: Iterable[str],
-             rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+             rows: Sequence[Sequence[int]]) -> tuple[Sequence[Sequence[int]], int]:
     """Move laws held as integer numerators over one shared denominator d
     by `word`: the laws after it are the returned rows over d * factor.
 
-    Each step moves every row by the symbol's integer columns
-    (`Pfa.columns`) and multiplies the factor once by the symbol's
-    denominator, the sum of any of its columns; no Fraction is built.  Once
-    the factor has doubled its bit length since the last look, the rows and
-    the factor are divided by their gcd, so laws whose true denominators
-    stay small (a reset, a uniform mixer) do not carry the whole product,
-    and a walk without cancellation takes only a logarithmic number of
-    gcds.  The empty word returns the rows and 1.  An unknown symbol raises
-    PfaError."""
-    steps: dict[str, tuple[IntColumns, int]] = {}
+    Each step moves every row by the symbol's integer columns (`_step`) and
+    multiplies the factor once by their denominator; no Fraction is built.
+    Once the factor has doubled its bit length since the last look, the
+    rows and the factor are divided by their gcd (`_reduced`), so laws whose
+    true denominators stay small (a reset, a uniform mixer) do not carry the
+    whole product, and a walk without cancellation takes only a logarithmic
+    number of gcds.  The empty word returns the rows and 1.  An unknown
+    symbol raises PfaError."""
     factor, limit = 1, _REDUCE_BITS
     for sym in word:
-        step = steps.get(sym)
-        if step is None:
-            cols = p.columns(sym)
-            step = steps[sym] = cols, sum(m for _, m in cols[0])
-        cols, den = step
+        cols, den = p.columns(sym)
         factor *= den
-        moved = []
-        for row in rows:
-            out = [0] * len(row)
-            for j, x in enumerate(row):
-                if x:
-                    for i, m in cols[j]:
-                        out[i] += m * x
-            moved.append(out)
-        rows = moved
+        rows = [_step(cols, row) for row in rows]
         if factor.bit_length() > limit:
-            g = math.gcd(factor, *itertools.chain.from_iterable(rows))
-            if g > 1:
-                rows = [[x // g for x in row] for row in rows]
-                factor //= g
+            rows, factor = _reduced(rows, factor)
             limit = max(_REDUCE_BITS, 2 * factor.bit_length())
     return rows, factor
 
 
-def _moved(p: Pfa, word: Iterable[str], start: Sequence) -> tuple[list[int], int]:
+def _moved(p: Pfa, word: Iterable[str], start: Sequence) -> tuple[Sequence[int], int]:
     """`start` (ints or Fractions, a law or not) after `word`, as integer
     numerators over one denominator."""
-    den = math.lcm(*[e.denominator for e in start])
-    (row,), factor = _advance(p, word, [[e.numerator * (den // e.denominator) for e in start]])
+    row, den = _numerators(start)
+    (row,), factor = _advance(p, word, [row])
     return row, den * factor
 
 
@@ -435,22 +456,6 @@ class SearchResult:
     best_value: Fraction
 
 
-def _int_columns(m: Matrix) -> IntColumns:
-    """M as sparse integer columns over one common denominator: column j
-    lists (i, numerator) for each nonzero m[i][j].  The walk brings every
-    child to lowest terms, so the denominator itself is never needed."""
-    n = len(m)
-    den = math.lcm(*[e.denominator for row in m for e in row])
-    return [[(i, m[i][j].numerator * (den // m[i][j].denominator))
-             for i in range(n) if m[i][j]] for j in range(n)]
-
-
-def _int_law(vec: Sequence[Fraction]) -> list[int]:
-    """A law of Fractions as integer numerators over one common denominator."""
-    den = math.lcm(*[e.denominator for e in vec])
-    return [e.numerator * (den // e.denominator) for e in vec]
-
-
 def _lowest_terms(nums: list[int]) -> tuple[int, ...]:
     """Integer numerators of a distribution divided by their gcd.  A
     distribution sums to 1, so this tuple is its canonical form, and its sum
@@ -491,13 +496,14 @@ class _HorizonBound:
     """
 
     def __init__(self, p: Pfa):
-        cols = [p.columns(sym) for sym in p.alphabet]
-        dens = [sum(m for _, m in c[0]) for c in cols]
-        self.scale = math.lcm(*dens)
         # per symbol and state: the column of the state, on one common
-        # denominator; (B_sym alpha)(s) is its alpha-weighted sum
-        self.backward = [[[(t, m * (self.scale // den)) for t, m in col] for col in c]
-                         for c, den in zip(cols, dens)]
+        # denominator; (B_sym alpha)(s) is its alpha-weighted sum.  The
+        # matrices side by side make one table whose column k*n + s is
+        # column s of symbol k.
+        n = p.n_states
+        cols, self.scale = _int_columns([[e for sym in p.alphabet for e in p.matrices[sym][i]]
+                                         for i in range(n)])
+        self.backward = [cols[k:k + n] for k in range(0, len(cols), n)]
         self.levels = [(tuple(int(s in p.accepting) for s in p.states), 1)]
         self.settled = False
         # (m, i) -> (S_m^i as numerator tuples, denominator, work to build it)
@@ -508,9 +514,7 @@ class _HorizonBound:
         v, den = self.levels[-1]
         nums = [max([x * self.scale, *[sum([m * v[t] for t, m in cols[s]]) for cols in self.backward]])
                 for s, x in enumerate(v)]
-        nums, den = _reduced(nums, den * self.scale)
-        if den > 1 << _BOUND_BITS:
-            nums, den = _reduced([-((-x << _BOUND_BITS) // den) for x in nums], 1 << _BOUND_BITS)
+        (nums,), den = _on_grid([nums], den * self.scale)
         if (nums, den) == self.levels[-1]:
             self.settled = True
         else:
@@ -546,18 +550,13 @@ class _HorizonBound:
             else:
                 prev, den, _ = self.node(m, i - 1)
                 den *= self.scale
-                cands = [tuple([den * x for x in self.levels[0][0]])]
-                cands += [tuple([sum([c * a[t] for t, c in col]) for col in cols])
+                cands = [[den * x for x in self.levels[0][0]]]
+                cands += [[sum([c * a[t] for t, c in col]) for col in cols]
                           for cols in self.backward for a in prev]
-                g = math.gcd(den, *itertools.chain.from_iterable(cands))
-                cands, den = [tuple([x // g for x in a]) for a in cands], den // g
-                if den > 1 << _BOUND_BITS:
-                    cands = [tuple([-((-x << _BOUND_BITS) // den) for x in a]) for a in cands]
-                    den = 1 << _BOUND_BITS
+                cands, den = _on_grid(cands, den)
                 kept, checks = _undominated(cands, _SET_CAP)
-                g = math.gcd(den, *itertools.chain.from_iterable(kept))
                 work = len(cands) - 1 + checks
-                got = tuple([tuple([x // g for x in a]) for a in kept]), den // g, work
+                got = *_reduced(kept, den), work
                 self.set_work += work
             self.sets[m, i] = got
         return got
@@ -637,7 +636,7 @@ def _most_work(products: int) -> int:
     return products + top * (top + 1) // 2 + (products - top) * _SET_CAP
 
 
-def _undominated(vectors: list[tuple[int, ...]],
+def _undominated(vectors: Sequence[tuple[int, ...]],
                  cap: int) -> tuple[list[tuple[int, ...]], int]:
     """The vectors no other one dominates pointwise, each once, in order of
     decreasing sum (stable), and the number of dominance checks made; once
@@ -656,11 +655,6 @@ def _undominated(vectors: list[tuple[int, ...]],
             if len(kept) > cap:
                 break
     return kept, checks
-
-
-def _reduced(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
-    g = math.gcd(den, *nums)
-    return tuple([x // g for x in nums]), den // g
 
 
 def _over_budget(budget: int, length: int, max_len: int) -> BudgetError:
@@ -721,10 +715,10 @@ def _walk(p: Pfa, max_len: int, budget: int, bar: Fraction,
     if budget < 1:
         raise PfaError(f"search budget {budget} must be >= 1")
     n = p.n_states
-    columns = [p.columns(sym) for sym in p.alphabet]
+    columns = [p.columns(sym)[0] for sym in p.alphabet]
     accepting = [int(s in p.accepting) for s in p.states]
     horizon = p._horizon
-    start = _lowest_terms(_int_law(p.initial))
+    start = _lowest_terms(_numerators(p.initial)[0])
     seen = {start}
     parent, letter = [-1], [-1]
     bar_num, bar_den = bar.numerator, bar.denominator
@@ -752,12 +746,7 @@ def _walk(p: Pfa, max_len: int, budget: int, bar: Fraction,
         nxt = []
         for k, dist in enumerate(level, len(parent) - len(level)):
             for s, cols in enumerate(columns):
-                child = [0] * n
-                for j, x in enumerate(dist):
-                    if x:
-                        for i, m in cols[j]:
-                            child[i] += m * x
-                child = _lowest_terms(child)
+                child = _lowest_terms(_step(cols, dist))
                 if child in seen:
                     continue
                 seen.add(child)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from . import gadgets
-from .pfa import Pfa, Word, _advance, _int_law, frac, value
+from .pfa import Pfa, Word, _advance, _numerators, frac, value
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -161,8 +161,7 @@ def _reports(gadget: Pfa, block: Word, lengths: Sequence[int], x: Fraction,
     sink = index(gadgets.BOTTOM_FAIL_STATE)
     hold = [index(s) for s in gadgets.BOTTOM_HOLD_CLASS]
     accepting = [j for j, s in enumerate(gadget.states) if s in gadget.accepting]
-    from_start = _int_law(gadget.initial)
-    den = sum(from_start)
+    from_start, den = _numerators(gadget.initial)
     rows = [[den if j == home else 0 for j in range(gadget.n_states)]
             for home in (index("q1"), index("q4"))] + [from_start]
     closed = gadgets.dxy_reach_closed_forms(x, lengths)

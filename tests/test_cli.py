@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -511,3 +513,59 @@ def test_main_reuses_one_parser(capsys):
     capsys.readouterr()
     assert run_cli(capsys, "sigma", "encode", "1/2") == encode
     assert build_parser().format_help() == build_parser.__wrapped__().format_help()
+
+
+def test_ba_that_does_not_converge_exits_1_with_one_error_line(capsys, tmp_path):
+    table = tmp_path / "t3.dmc"
+    table.write_text("0.9 0.1 0\n0 0.2 0.8\n0.3 0.3 0.4\n")
+    code, out, err = run_cli(capsys, "capacity", "ba", "--channel", table, "--max-iters", "3")
+    assert "iterations: 3 (not converged)\n" in out
+    _assert_one_error_line(code, err, "did not converge in 3 iterations (certified gap ")
+
+
+def test_converse_with_violations_exits_1_with_one_error_line(capsys, tmp_path, monkeypatch):
+    from fsmcap import capacity
+
+    check = capacity.converse_check
+
+    def violated(*args, **kwargs):
+        return dataclasses.replace(check(*args, **kwargs), violations=2, raised_horizon=5,
+                                   raised_val=0.5)
+
+    monkeypatch.setattr(capacity, "converse_check", violated)
+    d25 = tmp_path / "d25.pfa"
+    d25.write_text(fixtures.fixture_text("d_25.pfa"))
+    code, out, err = run_cli(capsys, "capacity", "converse", "--pfa", d25,
+                             "--n", "3", "--trials", "10", "--seed", "1")
+    assert "violations: 2/10\nre-check at horizon 5: value 0.5\n" in out
+    _assert_one_error_line(code, err, "2/10 trials violate the converse; value at horizon "
+                                      "n + 2 = 5: 0.5")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("d_25.pfa", ["capacity", "bracket", "--pfa", "{in}", "--delta", "0.1", "--block", "6",
+                  "--csv", "{out}"]),
+    ("v.fsmc", ["channel", "sample", "--channel", "{in}", "--input", "1:b 0:a", "--seed", "7",
+                "--out", "{out}"]),
+    ("bsc11.dmc", ["capacity", "ba", "--channel", "{in}"]),
+])
+def test_each_input_is_read_once_and_its_digest_is_of_those_bytes(capsys, tmp_path, monkeypatch,
+                                                                   name, argv):
+    source = tmp_path / name
+    text = (serialize_fsmc(lift(fixtures.d_34())) if name == "v.fsmc"
+            else fixtures.fixture_text(name))
+    source.write_text(text)
+    out = tmp_path / "out.txt"
+    reads = []
+    with monkeypatch.context() as patch:
+        for method in ("read_bytes", "read_text"):
+            def counted(self, *args, real=getattr(Path, method), **kwargs):
+                reads.append(self)
+                return real(self, *args, **kwargs)
+            patch.setattr(Path, method, counted)
+        code, _, err = run_cli(capsys, *(tok.format(**{"in": source, "out": out}) for tok in argv))
+    assert (code, err) == (0, "")
+    assert reads == [source]
+    if "{out}" in argv:
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert manifest["inputs"] == {str(source): hashlib.sha256(source.read_bytes()).hexdigest()}
