@@ -32,8 +32,6 @@ class _Numpy:
 
 np = _Numpy()
 
-ZERO = Fraction(0)
-
 BLOCK_BUDGET = 14
 
 
@@ -287,30 +285,40 @@ def accept_pattern_dist(ch: Fsmc, controls: Sequence[str]) -> dict[int, Fraction
     return _pattern_law(ch.automaton, controls)
 
 
-def agreement_profile(pattern_dist: dict[int, Fraction], length: int) -> list[Fraction]:
-    """g[E] = p(y|x) for any x, y agreeing exactly on the slot set E:
-    2^-L sum over patterns inside E of P(pattern) 2^{|pattern|}.
-
-    The subset-sum transform runs on integer numerators over one common
-    denominator (`pfa._numerators`), so no step pays for a gcd."""
+def _subset_sums(law: dict[int, int], length: int) -> list[int]:
+    """Agreement-profile numerators of an integer mask law: entry E is the
+    sum over masks inside E of law[mask] 2^|mask|, by the subset-sum
+    transform; over the law's denominator times 2^length it is the
+    profile."""
     size = 1 << length
-    nums, den = _numerators(pattern_dist.values())
     g = [0] * size
-    for mask, x in zip(pattern_dist, nums):
+    for mask, x in law.items():
         g[mask] = x << bin(mask).count("1")
     for bit in range(length):
         step = 1 << bit
         for e in range(size):
             if e & step:
                 g[e] += g[e ^ step]
-    den *= size
-    return [Fraction(x, den) for x in g]
+    return g
+
+
+def agreement_profile(pattern_dist: dict[int, Fraction], length: int) -> list[Fraction]:
+    """g[E] = p(y|x) for any x, y agreeing exactly on the slot set E:
+    2^-L sum over patterns inside E of P(pattern) 2^{|pattern|}.
+
+    The subset-sum transform runs on integer numerators over one common
+    denominator (`pfa._numerators`), so no step pays for a gcd."""
+    nums, den = _numerators(pattern_dist.values())
+    den <<= length
+    return [Fraction(x, den) for x in _subset_sums(dict(zip(pattern_dist, nums)), length)]
 
 
 def _prefix_profiles(a: Pfa,
-                     sched: ControlSchedule) -> tuple[list[Fraction], list[Fraction], Fraction]:
-    """(G0, G1, value of the word) of a freeze/reset schedule with word
-    length m and n free slots, from one walk of the word and the reset.
+                     sched: ControlSchedule) -> tuple[list[int], list[int], int, Fraction]:
+    """(G0, G1, their denominator, value of the word) of a freeze/reset
+    schedule with word length m and n free slots, from one walk of the
+    word and the reset; G0 and G1 are integer numerators over the one
+    denominator.
 
     Every free slot sees the state s_m the word leads to, so the period's
     acceptance mask is the word's m-bit prefix mask plus n copies of
@@ -337,17 +345,37 @@ def _prefix_profiles(a: Pfa,
                             "(schedule does not end in a reset?)")
     # slot m outputs by acc(s_m); its control, the reset, moves the state
     # after that, to where the period ends
-    laws: tuple[dict[int, Fraction], dict[int, Fraction]] = ({}, {})
-    for mask, pr in _pattern_law(a, tuple(sched.word) + (RESET_SYMBOL,)).items():
-        laws[mask >> m][mask & ((1 << m) - 1)] = pr
-    return (agreement_profile(laws[0], m), agreement_profile(laws[1], m),
-            sum(laws[1].values(), ZERO))
+    law = _pattern_law(a, tuple(sched.word) + (RESET_SYMBOL,))
+    nums, den = _numerators(law.values())
+    laws: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for mask, x in zip(law, nums):
+        laws[mask >> m][mask & ((1 << m) - 1)] = x
+    return (_subset_sums(laws[0], m), _subset_sums(laws[1], m), den << m,
+            Fraction(sum(laws[1].values()), den))
+
+
+def _floats(nums: Sequence[int], den: int) -> np.ndarray:
+    """nums / den as floats, each one correctly rounded `int / int`: the
+    float `Fraction.__float__` gives, without building the Fraction."""
+    return np.array([x / den for x in nums])
 
 
 def _float_prefix_profiles(a: Pfa,
                            sched: ControlSchedule) -> tuple[np.ndarray, np.ndarray, Fraction]:
-    g0, g1, v = _prefix_profiles(a, sched)
-    return np.array([float(x) for x in g0]), np.array([float(x) for x in g1]), v
+    g0, g1, den, v = _prefix_profiles(a, sched)
+    return _floats(g0, den), _floats(g1, den), v
+
+
+def _block_numerators(ch: Fsmc, sched: ControlSchedule) -> tuple[list[int], list[int], int]:
+    """The 2^(m+1) distinct entries of one schedule period's agreement
+    profile, after the period's budget guard: the numerators of 2^-n G0
+    (rows E_suf != full) and of 2^-n G0 + G1 (the last row), see
+    `_prefix_profiles`, over one denominator."""
+    if sched.period > BLOCK_BUDGET:
+        raise CapacityError(f"period {sched.period} exceeds the block budget {BLOCK_BUDGET}")
+    g0, g1, den, _ = _prefix_profiles(ch.automaton, sched)
+    n = sched.free_slots
+    return g0, [x + (y << n) for x, y in zip(g0, g1)], den << n
 
 
 def block_profile(ch: Fsmc, sched: ControlSchedule) -> list[Fraction]:
@@ -355,21 +383,20 @@ def block_profile(ch: Fsmc, sched: ControlSchedule) -> list[Fraction]:
     expanded from the factored law (see `_prefix_profiles`), with the same
     block-stationarity check; the block budget bounds the period.  Slot t
     is bit t, so E = E_pre + 2^m E_suf."""
-    if sched.period > BLOCK_BUDGET:
-        raise CapacityError(f"period {sched.period} exceeds the block budget {BLOCK_BUDGET}")
-    g0, g1, _ = _prefix_profiles(ch.automaton, sched)
-    scale = 1 << sched.free_slots
-    low = [x / scale for x in g0]
-    return low * (scale - 1) + [x + y for x, y in zip(low, g1)]
+    low, full, den = _block_numerators(ch, sched)
+    low = [Fraction(x, den) for x in low]
+    return low * ((1 << sched.free_slots) - 1) + [Fraction(x, den) for x in full]
 
 
 def induced_block_channel(ch: Fsmc, sched: ControlSchedule) -> BlockChannel:
     """Memoryless channel on data blocks of one schedule period: inputs and
     outputs are bit sequences of length m+n, transition probabilities exact
-    until the final float conversion of the agreement profile.  Memory grows
-    as 2^(m+n)."""
-    prof = block_profile(ch, sched)
-    return BlockChannel(np.array([float(x) for x in prof]))
+    until each of the 2^(m+1) distinct entries of the agreement profile
+    becomes a float (the floats of `block_profile`), tiled to all 2^period.
+    Memory grows as 2^(m+n)."""
+    low, full, den = _block_numerators(ch, sched)
+    return BlockChannel(np.concatenate([np.tile(_floats(low, den), (1 << sched.free_slots) - 1),
+                                        _floats(full, den)]))
 
 
 def _row_entropy(g0: np.ndarray, g1: np.ndarray, n: int) -> float:
@@ -748,25 +775,24 @@ def block_spectrum(ch: Fsmc, sched: ControlSchedule):
     if n > limit:
         raise CapacityError(f"free length {n} is past the float exponent range "
                             f"({limit}): a 2^-n atom underflows a float")
-    g0, g1, _ = _prefix_profiles(ch.automaton, sched)
-    scale = 1 << n
-    counts: dict[Fraction, int] = {}     # 2^n g(E), exact -> number of such E
+    g0, g1, den, _ = _prefix_profiles(ch.automaton, sched)
+    counts: dict[int, int] = {}     # numerator of 2^n g(E) over den -> number of such E
     for x in g0:
         if x:
-            counts[x] = counts.get(x, 0) + scale - 1
+            counts[x] = counts.get(x, 0) + (1 << n) - 1
     for x, y in zip(g0, g1):
-        key = x + y * scale
+        key = x + (y << n)
         if key:
             counts[key] = counts.get(key, 0) + 1
+    den <<= n
     values, probs = [], []
     for key, count in counts.items():
-        den = key.denominator << n
-        g = key.numerator / den
+        g = key / den
         if g < sys.float_info.min:
             raise CapacityError(f"an information-density atom at free length {n} "
                                 "underflows a float")
         values.append(sched.period + math.log2(g))
-        probs.append(key.numerator * count / den)
+        probs.append(key * count / den)
     probs = np.array(probs)
     return np.array(values), probs / probs.sum()
 

@@ -196,12 +196,14 @@ def lifted_automaton(p: Pfa) -> Pfa:
 
     It is gamma(p), unless `p` already has both reserved symbols, which must
     then be the identity and the reset to the initial law; gamma refuses an
-    automaton with only one.  The initial law must be a point mass.
+    automaton with only one, and builds both as they must be.  The initial
+    law must be a point mass.
     """
-    if FREEZE_SYMBOL not in p.alphabet or RESET_SYMBOL not in p.alphabet:
+    carried = FREEZE_SYMBOL in p.alphabet and RESET_SYMBOL in p.alphabet
+    if not carried:
         p = gamma(p)
     _initial_state(p)
-    if (p.matrices[FREEZE_SYMBOL], p.matrices[RESET_SYMBOL]) != freeze_and_reset(p):
+    if carried and (p.matrices[FREEZE_SYMBOL], p.matrices[RESET_SYMBOL]) != freeze_and_reset(p):
         raise PfaError(f"symbols {FREEZE_SYMBOL!r} and {RESET_SYMBOL!r} are not the freeze "
                        "and the reset of the automaton")
     return p

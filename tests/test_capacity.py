@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsmcap import fixtures
 from fsmcap.capacity import (BlockChannel, BracketBudget, CapacityError,
                              ControlSchedule, DiscreteChannel, _chain_report,
                              _float_prefix_profiles, achievable_rate, blahut_arimoto,
@@ -807,6 +809,56 @@ def test_each_schedule_is_walked_once(monkeypatch, d_34):
         walks.clear()
         call()
         assert len(walks) == 1
+
+
+def test_float_paths_build_no_exact_profile(monkeypatch, d_34):
+    # the ba rate, the spectrum and the bracket read the factored integer
+    # law; none expands or sums an exact Fraction profile
+    ch = build_V(gamma(d_34))
+    sched = ControlSchedule(word=("a", "b"), free_slots=7)
+    expanded = _count_calls(monkeypatch, "block_profile")
+    summed = _count_calls(monkeypatch, "agreement_profile")
+    walks = _count_calls(monkeypatch, "_pattern_law")
+    for call in (lambda: achievable_rate(ch, sched.word, sched.free_slots, input_mode="ba"),
+                 lambda: block_spectrum(ch, sched),
+                 lambda: capacity_bracket(d_34, 0.1, BracketBudget(word_len=4, block=12))):
+        walks.clear()
+        call()
+        assert len(walks) == 1
+    assert not expanded and not summed
+
+
+@functools.cache
+def _lifted_fixture(name):
+    return lift(getattr(fixtures, name)())
+
+
+def _lifted_channels():
+    """Channel lifts of the shipped fixtures and of coin gadgets D_xy."""
+    coins = st.tuples(st.fractions(0, 1, max_denominator=12),
+                      st.fractions(0, H, max_denominator=12)).map(
+        lambda xy: lift(build_D_xy(*xy)))
+    names = st.sampled_from(["example1", "amp3", "d_34", "d_25", "family3"])
+    return names.map(_lifted_fixture) | coins
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lifted_channels(), st.data())
+def test_float_paths_are_the_floats_of_the_exact_profile(ch, data):
+    symbols = [s for s in ch.automaton.alphabet if s not in ("id", "rt")]
+    word = tuple(data.draw(st.lists(st.sampled_from(symbols), max_size=5)))
+    sched = ControlSchedule(word=word, free_slots=data.draw(st.integers(1, 14 - len(word))))
+    bp = block_profile(ch, sched)
+    exact = np.array([float(x) for x in bp])
+    assert np.array_equal(induced_block_channel(ch, sched).profile, exact)
+    # the factored profiles: 2^n times the low rows, and the last row less them
+    m, n = len(word), sched.free_slots
+    low, full = bp[:1 << m], bp[-(1 << m):]
+    g0, g1, _ = _float_prefix_profiles(ch.automaton, sched)
+    assert np.array_equal(g0, [float(x * (1 << n)) for x in low])
+    assert np.array_equal(g1, [float(y - x) for x, y in zip(low, full)])
+    ba = blahut_arimoto(BlockChannel(exact), tol=1e-6 * sched.period)
+    assert achievable_rate(ch, word, n, input_mode="ba") == ba.capacity / sched.period
 
 
 def test_bracket_builds_no_channel(monkeypatch, d_34):

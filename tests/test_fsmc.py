@@ -210,6 +210,18 @@ def test_lifted_automaton_reads_as_the_lift(p, data):
     assert _outcome(lifted_automaton, p) == _outcome(lambda q: unlift(lift(q)), p)
 
 
+def test_lifted_automaton_checks_only_carried_reserved_symbols(monkeypatch, example1):
+    # gamma builds the freeze and the reset as they must be; only an
+    # automaton that carried both is compared against them
+    calls = []
+    original = fsmc_module.freeze_and_reset
+    monkeypatch.setattr(fsmc_module, "freeze_and_reset",
+                        lambda p: calls.append(p) or original(p))
+    extended = lifted_automaton(example1)
+    assert not calls
+    assert lifted_automaton(extended) is extended and len(calls) == 1
+
+
 def test_sample_deterministic(example1):
     ch = build_V(gamma(example1))
     xs = ("0:a", "1:b", "0:id", "1:rt") * 5
