@@ -15,9 +15,10 @@ Rationals are written ``p/q`` or as integers.  Matrices are row-major;
 columns index the source state, rows the target state.  Channel files mirror
 the layout with ``output <x>:`` (|Y| x |S| table of p(y|x,s')) and
 ``state <x>:`` (|S| x |S| table of p(s|x,s')) sections per input symbol.
-Every invariant violation is rejected with a line-anchored message: each
-section is checked as it is read, by the same checks as ``validate_pfa`` and
-``validate_fsmc``, so the first violation in file order is reported.
+Layout errors are raised at the line where they are read.  The file then
+builds its `Pfa` or `Fsmc` once, and the construction's first violation in
+file order is raised, with the validator's text, at the line of its section
+(a missing table against the file alone).
 """
 
 from __future__ import annotations
@@ -25,11 +26,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
-from .fsmc import Fsmc
-from .pfa import (Pfa, PfaError, clipped_repr, duplicate_violations, frac,
-                  initial_violations, membership_violations, past_digit_limit,
-                  table_violations)
+from .fsmc import Fsmc, FsmcError
+from .pfa import Matrix, Pfa, PfaError, clipped_repr, frac, past_digit_limit
+
+# table kind -> its name in messages, what its symbol is, where symbols are declared
+_TABLES = {"matrix": ("matrix", "symbol", "alphabet"),
+           "output": ("output table", "input", "inputs"),
+           "state": ("state table", "input", "inputs")}
 
 
 class FormatError(ValueError):
@@ -55,14 +60,10 @@ class _Reader:
         self.lines = list(_clean_lines(text))
         self.pos = 0
         self.source = source
+        self.sections: dict[str, int] = {}   # section -> line of its header
 
-    def error(self, lineno: int, message: str) -> FormatError:
-        return FormatError(f"{self.source}:{lineno}: {message}")
-
-    def check(self, lineno: int, violations: list[str]) -> None:
-        """Raise the first violation found in the section starting at lineno."""
-        if violations:
-            raise self.error(lineno, violations[0])
+    def error(self, lineno: Optional[int], message: str) -> FormatError:
+        return FormatError(f"{self.source}:{lineno}: {message}" if lineno else f"{self.source}: {message}")
 
     def rationals(self, lineno: int, tokens: list[str], what: str) -> list[Fraction]:
         try:
@@ -80,24 +81,57 @@ class _Reader:
 
     def take_section(self, keyword: str) -> tuple[int, list[str]]:
         if self.done():
-            raise FormatError(f"{self.source}: missing '{keyword}:' section")
+            raise self.error(None, f"missing '{keyword}:' section")
         lineno, line = self.take()
         head, sep, rest = line.partition(":")
         if not sep or head.strip() != keyword:
             raise self.error(lineno, f"expected '{keyword}:', found {line!r}")
+        self.sections[keyword] = lineno
         return lineno, rest.split()
 
-    def take_rational_rows(self, n_rows: int, n_cols: int, what: str) -> list[tuple[Fraction, ...]]:
+    def take_rational_rows(self, n_rows: int, n_cols: int, what: str) -> Matrix:
         rows = []
         for _ in range(n_rows):
             if self.done():
-                raise FormatError(f"{self.source}: unexpected end of file inside {what}")
+                raise self.error(None, f"unexpected end of file inside {what}")
             lineno, line = self.take()
             tokens = line.split()
             if len(tokens) != n_cols:
                 raise self.error(lineno, f"{what}: expected {n_cols} entries, found {len(tokens)}")
             rows.append(tuple(self.rationals(lineno, tokens, what)))
-        return rows
+        return tuple(rows)
+
+    def take_tables(self, split, n_rows: dict[str, int], n_cols: int,
+                    symbols: list[str]) -> dict[str, dict[str, Matrix]]:
+        """The rest of the file as tables by kind and symbol: a header line,
+        which `split` cuts into [kind, symbol], then n_rows[kind] rows of n_cols
+        rationals.  Each header's line is kept as section '<kind> <symbol>'."""
+        tables = {kind: {} for kind in n_rows}
+        while not self.done():
+            lineno, line = self.take()
+            parts = split(line)
+            if len(parts) != 2 or parts[0] not in n_rows:
+                expected = " or ".join(f"'{kind} <{_TABLES[kind][1]}>:'" for kind in n_rows)
+                raise self.error(lineno, f"expected {expected}, found {line!r}")
+            kind, sym = parts
+            name, of, declared = _TABLES[kind]
+            if sym not in symbols:
+                raise self.error(lineno, f"{name} for {of} {sym!r} not in the {declared}")
+            if sym in tables[kind]:
+                raise self.error(lineno, f"duplicate {name} for {of} {sym!r}")
+            self.sections[f"{kind} {sym}"] = lineno
+            tables[kind][sym] = self.take_rational_rows(n_rows[kind], n_cols, f"{name} {sym!r}")
+        return tables
+
+    def build(self, cls, **fields):
+        """cls(**fields), with the first of its violations in file order
+        raised at the line of its section, or against the file when that
+        section is missing."""
+        try:
+            return cls(**fields)
+        except (PfaError, FsmcError) as exc:
+            section, message = min(exc.violations, key=lambda v: self.sections.get(v[0], math.inf))
+            raise self.error(self.sections.get(section), message) from None
 
 
 def parse_pfa(text: str, source: str = "<string>") -> Pfa:
@@ -105,39 +139,17 @@ def parse_pfa(text: str, source: str = "<string>") -> Pfa:
     states_line, states = reader.take_section("states")
     if not states:
         raise reader.error(states_line, "no states given")
-    reader.check(states_line, duplicate_violations(states, "state names"))
-    alpha_line, alphabet = reader.take_section("alphabet")
-    reader.check(alpha_line, duplicate_violations(alphabet, "alphabet symbols"))
+    _, alphabet = reader.take_section("alphabet")
     init_line, init_tokens = reader.take_section("initial")
     if len(init_tokens) != len(states):
         raise reader.error(init_line, f"initial: expected {len(states)} entries, found {len(init_tokens)}")
     initial = reader.rationals(init_line, init_tokens, "initial")
-    reader.check(init_line, initial_violations(initial, len(states)))
-    acc_line, accepting = reader.take_section("accepting")
-    reader.check(acc_line, membership_violations(accepting, states, "accepting state"))
-
-    matrices = {}
-    n = len(states)
-    while not reader.done():
-        lineno, line = reader.take()
-        head, sep, _ = line.partition(":")
-        parts = head.split()
-        if not sep or len(parts) != 2 or parts[0] != "matrix":
-            raise reader.error(lineno, f"expected 'matrix <symbol>:', found {line!r}")
-        sym = parts[1]
-        if sym not in alphabet:
-            raise reader.error(lineno, f"matrix for symbol {sym!r} not in the alphabet")
-        if sym in matrices:
-            raise reader.error(lineno, f"duplicate matrix for symbol {sym!r}")
-        rows = reader.take_rational_rows(n, n, f"matrix {sym!r}")
-        reader.check(lineno, table_violations(f"matrix {sym!r}", rows, n, states))
-        matrices[sym] = tuple(rows)
-    for sym in alphabet:
-        if sym not in matrices:
-            raise FormatError(f"{source}: no matrix for symbol {sym!r}")
-
-    return Pfa(states=tuple(states), alphabet=tuple(alphabet), matrices=matrices,
-               initial=tuple(initial), accepting=frozenset(accepting))
+    _, accepting = reader.take_section("accepting")
+    tables = reader.take_tables(lambda line: line.split(":", 1)[0].split() if ":" in line else [],
+                                {"matrix": len(states)}, len(states), alphabet)
+    return reader.build(Pfa, states=tuple(states), alphabet=tuple(alphabet),
+                        matrices=tables["matrix"], initial=tuple(initial),
+                        accepting=frozenset(accepting))
 
 
 def serialize_pfa(p: Pfa) -> str:
@@ -177,46 +189,20 @@ def load_pfa(path) -> Pfa:
 
 def parse_fsmc(text: str, source: str = "<string>") -> Fsmc:
     reader = _Reader(text, source)
-    inputs_line, inputs = reader.take_section("inputs")
-    reader.check(inputs_line, duplicate_violations(inputs, "input symbols"))
-    outputs_line, outputs = reader.take_section("outputs")
-    reader.check(outputs_line, duplicate_violations(outputs, "output symbols"))
+    _, inputs = reader.take_section("inputs")
+    _, outputs = reader.take_section("outputs")
     states_line, states = reader.take_section("states")
     if not states:
         raise reader.error(states_line, "no states given")
-    reader.check(states_line, duplicate_violations(states, "state names"))
     init_line, init_tokens = reader.take_section("initial")
     if len(init_tokens) != 1:
         raise reader.error(init_line, "initial: expected a single state name")
-    reader.check(init_line, membership_violations(init_tokens, states, "initial state"))
-
-    output_law = {}
-    state_law = {}
-    while not reader.done():
-        lineno, line = reader.take()
-        head, sep, trailer = line.rpartition(":")   # input symbols may contain ':'
-        parts = head.split(None, 1)
-        if not sep or trailer or len(parts) != 2 or parts[0] not in ("output", "state"):
-            raise reader.error(lineno, f"expected 'output <input>:' or 'state <input>:', found {line!r}")
-        kind, sym = parts
-        if sym not in inputs:
-            raise reader.error(lineno, f"{kind} table for input {sym!r} not in the inputs")
-        target = output_law if kind == "output" else state_law
-        if sym in target:
-            raise reader.error(lineno, f"duplicate {kind} table for input {sym!r}")
-        n_rows = len(outputs) if kind == "output" else len(states)
-        what = f"{kind} table {sym!r}"
-        rows = reader.take_rational_rows(n_rows, len(states), what)
-        reader.check(lineno, table_violations(what, rows, n_rows, states))
-        target[sym] = tuple(rows)
-    for sym in inputs:
-        if sym not in output_law:
-            raise FormatError(f"{source}: no output table for input {sym!r}")
-        if sym not in state_law:
-            raise FormatError(f"{source}: no state table for input {sym!r}")
-
-    return Fsmc(inputs=tuple(inputs), outputs=tuple(outputs), states=tuple(states),
-                output_law=output_law, state_law=state_law, initial=init_tokens[0])
+    # input symbols may contain ':', so a table header ends at the last one
+    tables = reader.take_tables(lambda line: line[:-1].split(None, 1) if line.endswith(":") else [],
+                                {"output": len(outputs), "state": len(states)}, len(states), inputs)
+    return reader.build(Fsmc, inputs=tuple(inputs), outputs=tuple(outputs), states=tuple(states),
+                        output_law=tables["output"], state_law=tables["state"],
+                        initial=init_tokens[0])
 
 
 def serialize_fsmc(ch: Fsmc) -> str:

@@ -15,8 +15,8 @@ from functools import cached_property
 from typing import Sequence
 
 from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Matrix, Pfa, PfaError, ReadOnlyDict,
-                  duplicate_violations, freeze_and_reset, gamma, membership_violations,
-                  table_violations)
+                  duplicate_violations, freeze_and_reset, gamma,
+                  membership_violations, raise_violations, table_violations)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -26,7 +26,8 @@ V_INPUT_SEP = ":"
 
 
 class FsmcError(ValueError):
-    """Invalid channel, input symbol or parameter."""
+    """Invalid channel, input symbol or parameter; an invalid construction's
+    error also keeps its (section, message) pairs (`pfa.raise_violations`)."""
 
 
 @dataclass(frozen=True)
@@ -77,27 +78,28 @@ class Fsmc:
         return unlift(self)
 
 
-def validate_fsmc(ch: Fsmc) -> list[str]:
-    out = duplicate_violations(ch.inputs, "input symbols")
-    out += duplicate_violations(ch.outputs, "output symbols")
-    out += duplicate_violations(ch.states, "state names")
-    out += membership_violations([ch.initial], ch.states, "initial state")
+def validate_fsmc(ch: Fsmc) -> list[tuple[str, str]]:
+    """Every invariant violation as a (section, message) pair, the section
+    being the part of a channel file it concerns: 'inputs', 'outputs',
+    'states', 'initial', 'output <input>' or 'state <input>'.  Empty means
+    valid."""
+    found = [("inputs", duplicate_violations(ch.inputs, "input symbols")),
+             ("outputs", duplicate_violations(ch.outputs, "output symbols")),
+             ("states", duplicate_violations(ch.states, "state names")),
+             ("initial", membership_violations([ch.initial], ch.states, "initial state"))]
     for sym in ch.inputs:
         for kind, table, n_rows in (("output", ch.output_law, len(ch.outputs)),
                                     ("state", ch.state_law, ch.n_states)):
-            if sym in table:
-                out += table_violations(f"{kind} table {sym!r}", table[sym], n_rows, ch.states)
-            else:
-                out.append(f"no {kind} table for input {sym!r}")
-    return out + [f"{kind} table for input {sym!r} not in the inputs"
-                  for kind, table in (("output", ch.output_law), ("state", ch.state_law))
-                  for sym in table if sym not in ch.inputs]
+            found.append((f"{kind} {sym}", [f"no {kind} table for input {sym!r}"] if sym not in table
+                          else table_violations(f"{kind} table {sym!r}", table[sym], n_rows, ch.states)))
+    found += [(f"{kind} {sym}", [f"{kind} table for input {sym!r} not in the inputs"])
+              for kind, table in (("output", ch.output_law), ("state", ch.state_law))
+              for sym in table if sym not in ch.inputs]
+    return [(section, message) for section, messages in found for message in messages]
 
 
 def check_fsmc(ch: Fsmc) -> Fsmc:
-    violations = validate_fsmc(ch)
-    if violations:
-        raise FsmcError("; ".join(violations))
+    raise_violations(FsmcError, validate_fsmc(ch))
     return ch
 
 

@@ -10,7 +10,7 @@ matrices are integer numerators over one common denominator, and a Fraction
 is built only for what is returned.  One kernel holds that form: `_numerators`
 converts (the validation checks, `_int_columns`, the start of every walk,
 `capacity.agreement_profile`); `_step` moves a row by a symbol's sparse
-integer columns (`_advance` behind `evolve`, `value`, the reach
+integer columns (`mat_vec`; `_advance` behind `evolve`, `value`, the reach
 probabilities and `witness`; the word search `_walk`; the acceptance-pattern
 walks of `capacity`); `_reduced` divides vectors and their denominator by
 their gcd, and `_on_grid` also rounds them up onto a dyadic grid (`_advance`,
@@ -64,7 +64,8 @@ _SET_CAP = 16
 
 
 class PfaError(ValueError):
-    """Invalid automaton, state, symbol or parameter."""
+    """Invalid automaton, state, symbol or parameter; an invalid construction's
+    error also keeps its (section, message) pairs (`raise_violations`)."""
 
 
 class BudgetError(RuntimeError):
@@ -297,40 +298,41 @@ def initial_violations(initial: Sequence[Fraction], n: int) -> list[str]:
     return out
 
 
-def validate_pfa(p: Pfa) -> list[str]:
-    """Return every invariant violation, with its location; empty means valid."""
-    out = duplicate_violations(p.states, "state names")
-    out += duplicate_violations(p.alphabet, "alphabet symbols")
-    out += [f"no matrix for symbol {sym!r}" for sym in p.alphabet if sym not in p.matrices]
-    out += [f"matrix for symbol {sym!r} not in the alphabet"
-            for sym in p.matrices if sym not in p.alphabet]
-    for sym in p.alphabet:
-        if sym in p.matrices:
-            out += table_violations(f"matrix {sym!r}", p.matrices[sym], p.n_states, p.states)
-    out += initial_violations(p.initial, p.n_states)
-    out += membership_violations(sorted(p.accepting), p.states, "accepting state")
-    return out
+def validate_pfa(p: Pfa) -> list[tuple[str, str]]:
+    """Every invariant violation as a (section, message) pair, the section
+    being the part of an automaton file it concerns: 'states', 'alphabet',
+    'initial', 'accepting' or 'matrix <symbol>'.  Empty means valid."""
+    found = [("states", duplicate_violations(p.states, "state names")),
+             ("alphabet", duplicate_violations(p.alphabet, "alphabet symbols"))]
+    found += [(f"matrix {sym}", [f"no matrix for symbol {sym!r}"])
+              for sym in p.alphabet if sym not in p.matrices]
+    found += [(f"matrix {sym}", [f"matrix for symbol {sym!r} not in the alphabet"])
+              for sym in p.matrices if sym not in p.alphabet]
+    found += [(f"matrix {sym}", table_violations(f"matrix {sym!r}", p.matrices[sym], p.n_states, p.states))
+              for sym in p.alphabet if sym in p.matrices]
+    found += [("initial", initial_violations(p.initial, p.n_states)),
+              ("accepting", membership_violations(sorted(p.accepting), p.states, "accepting state"))]
+    return [(section, message) for section, messages in found for message in messages]
+
+
+def raise_violations(error: type[ValueError], violations: list[tuple[str, str]]) -> None:
+    """Raise `error`, unless there are no (section, message) `violations`:
+    their messages on one line, and the pairs as its `violations`."""
+    if violations:
+        exc = error("; ".join(message for _, message in violations))
+        exc.violations = violations
+        raise exc
 
 
 def check_pfa(p: Pfa) -> Pfa:
-    violations = validate_pfa(p)
-    if violations:
-        raise PfaError("; ".join(violations))
+    raise_violations(PfaError, validate_pfa(p))
     return p
 
 
 def mat_vec(m: Matrix, u: Sequence[Fraction]) -> Vector:
-    """M @ u, touching only the nonzero u[j] and, in each such column, the
-    nonzero m[i][j]; untouched entries stay the Fraction ZERO."""
-    out = [ZERO] * len(u)
-    for j, uj in enumerate(u):
-        if uj:
-            for i, row in enumerate(m):
-                mij = row[j]
-                if mij:
-                    term = mij * uj
-                    out[i] = out[i] + term if out[i] else term
-    return tuple(out)
+    """M @ u on the integer kernel (`_int_columns`, `_numerators`, `_step`)."""
+    (cols, den), (row, u_den) = _int_columns(m), _numerators(u)
+    return tuple(Fraction(x, den * u_den) for x in _step(cols, row))
 
 
 def _advance(p: Pfa, word: Iterable[str],

@@ -249,3 +249,82 @@ def test_pfa_entries_past_the_int_digit_limit_round_trip():
     text = serialize_pfa(p)
     assert len(text) > 20_000
     assert parse_pfa(text) == p
+
+
+def test_each_parse_checks_each_table_once(monkeypatch, family3):
+    """The constructor's validator is the only place a table is checked."""
+    from fsmcap import formats, fsmc, pfa
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return table_violations(*args)
+
+    table_violations = pfa.table_violations
+    for module in (pfa, fsmc, formats):
+        if hasattr(module, "table_violations"):
+            monkeypatch.setattr(module, "table_violations", counting)
+    assert parse_pfa(fixtures.fixture_text("family3.pfa")) == family3
+    assert len(calls) == 5
+    channel = fsmc.lift(family3)
+    text = serialize_fsmc(channel)
+    calls.clear()
+    assert parse_fsmc(text) == channel
+    assert len(calls) == 20
+
+
+def test_construction_errors_keep_their_sections(example1):
+    with pytest.raises(PfaError) as err:
+        dataclasses.replace(example1, accepting=frozenset({"q9"}),
+                            states=example1.states[:-1] + example1.states[-2:-1])
+    assert err.value.violations[0][0] == "states"
+    assert ("accepting", "accepting state 'q9' is not a state") in err.value.violations
+    assert str(err.value) == "; ".join(message for _, message in err.value.violations)
+    with pytest.raises(FsmcError) as err:
+        dataclasses.replace(parse_fsmc(CHANNEL), initial="z")
+    assert err.value.violations == [("initial", "initial state 'z' is not a state")]
+
+
+UNCOMMENTED = GOOD[GOOD.index("states:"):]   # states on line 1, matrix a on line 5
+
+
+def test_pfa_violations_are_reported_in_file_order():
+    # the validator lists tables before the accepting states; the file does not
+    text = (UNCOMMENTED.replace("accepting: q3", "accepting: q9")
+            .replace("0 0 1/2\nmatrix b", "0 0 1/10\nmatrix b"))
+    with pytest.raises(FormatError) as err:
+        parse_pfa(text, source="two.pfa")
+    assert str(err.value) == "two.pfa:4: accepting state 'q9' is not a state"
+    # a bad table before a missing one: the table's header line
+    text = UNCOMMENTED[:UNCOMMENTED.index("matrix b:")].replace("0 0 1/2", "0 0 1/10")
+    with pytest.raises(FormatError) as err:
+        parse_pfa(text, source="two.pfa")
+    assert str(err.value) == "two.pfa:5: matrix 'a' column 2 ('q3') sums to 3/5"
+
+
+def test_fsmc_violations_are_reported_in_file_order():
+    missing_state_table = CHANNEL[:CHANNEL.index("state u:")]
+    with pytest.raises(FormatError) as err:
+        parse_fsmc(missing_state_table.replace("outputs: 0 1", "outputs: 0 0"), source="two.fsmc")
+    assert str(err.value) == "two.fsmc:2: duplicate output symbols"
+    with pytest.raises(FormatError) as err:
+        parse_fsmc(missing_state_table.replace("1 1/2\n0 1/2", "1 1/2\n1 1/2"), source="two.fsmc")
+    assert str(err.value) == "two.fsmc:5: output table 'u' column 0 ('s') sums to 2"
+    # the state table written before the output table: the validator lists
+    # the output table first, the file the state table
+    swapped = CHANNEL.replace("output u:\n1 1/2\n0 1/2\nstate u:\n1 0\n0 1",
+                              "state u:\n1 0\n1 1\noutput u:\n1 1/2\n1 1/2")
+    with pytest.raises(FormatError) as err:
+        parse_fsmc(swapped, source="two.fsmc")
+    assert str(err.value) == "two.fsmc:5: state table 'u' column 0 ('s') sums to 2"
+
+
+def test_a_layout_error_wins_over_an_earlier_violation():
+    text = UNCOMMENTED.replace("states: q1 q2 q3", "states: q1 q1 q3").replace("1/2 0 1/2", "1/2 x 1/2")
+    with pytest.raises(FormatError) as err:
+        parse_pfa(text, source="bad.pfa")
+    assert str(err.value) == "bad.pfa:7: matrix 'a': not a rational: 'x'"
+    text = CHANNEL.replace("states: s t", "states: s s").replace("state u:\n1 0\n0 1", "state u:\n1 0")
+    with pytest.raises(FormatError) as err:
+        parse_fsmc(text, source="bad.fsmc")
+    assert str(err.value) == "bad.fsmc: unexpected end of file inside state table 'u'"
