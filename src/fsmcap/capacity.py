@@ -15,9 +15,9 @@ from fractions import Fraction
 from operator import mul, sub
 from typing import Optional, Sequence
 
-from .fsmc import Fsmc, lifted_automaton
+from .fsmc import Fsmc
 from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, IntColumns, Pfa, _numerators, _step,
-                  brute_force_value, freeze_and_reset)
+                  brute_force_value)
 
 
 class _Numpy:
@@ -330,17 +330,17 @@ def _prefix_profiles(a: Pfa,
     agreement profile of P(prefix mask, acc(s_m) = b).  The word's value is
     the mass of acc(s_m) = 1.  The cost is O(2^m) exact work, whatever n.
     Consecutive periods are i.i.d. because the reset sends every state to
-    the initial law, which is checked on its matrix.  The walk spans m + 1
-    slots, which the block budget bounds."""
+    the initial law, which is checked on its matrix, as the freeze is, once
+    per automaton (`Pfa.reserved_matches`).  The walk spans m + 1 slots,
+    which the block budget bounds."""
     m = len(sched.word)
     if m + 1 > BLOCK_BUDGET:
         raise CapacityError(f"word of length {m} walks {m + 1} slots, over the block "
                             f"budget {BLOCK_BUDGET}")
-    freeze, reset = freeze_and_reset(a)
-    if sched.free_slots > 1 and a.matrix(FREEZE_SYMBOL) != freeze:
+    if sched.free_slots > 1 and not a.reserved_matches(FREEZE_SYMBOL):
         raise CapacityError(f"control {FREEZE_SYMBOL!r} is not the identity, so the free "
                             "slots do not hold the state the word reaches")
-    if a.matrix(RESET_SYMBOL) != reset:
+    if not a.reserved_matches(RESET_SYMBOL):
         raise CapacityError("consecutive blocks are not identically distributed "
                             "(schedule does not end in a reset?)")
     # slot m outputs by acc(s_m); its control, the reset, moves the state
@@ -501,6 +501,11 @@ class ConverseReport:
 # The converse's float pass takes trials in chunks whose largest
 # intermediate holds about this many float64 entries (128 KiB), or one
 # trial's worth where that is more (512 KiB at n = 6 with four controls).
+# 2^16 would run 64 trials a chunk at n = 4, not 16, and 100 trials on a
+# lifted coin took 1.24 ms against 1.43 ms (best of 30 alternating runs,
+# 2-core x86), but at n = 5 the batched products of 8 trials sum in
+# another order than those of 2, and the statistics move by up to 6e-15
+# on d_25, d_34 and two lifted coins, so the size stays.
 _CONVERSE_CHUNK_ENTRIES = 1 << 14
 
 
@@ -687,9 +692,10 @@ def capacity_bracket(a: Pfa, delta, budget: BracketBudget = BracketBudget(),
     suggested = math.ceil(min(n_max, (1 + max(0.0, v - 2 * delta) * m) / delta))
     candidates = {n_max, max(1, suggested)}
     # the factored law depends on the word alone; building it for the
-    # longest schedule runs the word, freeze and reset guards once for all
+    # longest schedule runs the word, freeze and reset guards once for all,
+    # on the lifted automaton that `a` builds once and keeps
     profiles = _float_prefix_profiles(
-        lifted_automaton(a), ControlSchedule(word=word, free_slots=max(candidates)))
+        a._lifted, ControlSchedule(word=word, free_slots=max(candidates)))
     lower = 0.0
     provenance = {"m": m, "n": 0, "delta": delta, "word": "".join(word)}
     for n_free in sorted(candidates):
@@ -823,9 +829,12 @@ def _hoeffding_bound(n: int, c_n: float, delta: float, eta: float, val: float) -
 # below the uniform, in uint8, when the spectrum has at most this many
 # atoms, by binary search above it.  Counting makes one pass per cut point
 # and binary search about log2(atoms); in the demo's row blocks on a 2-core
-# x86 machine (numpy 2.4.6, 640k draws) counting took 61 ms against 72 ms
-# at 192 atoms and 83 ms against 76 ms at 255, so the cutoff sits at the
-# last size measured faster, well inside what uint8 can count.
+# x86 machine (numpy 2.4.6, 640k draws, best of 6 to 14 alternating runs,
+# both paths gathering through an intp index) counting took 46 ms against
+# 50 ms at 192 atoms and 35-54 ms against 42-55 ms at 224, while at 240
+# and 255 either path came out ahead by run.  A cutoff past 192 would gain
+# little against that noise on spectra that size, so it stays, well inside
+# what uint8 can count.
 _DEMO_BLOCK_ENTRIES = 1 << 15
 _DEMO_COUNT_ATOMS = 192
 
@@ -841,7 +850,10 @@ def _density_sums(values: np.ndarray, probs: np.ndarray, m_blocks: int, samples:
     rng.random(shape).  Here u comes in row blocks of each chunk, which in
     row-major order are the same uniforms, and the index searchsorted finds,
     the number of cut points at or below u, is counted directly when there
-    are few atoms.  The last cut point is 1 > u, so it never counts."""
+    are few atoms.  The last cut point is 1 > u, so it never counts.  The
+    uint8 counts are widened to intp before the gather, which numpy does
+    about three times faster through an intp index (0.56 against 1.78 ms
+    for 640k draws on a 2-core x86) than through a uint8 one."""
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     count = len(cdf) <= _DEMO_COUNT_ATOMS
@@ -858,6 +870,7 @@ def _density_sums(values: np.ndarray, probs: np.ndarray, m_blocks: int, samples:
                 idx = np.zeros(u.shape, dtype=np.uint8)
                 for cut in cdf[:-1]:
                     idx += u >= cut
+                idx = idx.astype(np.intp)
             else:
                 idx = cdf.searchsorted(u, side="right")
             sums[lo:lo + len(u)] += values[idx].sum(axis=1)

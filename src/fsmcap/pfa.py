@@ -18,8 +18,10 @@ the search bound `_HorizonBound`).  An automaton builds its integer columns
 and their denominators once, on first use, and keeps them (`Pfa.columns`),
 with the bounds that let the word search skip subtrees that cannot beat the
 best value so far: the state-observed horizon bound and its blind-lookahead
-sets (`_HorizonBound`).  Its matrices are a `ReadOnlyDict`, so none of these
-can go stale.
+sets (`_HorizonBound`).  It also keeps, each built on first use, whether its
+reserved symbols are the freeze and the reset (`Pfa.reserved_matches`) and
+the automaton its channel lift carries (`fsmc.lifted_automaton`).  Its
+matrices are a `ReadOnlyDict`, so none of these can go stale.
 """
 
 from __future__ import annotations
@@ -192,6 +194,29 @@ class Pfa:
     def _horizon(self) -> _HorizonBound:
         # not a field, like _columns
         return _HorizonBound(self)
+
+    @cached_property
+    def _reserved(self) -> dict[str, bool]:
+        # not a field, like _columns
+        built = dict(zip((FREEZE_SYMBOL, RESET_SYMBOL), freeze_and_reset(self)))
+        return {sym: self.matrices.get(sym) == m for sym, m in built.items()}
+
+    def reserved_matches(self, symbol: str) -> bool:
+        """Whether the matrix of a reserved symbol, `FREEZE_SYMBOL` or
+        `RESET_SYMBOL`, is the one `freeze_and_reset` builds: the identity,
+        or the reset to the initial law.  Both are compared on first use and
+        kept with the automaton; a symbol the automaton lacks raises
+        PfaError, as `matrix` does."""
+        self.matrix(symbol)
+        return self._reserved[symbol]
+
+    @cached_property
+    def _lifted(self) -> Pfa:
+        # not a field, like _columns: the automaton the channel lift carries
+        # (`fsmc.lifted_automaton`, which imports this module), built on
+        # first use; an automaton the lift refuses raises on every use
+        from .fsmc import lifted_automaton
+        return lifted_automaton(self)
 
 
 def make_pfa(states, alphabet, matrices, initial, accepting) -> Pfa:

@@ -20,7 +20,7 @@ from fsmcap.capacity import (BlockChannel, BracketBudget, CapacityError,
                              stability_schedule)
 from fsmcap.fsmc import FsmcError, build_V, lift, unlift
 from fsmcap.gadgets import build_D_xy
-from fsmcap.pfa import gamma, make_pfa
+from fsmcap.pfa import PfaError, gamma, make_pfa
 from oracles import naive_block_table
 from test_pfa import small_pfas
 
@@ -629,6 +629,18 @@ def test_demo_draws_equal_generator_choice(always_accept, word, atoms, m_blocks,
         assert spectrum_concentration_demo(*args) == naive_concentration_demo(*args)
 
 
+@pytest.mark.parametrize("word, atoms", [(("b", "b"), 2), (("a", "a"), 3)])
+def test_coin_demo_draws_equal_generator_choice(word, atoms):
+    # the spectrum sizes of the benchmark's lifted coins, on the counting path
+    from oracles import naive_concentration_demo
+    ch = lift(build_D_xy(F(5, 6), H))
+    sched = ControlSchedule(word=word, free_slots=7)
+    assert len(block_spectrum(ch, sched)[0]) == atoms
+    for seed, val in ((0, None), (9, 0.3)):
+        args = (ch, sched, 64, 1.5, 0.1, 2000, seed, val)
+        assert spectrum_concentration_demo(*args) == naive_concentration_demo(*args)
+
+
 @pytest.mark.parametrize("word, m_blocks, samples", [((), 32, 2000), (("u", "v"), 64, 3000)])
 def test_one_draw_serves_every_eta(always_accept, word, m_blocks, samples):
     from oracles import naive_concentration_demo
@@ -892,3 +904,102 @@ def test_converse_n6_within_memory_bound(d_25):
     assert report.passed and report.trials == 100
     # every intermediate is live inside this peak
     assert peak < 64 * 2 ** 20
+
+
+def _with_matrix(p, symbol, m, alphabet=None):
+    """p with `symbol`'s matrix replaced by m (or added, with `alphabet`)."""
+    return dataclasses.replace(p, alphabet=alphabet or p.alphabet,
+                               matrices={**p.matrices, symbol: m})
+
+
+def test_each_automaton_checks_its_reserved_symbols_once(monkeypatch):
+    # the rates and the spectrum check the channel's automaton once; the
+    # bracket lifts the coin once and checks that lift once
+    import fsmcap.fsmc as fsmc
+    import fsmcap.pfa as pfa
+    coin = build_D_xy(F(5, 6), H)
+    ch = build_V(gamma(coin))
+    built = _count_calls(monkeypatch, "freeze_and_reset", pfa)
+    compared = _count_calls(monkeypatch, "freeze_and_reset", fsmc)
+    for _ in range(2):
+        achievable_rate(ch, ("a", "b"), 7)
+        achievable_rate(ch, ("b", "a"), 5, input_mode="ba")
+        capacity_bracket(coin, 0.1, BracketBudget(word_len=4, block=12))
+        block_spectrum(ch, ControlSchedule(word=("a",), free_slots=7))
+    automata = [args[0] for args in built + compared]
+    assert len(automata) == len({id(p) for p in automata}) == 3
+    assert any(p is ch.automaton for p in automata) and any(p is coin for p in automata)
+
+
+def test_repeated_brackets_lift_each_automaton_once(monkeypatch, d_25):
+    import fsmcap.fsmc as fsmc
+    import fsmcap.pfa as pfa
+    runs = [(6, 0.1), (12, 0.05), (9, 0.2)]
+    fresh = [dataclasses.replace(d_25), dataclasses.replace(build_D_xy(F(1, 4), H))]
+    # each on a copy of its own, which lifts itself
+    want = [[capacity_bracket(dataclasses.replace(a), delta, BracketBudget(word_len=4, block=block))
+             for block, delta in runs] for a in fresh]
+    lifts = _count_calls(monkeypatch, "lifted_automaton", fsmc)
+    gammas = _count_calls(monkeypatch, "gamma", fsmc)
+    checks = _count_calls(monkeypatch, "check_pfa", pfa)
+    for a, reports in zip(fresh, want):
+        assert [capacity_bracket(a, delta, BracketBudget(word_len=4, block=block))
+                for block, delta in runs] == reports
+    assert len(lifts) == len(gammas) == len(checks) == len(fresh)
+
+
+def test_a_replaced_automaton_builds_its_own_caches(d_34):
+    lifted = lift(d_34).automaton
+    assert lifted.reserved_matches("rt") and lifted.columns("a")
+    broken = _with_matrix(lifted, "rt", lifted.matrices["a"])
+    assert not {"_reserved", "_columns"} & set(vars(broken))
+    assert not broken.reserved_matches("rt") and broken.reserved_matches("id")
+    assert lifted.reserved_matches("rt")
+    a = dataclasses.replace(d_34)
+    capacity_bracket(a, 0.1, BracketBudget(word_len=3, block=8))
+    copy = dataclasses.replace(a)
+    assert "_lifted" not in vars(copy)
+    assert copy._lifted == a._lifted and copy._lifted is not a._lifted
+
+
+def test_reserved_checks_refuse_on_every_call(d_34):
+    lifted = lift(d_34).automaton
+    n = lifted.n_states
+    no_reset = build_V(_with_matrix(lifted, "rt", lifted.matrices["a"]))
+    no_freeze = build_V(_with_matrix(lifted, "id", lifted.matrices["a"]))
+    identity = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+    freeze_only = build_V(_with_matrix(d_34, "id", identity, d_34.alphabet + ("id",)))
+    bare = build_V(d_34)
+    stationary = "^consecutive blocks are not identically distributed"
+    for ch, free, error, match in (
+            (no_reset, 3, CapacityError, stationary),
+            (no_reset, 1, CapacityError, stationary),
+            (no_freeze, 3, CapacityError, "^control 'id' is not the identity, so the free "
+                                          "slots do not hold the state the word reaches$"),
+            (freeze_only, 3, PfaError, "^unknown symbol 'rt'$"),
+            (bare, 3, PfaError, "^unknown symbol 'id'$"),
+            (bare, 1, PfaError, "^unknown symbol 'rt'$")):
+        sched = ControlSchedule(word=("a",), free_slots=free)
+        for call in (lambda: achievable_rate(ch, sched.word, free),
+                     lambda: achievable_rate(ch, sched.word, free, input_mode="ba"),
+                     lambda: block_spectrum(ch, sched)) * 2:
+            with pytest.raises(error, match=match):
+                call()
+    # the freeze is checked only where a free slot follows another
+    assert achievable_rate(no_freeze, ("a",), 1) == achievable_rate(lift(d_34), ("a",), 1)
+
+
+def test_bracket_refuses_what_the_lift_refuses_on_every_call(d_34):
+    split = make_pfa(["s", "t"], ["a"], {"a": [[H, H], [H, H]]}, [H, H], ["t"])
+    reset_only = dataclasses.replace(d_34, alphabet=("a", "rt"),
+                                     matrices={"a": d_34.matrices["a"], "rt": d_34.matrices["b"]})
+    lifted = lift(d_34).automaton
+    not_reset = _with_matrix(lifted, "rt", lifted.matrices["a"])
+    for p, error, match in (
+            (split, FsmcError, "^channel lift needs a deterministic initial distribution$"),
+            (reset_only, PfaError, "^alphabet already contains reserved symbol 'rt'$"),
+            (not_reset, PfaError, "^symbols 'id' and 'rt' are not the freeze and the reset "
+                                  "of the automaton$")):
+        for _ in range(3):
+            with pytest.raises(error, match=match):
+                capacity_bracket(p, 0.1, BracketBudget(word_len=3, block=8))
