@@ -4,11 +4,10 @@ experiments."""
 __version__ = "0.1.0"
 
 from .pfa import (BudgetError, Pfa, PfaError, SearchResult, brute_force_value,
-                  emptiness_semidecide, evolve, frac, gamma, make_pfa, reach_mass,
-                  reach_prob, reduce_extended_word, validate_pfa, value)
+                  emptiness_semidecide, evolve, frac, gamma, make_pfa,
+                  reduce_extended_word, validate_pfa, value)
 from .gadgets import (GadgetError, SigmaCode, SigmaError, build_B_p, build_C_p,
-                      build_D_Ay, build_D_xy, build_family_member,
-                      dxy_block_word, dxy_reach_closed_form, sigma_decode,
+                      build_D_Ay, build_D_xy, build_family_member, sigma_decode,
                       sigma_encode)
 from .witness import (ClosedFormMismatch, WitnessError, WitnessReport,
                       c_epsilon, solve_b, synthesize_word, synthesize_words,

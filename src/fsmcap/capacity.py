@@ -263,8 +263,9 @@ def _pattern_step(cols: IntColumns, accepting: list[int],
     return nxt
 
 
-def _pattern_law(a: Pfa, controls: Sequence[str]) -> dict[int, Fraction]:
-    """Acceptance-pattern law along `controls`, from the initial law."""
+def _pattern_law(a: Pfa, controls: Sequence[str]) -> tuple[dict[int, int], int]:
+    """Acceptance-pattern law along `controls`, from the initial law, as
+    integer numerators per mask over one denominator."""
     accepting = [int(s in a.accepting) for s in a.states]
     start, den = _numerators(a.initial)
     frontier = {0: start}
@@ -272,7 +273,7 @@ def _pattern_law(a: Pfa, controls: Sequence[str]) -> dict[int, Fraction]:
         cols, factor = a.columns(c)
         frontier = _pattern_step(cols, accepting, frontier, t)
         den *= factor
-    return {mask: Fraction(sum(vec), den) for mask, vec in frontier.items()}
+    return {mask: sum(vec) for mask, vec in frontier.items()}, den
 
 
 def accept_pattern_dist(ch: Fsmc, controls: Sequence[str]) -> dict[int, Fraction]:
@@ -282,7 +283,8 @@ def accept_pattern_dist(ch: Fsmc, controls: Sequence[str]) -> dict[int, Fraction
     accepting.  The state trajectory ignores the data input, so this is the
     whole memory the block channel has.
     """
-    return _pattern_law(ch.automaton, controls)
+    law, den = _pattern_law(ch.automaton, controls)
+    return {mask: Fraction(x, den) for mask, x in law.items()}
 
 
 def _subset_sums(law: dict[int, int], length: int) -> list[int]:
@@ -345,10 +347,9 @@ def _prefix_profiles(a: Pfa,
                             "(schedule does not end in a reset?)")
     # slot m outputs by acc(s_m); its control, the reset, moves the state
     # after that, to where the period ends
-    law = _pattern_law(a, tuple(sched.word) + (RESET_SYMBOL,))
-    nums, den = _numerators(law.values())
+    law, den = _pattern_law(a, tuple(sched.word) + (RESET_SYMBOL,))
     laws: tuple[dict[int, int], dict[int, int]] = ({}, {})
-    for mask, x in zip(law, nums):
+    for mask, x in law.items():
         laws[mask >> m][mask & ((1 << m) - 1)] = x
     return (_subset_sums(laws[0], m), _subset_sums(laws[1], m), den << m,
             Fraction(sum(laws[1].values()), den))
@@ -501,11 +502,10 @@ class ConverseReport:
 # The converse's float pass takes trials in chunks whose largest
 # intermediate holds about this many float64 entries (128 KiB), or one
 # trial's worth where that is more (512 KiB at n = 6 with four controls).
-# 2^16 would run 64 trials a chunk at n = 4, not 16, and 100 trials on a
-# lifted coin took 1.24 ms against 1.43 ms (best of 30 alternating runs,
-# 2-core x86), but at n = 5 the batched products of 8 trials sum in
-# another order than those of 2, and the statistics move by up to 6e-15
-# on d_25, d_34 and two lifted coins, so the size stays.
+# A trial's floats do not depend on its chunk, so the size moves only speed
+# and memory: 2^16 would run 64 trials a chunk at n = 4, not 16, and 100
+# trials on a lifted coin took 1.24 ms against 1.43 ms (best of 30
+# alternating runs, 2-core x86), for four times the memory.
 _CONVERSE_CHUNK_ENTRIES = 1 << 14
 
 
@@ -588,7 +588,9 @@ def _converse_trial_stats(a: Pfa, n: int, trials: int, seed: int):
         p_c = np.ones((k, 1))
         for t in range(n):
             p_c = (p_c[:, :, None] * marginal[lo:lo + k, t, None, :]).reshape(k, -1)
-        h_y_given_x[lo:lo + k] = p_c @ rows
+        # a row-wise sum, not a product with the chunk: the floats must not
+        # depend on how many trials share it
+        h_y_given_x[lo:lo + k] = (p_c * rows).sum(axis=1)
         # p_y[k, r, y]: slots t.. contracted into y, slots ..t-1 still in r
         p_y = joint @ f[:, n - 1].swapaxes(1, 2)
         for t in reversed(range(n - 1)):

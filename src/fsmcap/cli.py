@@ -179,6 +179,10 @@ def cmd_gadget(run: Run, args) -> int:
 
 
 def cmd_witness(run: Run, args) -> int:
+    if args.pfa and args.x is not None:
+        raise CliError("--x is for plain mode; with --pfa, x is the value of --word")
+    if not args.pfa and args.word is not None:
+        raise CliError("--word is for lifted mode and needs --pfa")
     run.param(x=args.x, eps=args.eps, k=args.k, y=args.y, word=args.word)
     kwargs = dict(eps=pfa.frac(args.eps), y=pfa.frac(args.y))
     if args.pfa:
@@ -288,7 +292,12 @@ def cmd_capacity_converse(run: Run, args) -> int:
 
 def cmd_capacity_stability(run: Run, args) -> int:
     """Schedule table, then with --demo one line per eta; every demo runs
-    before anything is printed, so a bad argument leaves stdout empty."""
+    before anything is printed, so a bad argument leaves stdout empty.
+    Without --demo, the demo's --pfa, --word and --csv are refused."""
+    if not args.demo:
+        for flag, given in (("--pfa", args.pfa), ("--word", args.word), ("--csv", args.csv)):
+            if given is not None:
+                raise CliError(f"{flag} is for the demo and needs --demo")
     n_list = [_number(int, tok, "--n-list") for tok in args.n_list.replace(",", " ").split()]
     run.param(val=args.val, delta=args.delta, n_list=n_list)
     schedule = capacity.stability_schedule(args.val, args.delta, n_list)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional
 
 from .fsmc import Fsmc, FsmcError
@@ -172,19 +171,6 @@ def decode_text(data: bytes, source) -> str:
         return data.decode()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{source}: not a UTF-8 text file ({exc.reason})") from None
-
-
-def _read_text(path: Path) -> str:
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise FormatError(f"{path}: cannot read ({exc.strerror})") from None
-    return decode_text(data, path)
-
-
-def load_pfa(path) -> Pfa:
-    path = Path(path)
-    return parse_pfa(_read_text(path), source=str(path))
 
 
 def parse_fsmc(text: str, source: str = "<string>") -> Fsmc:

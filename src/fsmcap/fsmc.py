@@ -15,8 +15,8 @@ from functools import cached_property
 from typing import Sequence
 
 from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Matrix, Pfa, PfaError, ReadOnlyDict,
-                  duplicate_violations, freeze_and_reset, gamma,
-                  membership_violations, raise_violations, table_violations)
+                  duplicate_violations, gamma, membership_violations, raise_violations,
+                  table_violations)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -197,15 +197,15 @@ def lifted_automaton(p: Pfa) -> Pfa:
     back, built without the channel and refused wherever `lift` refuses.
 
     It is gamma(p), unless `p` already has both reserved symbols, which must
-    then be the identity and the reset to the initial law; gamma refuses an
-    automaton with only one, and builds both as they must be.  The initial
-    law must be a point mass.
+    then be the identity and the reset to the initial law
+    (`Pfa.reserved_matches`); gamma refuses an automaton with only one, and
+    builds both as they must be.  The initial law must be a point mass.
     """
     carried = FREEZE_SYMBOL in p.alphabet and RESET_SYMBOL in p.alphabet
     if not carried:
         p = gamma(p)
     _initial_state(p)
-    if carried and (p.matrices[FREEZE_SYMBOL], p.matrices[RESET_SYMBOL]) != freeze_and_reset(p):
+    if carried and not (p.reserved_matches(FREEZE_SYMBOL) and p.reserved_matches(RESET_SYMBOL)):
         raise PfaError(f"symbols {FREEZE_SYMBOL!r} and {RESET_SYMBOL!r} are not the freeze "
                        "and the reset of the automaton")
     return p

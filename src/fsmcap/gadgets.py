@@ -227,20 +227,11 @@ def build_family_member(a: Pfa, lam) -> Pfa:
     return gamma(build_D_Ay(a, lam / 2))
 
 
-def dxy_block_word(lengths: Sequence[int]) -> tuple[str, ...]:
-    """The word a^{n1} b a^{n2} b ... a^{nt} b."""
-    word: list[str] = []
-    for n in lengths:
-        if n < 1:
-            raise GadgetError(f"block length {n} must be >= 1")
-        word.extend(["a"] * n)
-        word.append("b")
-    return tuple(word)
-
-
 def dxy_reach_closed_forms(x, lengths: Sequence[int]) -> Iterator[tuple[Fraction, Fraction]]:
-    """`dxy_reach_closed_form` of every prefix of `lengths`, the empty one
-    first, as running products: one power of x and one of 1-x per block."""
+    """Exact success-class and failure-sink reach probabilities for the block
+    word a^{n1} b ... a^{nt} b of every prefix of `lengths`, the empty one
+    first: (1 - prod(1 - x^{n_i}), 1 - prod(1 - (1-x)^{n_i})), as running
+    products, one power of x and one of 1-x per block."""
     x = frac(x)
     survive = ONE
     caught = ONE
@@ -249,14 +240,6 @@ def dxy_reach_closed_forms(x, lengths: Sequence[int]) -> Iterator[tuple[Fraction
         survive *= 1 - x ** n
         caught *= 1 - (1 - x) ** n
         yield ONE - survive, ONE - caught
-
-
-def dxy_reach_closed_form(x, lengths: Sequence[int]) -> tuple[Fraction, Fraction]:
-    """Exact success-class and failure-sink reach probabilities for the block
-    word a^{n1} b ... a^{nt} b: (1 - prod(1 - x^{n_i}),
-    1 - prod(1 - (1-x)^{n_i}))."""
-    *_, last = dxy_reach_closed_forms(x, lengths)
-    return last
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ matrices are integer numerators over one common denominator, and a Fraction
 is built only for what is returned.  One kernel holds that form: `_numerators`
 converts (the validation checks, `_int_columns`, the start of every walk,
 `capacity.agreement_profile`); `_step` moves a row by a symbol's sparse
-integer columns (`mat_vec`; `_advance` behind `evolve`, `value`, the reach
-probabilities and `witness`; the word search `_walk`; the acceptance-pattern
+integer columns (`mat_vec`; `_advance` behind `evolve`, `value` and
+`witness`; the word search `_walk`; the acceptance-pattern
 walks of `capacity`); `_reduced` divides vectors and their denominator by
 their gcd, and `_on_grid` also rounds them up onto a dyadic grid (`_advance`,
 the search bound `_HorizonBound`).  An automaton builds its integer columns
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import le, mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 FREEZE_SYMBOL = "id"
 RESET_SYMBOL = "rt"
@@ -404,29 +404,10 @@ def evolve(p: Pfa, word: Iterable[str], start: Optional[Sequence[Fraction]] = No
     return tuple([Fraction(x, den) for x in row])
 
 
-def accept_mass(p: Pfa, dist: Sequence[Fraction]) -> Fraction:
-    return sum((x for s, x in zip(p.states, dist) if s in p.accepting), ZERO)
-
-
 def value(p: Pfa, word: Iterable[str]) -> Fraction:
     """Probability that reading `word` from the initial distribution accepts."""
     row, den = _moved(p, word, p.initial)
     return Fraction(sum(x for s, x in zip(p.states, row) if s in p.accepting), den)
-
-
-def point_dist(p: Pfa, state: str) -> Vector:
-    i = p.state_index(state)
-    return tuple(ONE if j == i else ZERO for j in range(p.n_states))
-
-
-def reach_prob(p: Pfa, src: str, word: Iterable[str], dst: str) -> Fraction:
-    """Probability of sitting in `dst` after reading `word` from `src`."""
-    return reach_mass(p, src, word, (dst,))
-
-
-def reach_mass(p: Pfa, src: str, word: Iterable[str], dsts: Iterable[str]) -> Fraction:
-    row, den = _moved(p, word, point_dist(p, src))
-    return Fraction(sum(row[p.state_index(d)] for d in dsts), den)
 
 
 def freeze_and_reset(p: Pfa) -> tuple[Matrix, Matrix]:
@@ -467,14 +448,6 @@ def count_words(n_symbols: int, max_len: int) -> int:
     if n_symbols <= 1:
         return max_len + 1
     return (n_symbols ** (max_len + 1) - 1) // (n_symbols - 1)
-
-
-def iter_words(alphabet: Sequence[str], max_len: int) -> Iterator[Word]:
-    """All words of length <= max_len, shortest first, lexicographic within a
-    length (in alphabet order)."""
-    for length in range(max_len + 1):
-        for combo in itertools.product(alphabet, repeat=length):
-            yield combo
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ enumeration of words and acceptance patterns, and a 50-digit evaluation of
 the length formulas.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +60,24 @@ def naive_law(automaton, src, word) -> dict:
 
 def naive_reach(automaton, src, word, dst) -> Fraction:
     return naive_law(automaton, src, word)[dst]
+
+
+def naive_mass(automaton, src, word, dsts) -> Fraction:
+    """Mass the law after `word` from a point mass on src puts on `dsts`."""
+    law = naive_law(automaton, src, word)
+    return sum((law[d] for d in dsts), Fraction(0))
+
+
+def shortlex_words(alphabet, max_len):
+    """All words of length <= max_len, shortest first, lexicographic within
+    a length (in alphabet order)."""
+    for length in range(max_len + 1):
+        yield from itertools.product(alphabet, repeat=length)
+
+
+def block_word(lengths) -> tuple:
+    """The coin gadget's block word a^{n1} b a^{n2} b ... a^{nt} b."""
+    return tuple(s for n in lengths for s in ("a",) * n + ("b",))
 
 
 @dataclass(frozen=True)

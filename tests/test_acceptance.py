@@ -18,11 +18,11 @@ from fsmcap.fsmc import build_V
 from fsmcap.gadgets import (FAMILY_TARGET_STATES, SKELETON_SIZE,
                             BOTTOM_FAIL_STATE, TOP_SUCCESS_CLASS, build_B_p,
                             build_C_p, build_D_xy, build_family_member,
-                            dxy_block_word, dxy_reach_closed_form,
-                            sigma_decode, sigma_encode)
-from fsmcap.pfa import (brute_force_value, gamma, iter_words, make_pfa,
-                        reach_mass, reach_prob, reduce_extended_word, value)
+                            dxy_reach_closed_forms, sigma_decode, sigma_encode)
+from fsmcap.pfa import (brute_force_value, evolve, gamma, make_pfa, mat_vec,
+                        reduce_extended_word, value)
 from fsmcap.witness import synthesize_word
+from oracles import block_word, shortlex_words
 
 F = Fraction
 H = F(1, 2)
@@ -46,7 +46,7 @@ def test_criterion_01_worked_example(example1):
 
 def test_criterion_02_amplification_identities(amp3):
     start = time.perf_counter()
-    words = list(iter_words(amp3.alphabet, 6))
+    words = list(shortlex_words(amp3.alphabet, 6))
     for p in (F(1, 3), H, F(4, 5)):
         b = build_B_p(amp3, p)
         c = build_C_p(amp3, p)
@@ -70,7 +70,6 @@ def test_criterion_03_lift_and_reduce_preserve_value(d_34):
     lifted = gamma(d_34)
     checked = 0
     level = [((), lifted.initial)]
-    from fsmcap.pfa import accept_mass, mat_vec
     for _ in range(6):
         nxt = []
         for word, dist in level:
@@ -78,7 +77,8 @@ def test_criterion_03_lift_and_reduce_preserve_value(d_34):
                 w = word + (sym,)
                 d = mat_vec(lifted.matrices[sym], dist)
                 nxt.append((w, d))
-                assert accept_mass(lifted, d) == value(lifted, reduce_extended_word(w))
+                accepted = sum(x for s, x in zip(lifted.states, d) if s in lifted.accepting)
+                assert accepted == value(lifted, reduce_extended_word(w))
                 checked += 1
         level = nxt
     elapsed = time.perf_counter() - start
@@ -104,6 +104,12 @@ def test_criterion_04_dichotomy_at_desk_scale(d_25):
               f"low-survival search max {search.best_value} <= 1/2; {elapsed:.1f} s")
 
 
+def _law_from(automaton, src, word) -> dict:
+    """The law after `word` from a point mass on src, keyed by state."""
+    start = [int(s == src) for s in automaton.states]
+    return dict(zip(automaton.states, evolve(automaton, word, start=start)))
+
+
 def test_criterion_05_closed_form_equivalence():
     start = time.perf_counter()
     checked = 0
@@ -111,10 +117,10 @@ def test_criterion_05_closed_form_equivalence():
         gadget = build_D_xy(x, H)
         for t in range(1, 5):
             for lengths in itertools.product(range(1, 6), repeat=t):
-                word = dxy_block_word(lengths)
-                top, bottom = dxy_reach_closed_form(x, lengths)
-                assert reach_mass(gadget, "q1", word, TOP_SUCCESS_CLASS) == top
-                assert reach_prob(gadget, "q4", word, BOTTOM_FAIL_STATE) == bottom
+                word = block_word(lengths)
+                *_, (top, bottom) = dxy_reach_closed_forms(x, lengths)
+                assert sum(_law_from(gadget, "q1", word)[s] for s in TOP_SUCCESS_CLASS) == top
+                assert _law_from(gadget, "q4", word)[BOTTOM_FAIL_STATE] == bottom
                 checked += 1
     elapsed = time.perf_counter() - start
     report(5, f"closed forms exact on {checked} (x, length-vector) cases, {elapsed:.1f} s")

@@ -750,6 +750,21 @@ def test_converse_trials_match_naive_loop(name, request):
                 assert abs(h - h_ref) <= 1e-12 and abs(rate - rate_ref) <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["d_25", "d_34"])
+def test_converse_trials_do_not_depend_on_batching(name, request, monkeypatch):
+    # a trial reads the same floats alone or among others, in chunks of any size
+    import fsmcap.capacity as capacity
+    a = gamma(request.getfixturevalue(name))
+    want = {n: capacity._converse_trial_stats(a, n, 12, 1) for n in (3, 5)}
+    for n, stats in want.items():
+        for trials in (1, 2, 5):
+            assert capacity._converse_trial_stats(a, n, trials, 1) == stats[:trials]
+    for entries in (1 << 8, 1 << 20):
+        monkeypatch.setattr(capacity, "_CONVERSE_CHUNK_ENTRIES", entries)
+        for n, stats in want.items():
+            assert capacity._converse_trial_stats(a, n, 12, 1) == stats
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_pfas(), st.data())
 def test_integer_pattern_walk_matches_the_fraction_walk(p, data):
@@ -757,7 +772,9 @@ def test_integer_pattern_walk_matches_the_fraction_walk(p, data):
 
     from fsmcap.capacity import _control_pattern_laws, _pattern_law
     controls = tuple(data.draw(st.lists(st.sampled_from(p.alphabet), max_size=5)))
-    assert _pattern_law(p, controls) == _naive_pattern_walk(p, controls, p.initial)[0]
+    law, den = _pattern_law(p, controls)
+    fractions = {mask: F(x, den) for mask, x in law.items()}
+    assert fractions == _naive_pattern_walk(p, controls, p.initial)[0]
     n = len(controls)
     if n == 0:
         return
@@ -914,19 +931,18 @@ def _with_matrix(p, symbol, m, alphabet=None):
 
 def test_each_automaton_checks_its_reserved_symbols_once(monkeypatch):
     # the rates and the spectrum check the channel's automaton once; the
-    # bracket lifts the coin once and checks that lift once
-    import fsmcap.fsmc as fsmc
+    # bracket lifts the coin once (gamma builds the pair for the coin) and
+    # checks that lift once
     import fsmcap.pfa as pfa
     coin = build_D_xy(F(5, 6), H)
     ch = build_V(gamma(coin))
     built = _count_calls(monkeypatch, "freeze_and_reset", pfa)
-    compared = _count_calls(monkeypatch, "freeze_and_reset", fsmc)
     for _ in range(2):
         achievable_rate(ch, ("a", "b"), 7)
         achievable_rate(ch, ("b", "a"), 5, input_mode="ba")
         capacity_bracket(coin, 0.1, BracketBudget(word_len=4, block=12))
         block_spectrum(ch, ControlSchedule(word=("a",), free_slots=7))
-    automata = [args[0] for args in built + compared]
+    automata = [args[0] for args in built]
     assert len(automata) == len({id(p) for p in automata}) == 3
     assert any(p is ch.automaton for p in automata) and any(p is coin for p in automata)
 

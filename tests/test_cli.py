@@ -12,7 +12,7 @@ import pytest
 
 import fsmcap
 from fsmcap.cli import build_parser, main, parse_word
-from fsmcap.formats import format_rational, load_pfa, parse_pfa, serialize_fsmc, serialize_pfa
+from fsmcap.formats import format_rational, parse_pfa, serialize_fsmc, serialize_pfa
 from fsmcap.fsmc import lift
 from fsmcap import fixtures
 from test_formats import CHANNEL, CHANNEL_VIOLATIONS
@@ -116,7 +116,7 @@ def test_gadget_emission_round_trips(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "gadget", "dxy", "--x", "3/4", "--y", "1/2",
                          "--out", out_file)
     assert code == 0
-    emitted = load_pfa(out_file)
+    emitted = parse_pfa(out_file.read_text())
     assert emitted == fixtures.d_34()
     manifest = json.loads(Path(str(out_file) + ".manifest.json").read_text())
     assert manifest["command"] == "gadget dxy"
@@ -315,6 +315,17 @@ def test_closed_form_mismatch_is_not_a_domain_error(monkeypatch):
     (["sigma", "encode", "20000/1"], "the code has more than 4300 digits"),
     (["sigma", "encode", "1/20000"], "the code has more than 4300 digits"),
     (["sigma", "decode", "7" * 5000, "--arity", "1"], "sigma code has more than 4300 digits"),
+    # flags a mode would ignore: a missing --pfa is not even read
+    (["capacity", "stability", "--val", "0.55", "--delta", "0.1", "--n-list", "8,8",
+      "--pfa", "missing.pfa"], "--pfa is for the demo and needs --demo"),
+    (["capacity", "stability", "--val", "0.55", "--delta", "0.1", "--n-list", "8,8",
+      "--word", "a"], "--word is for the demo and needs --demo"),
+    (["capacity", "stability", "--val", "0.55", "--delta", "0.1", "--n-list", "8,8",
+      "--csv", "st.csv"], "--csv is for the demo and needs --demo"),
+    (["witness", "--x", "9/10", "--pfa", "d_25.pfa", "--word", "aaa", "--eps", "1/10",
+      "--k", "3", "--csv", "w.csv"], "--x is for plain mode"),
+    (["witness", "--x", "3/4", "--word", "aaa", "--eps", "1/10", "--k", "3", "--csv", "w.csv"],
+     "--word is for lifted mode and needs --pfa"),
 ])
 def test_out_of_range_arguments_exit_1(capsys, tmp_path, monkeypatch, argv, fragment):
     for name in ("d_25.pfa", "bsc11.dmc"):

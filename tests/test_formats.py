@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fsmcap import fixtures
-from fsmcap.formats import (FormatError, format_rational, load_pfa, parse_dmc, parse_fsmc,
+from fsmcap.formats import (FormatError, format_rational, parse_dmc, parse_fsmc,
                             parse_pfa, serialize_fsmc, serialize_pfa)
 from fsmcap.fsmc import FsmcError, build_V
 from fsmcap.pfa import PfaError, frac, gamma, make_matrix, make_pfa, validate_pfa
@@ -204,11 +204,6 @@ def test_dmc_rejects_non_finite_entries(token):
     with pytest.raises(FormatError) as err:
         parse_dmc(f"1/2 1/2\n{token} 1\n", source="bad.dmc")
     assert str(err.value) == f"bad.dmc:2: not a finite number: {token!r}"
-
-
-def test_unreadable_path_is_a_format_error(tmp_path):
-    with pytest.raises(FormatError, match=f"{tmp_path}: cannot read"):
-        load_pfa(tmp_path)
 
 
 def test_bsc11_fixture():

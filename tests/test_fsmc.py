@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsmcap import fsmc as fsmc_module
+from fsmcap import pfa as pfa_module
 from fsmcap.fsmc import (Fsmc, FsmcError, build_V, lift, lifted_automaton, sample, unlift,
                          validate_fsmc)
 from fsmcap.gadgets import build_D_xy, build_family_member
@@ -212,14 +213,16 @@ def test_lifted_automaton_reads_as_the_lift(p, data):
 
 def test_lifted_automaton_checks_only_carried_reserved_symbols(monkeypatch, example1):
     # gamma builds the freeze and the reset as they must be; only an
-    # automaton that carried both is compared against them
+    # automaton that carried both is compared against them, once
+    # (`Pfa.reserved_matches`), however often it is lifted
     calls = []
-    original = fsmc_module.freeze_and_reset
-    monkeypatch.setattr(fsmc_module, "freeze_and_reset",
+    original = pfa_module.freeze_and_reset
+    monkeypatch.setattr(pfa_module, "freeze_and_reset",
                         lambda p: calls.append(p) or original(p))
     extended = lifted_automaton(example1)
-    assert not calls
-    assert lifted_automaton(extended) is extended and len(calls) == 1
+    assert calls == [example1]
+    assert lifted_automaton(extended) is extended and lifted_automaton(extended) is extended
+    assert len(calls) == 2 and calls[1] is extended
 
 
 def test_sample_deterministic(example1):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,13 +9,12 @@ from fsmcap.gadgets import (FAMILY_TARGET_STATES, SIGMA_DIGIT_BUDGET, SKELETON_S
                             BOTTOM_FAIL_STATE, BOTTOM_HOLD_CLASS,
                             TOP_SUCCESS_CLASS, GadgetError, SigmaCode,
                             SigmaError, build_B_p, build_C_p, build_D_Ay,
-                            build_D_xy, build_family_member, dxy_block_word,
-                            dxy_reach_closed_form, dxy_reach_closed_forms, first_primes,
-                            gadget_state_count, sigma_decode, sigma_encode)
+                            build_D_xy, build_family_member, dxy_reach_closed_forms,
+                            first_primes, gadget_state_count, sigma_decode, sigma_encode)
 from fsmcap.fsmc import lifted_automaton
-from fsmcap.pfa import (brute_force_value, iter_words, make_pfa, reach_mass,
-                        reach_prob, validate_pfa, value)
+from fsmcap.pfa import brute_force_value, make_pfa, validate_pfa, value
 from fsmcap.witness import synthesize_word
+from oracles import block_word, naive_mass, naive_reach, shortlex_words
 
 F = Fraction
 H = F(1, 2)
@@ -41,7 +41,7 @@ def test_dxy_zero_survival_never_succeeds():
     g = build_D_xy(0, F(1, 4))
     for n in range(1, 6):
         word = ("a",) * n + ("b",)
-        assert reach_mass(g, "q1", word, TOP_SUCCESS_CLASS) == 0
+        assert naive_mass(g, "q1", word, TOP_SUCCESS_CLASS) == 0
 
 
 def test_dxy_bb_words_have_value_exactly_y():
@@ -76,17 +76,19 @@ def test_dxy_closed_forms_match_simulation():
         g = build_D_xy(x, H)
         for t in (1, 2, 3):
             for lengths in itertools.product((1, 2, 4), repeat=t):
-                word = dxy_block_word(lengths)
-                top, bot = dxy_reach_closed_form(x, lengths)
-                assert reach_mass(g, "q1", word, TOP_SUCCESS_CLASS) == top
-                assert reach_prob(g, "q4", word, BOTTOM_FAIL_STATE) == bot
+                word = block_word(lengths)
+                *_, (top, bot) = dxy_reach_closed_forms(x, lengths)
+                assert naive_mass(g, "q1", word, TOP_SUCCESS_CLASS) == top
+                assert naive_reach(g, "q4", word, BOTTOM_FAIL_STATE) == bot
 
 
 def test_dxy_closed_forms_are_the_closed_form_of_every_prefix():
     for x in (F(0), F(3, 5), F(3, 4), F(1)):
         lengths = [1, 2, 2, 4, 7]
         forms = list(dxy_reach_closed_forms(x, lengths))
-        assert forms == [dxy_reach_closed_form(x, lengths[:t]) for t in range(len(lengths) + 1)]
+        assert forms == [(1 - math.prod(1 - x ** n for n in lengths[:t]),
+                          1 - math.prod(1 - (1 - x) ** n for n in lengths[:t]))
+                         for t in range(len(lengths) + 1)]
         assert forms[0] == (0, 0)
 
 
@@ -114,17 +116,17 @@ def test_day_single_block_identities(example1, always_accept):
             for w in itertools.product(inner.alphabet, repeat=length):
                 block = ("a",) + w + ("c",)
                 want = value(inner, w)
-                assert reach_prob(g, "q1", block, "q1") == want
-                assert reach_mass(g, "q4", block, BOTTOM_HOLD_CLASS) == want
+                assert naive_reach(g, "q1", block, "q1") == want
+                assert naive_mass(g, "q4", block, BOTTOM_HOLD_CLASS) == want
 
 
 def test_day_always_accepting_behaves_like_x_one(always_accept):
     g = build_D_Ay(always_accept, H)
     block = ("a", "a", "c")
-    assert reach_prob(g, "q1", block, "q1") == 1
+    assert naive_reach(g, "q1", block, "q1") == 1
     # after one separated group the success class is full
     word = block + ("b",)
-    assert reach_mass(g, "q1", word, TOP_SUCCESS_CLASS) == 1
+    assert naive_mass(g, "q1", word, TOP_SUCCESS_CLASS) == 1
 
 
 @pytest.mark.parametrize("y", [F(1, 4), H])
@@ -136,7 +138,7 @@ def test_day_races_like_the_coin(x, y):
                       [1, 0, 0], ["t"])
     lifted, coin = build_D_Ay(coin_x, y), build_D_xy(x, y)
     h = {"a": ("a", "a", "c"), "b": ("b",)}
-    for w in iter_words(("a", "b"), 8):
+    for w in shortlex_words(("a", "b"), 8):
         lifted_word = tuple(s for sym in w for s in h[sym])
         assert value(lifted, lifted_word) == value(coin, w), w
 
@@ -144,9 +146,9 @@ def test_day_races_like_the_coin(x, y):
 def test_day_c_routes_by_acceptance(example1):
     g = build_D_Ay(example1, H)
     # inner word b drives the copy onto the accepting state, so c returns home
-    assert reach_prob(g, "q1", ("a", "b", "c"), "q1") == 1
+    assert naive_reach(g, "q1", ("a", "b", "c"), "q1") == 1
     # inner word a leaves accepting mass 0, so c exits to the hold state
-    assert reach_prob(g, "q1", ("a", "a", "c"), "q2") == 1
+    assert naive_reach(g, "q1", ("a", "a", "c"), "q2") == 1
 
 
 def test_day_value_capped_when_no_positive_values(never_accept):
@@ -217,7 +219,7 @@ def test_amplifier_identities_exhaustive(amp3):
         b = build_B_p(amp3, p)
         c = build_C_p(amp3, p)
         assert validate_pfa(b) == [] and validate_pfa(c) == []
-        for word in iter_words(amp3.alphabet, 6):
+        for word in shortlex_words(amp3.alphabet, 6):
             want = value(amp3, word)
             if word:
                 assert value(b, word) == p * want

@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from fsmcap import fixtures, formats, fsmc, gadgets, pfa
 from fsmcap.pfa import (BudgetError, Pfa, PfaError, brute_force_value,
                         emptiness_semidecide, evolve, gamma, initial_violations,
-                        iter_words, make_pfa, mat_vec, reach_mass, reach_prob,
-                        reduce_extended_word, table_violations, validate_pfa, value)
+                        make_pfa, mat_vec, reduce_extended_word, table_violations,
+                        validate_pfa, value)
 import oracles
 from oracles import (naive_initial_violations, naive_mat_vec, naive_reach, naive_search,
-                     naive_table_violations, naive_value, naive_violations)
+                     naive_table_violations, naive_value, naive_violations, shortlex_words)
 
 F = Fraction
 H = F(1, 2)
@@ -120,20 +120,28 @@ def test_mass_conservation(example1, d_34):
             assert sum(dist, F(0)) == 1
 
 
+def _reach(p, src, word, dst):
+    """Probability of sitting in dst after `word` from a point mass on src,
+    by `evolve`."""
+    start = [int(s == src) for s in p.states]
+    return evolve(p, word, start=start)[p.state_index(dst)]
+
+
 def test_reach_prob_examples(example1):
-    assert reach_prob(example1, "q1", ("a",), "q2") == H
-    assert reach_prob(example1, "q2", (), "q2") == 1
+    assert _reach(example1, "q1", ("a",), "q2") == H
+    assert _reach(example1, "q2", (), "q2") == 1
     # two a-steps starting at q1 leave q3 empty; from q3 the self-loop
     # probability after two steps is 1/4 (cross-checked with the oracle)
-    assert reach_prob(example1, "q1", ("a", "a"), "q3") == 0
-    assert reach_prob(example1, "q3", ("a", "a"), "q3") == F(1, 4)
+    assert _reach(example1, "q1", ("a", "a"), "q3") == 0
+    assert _reach(example1, "q3", ("a", "a"), "q3") == F(1, 4)
     assert naive_reach(example1, "q1", ("a", "a"), "q3") == 0
     assert naive_reach(example1, "q3", ("a", "a"), "q3") == F(1, 4)
 
 
-def test_reach_prob_unknown_state(example1):
-    with pytest.raises(PfaError):
-        reach_prob(example1, "nope", ("a",), "q1")
+def test_state_index_unknown_state(example1):
+    assert example1.state_index("q3") == 2
+    with pytest.raises(PfaError, match="unknown state 'nope'"):
+        example1.state_index("nope")
 
 
 def test_gamma_counts(amp3):
@@ -235,8 +243,8 @@ def test_emptiness_semidecide(example1, never_accept):
         emptiness_semidecide(example1, F(3, 2), 3)
 
 
-def test_iter_words_order():
-    words = list(iter_words(("0", "1"), 2))
+def test_shortlex_words_order():
+    words = list(shortlex_words(("0", "1"), 2))
     assert words == [(), ("0",), ("1",), ("0", "0"), ("0", "1"),
                      ("1", "0"), ("1", "1")]
 
@@ -325,7 +333,7 @@ START_ENTRIES = st.one_of(st.integers(-3, 3),
 @given(small_pfas(max_den=7), st.data())
 @example(MIXED_DENOMINATORS, None)
 def test_integer_kernel_matches_the_nested_loop(p, data):
-    # evolve, value, reach_prob and reach_mass against the naive products,
+    # evolve and value against the naive products,
     # from the initial law and from start vectors that are not laws or hold ints
     if data is None:
         word, start = ("a", "b", "a", "a"), (2, F(-1, 3), 0)
@@ -346,8 +354,8 @@ def test_integer_kernel_matches_the_nested_loop(p, data):
     assert value(p, word) == naive_value(p, word)
     assert type(value(p, word)) is F
     src, dst = p.states[0], p.states[-1]
-    assert reach_prob(p, src, word, dst) == naive_reach(p, src, word, dst)
-    assert reach_mass(p, src, word, p.states) == 1
+    assert _reach(p, src, word, dst) == naive_reach(p, src, word, dst)
+    assert sum(_reach(p, src, word, s) for s in p.states) == 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -355,7 +363,7 @@ def test_integer_kernel_matches_the_nested_loop(p, data):
        st.fractions(min_value=0, max_value=1, max_denominator=8))
 def test_search_matches_full_enumeration(p, max_len, y):
     # Reference: every word, shortest first then lex, scored by the oracle.
-    scored = [(w, naive_value(p, w)) for w in iter_words(p.alphabet, max_len)]
+    scored = [(w, naive_value(p, w)) for w in shortlex_words(p.alphabet, max_len)]
     best_word, best_value = scored[0]
     for w, v in scored:
         if v > best_value:
