@@ -290,14 +290,22 @@ def cmd_capacity_converse(run: Run, args) -> int:
                  f"horizon n + 2 = {report.raised_horizon}: {_real(report.raised_val)}")
 
 
+# the demo's flags of `capacity stability`, with their defaults under --demo
+_DEMO_DEFAULTS = {"pfa": None, "word": None, "free": 4, "etas": "2", "samples": 10_000,
+                  "seed": 0, "csv": None}
+
+
 def cmd_capacity_stability(run: Run, args) -> int:
     """Schedule table, then with --demo one line per eta; every demo runs
     before anything is printed, so a bad argument leaves stdout empty.
-    Without --demo, the demo's --pfa, --word and --csv are refused."""
-    if not args.demo:
-        for flag, given in (("--pfa", args.pfa), ("--word", args.word), ("--csv", args.csv)):
-            if given is not None:
-                raise CliError(f"{flag} is for the demo and needs --demo")
+    Without --demo, the demo's flags are refused; with it, the ones not
+    given take their defaults (`_DEMO_DEFAULTS`)."""
+    for dest, default in _DEMO_DEFAULTS.items():
+        given = getattr(args, dest)
+        if not args.demo and given is not None:
+            raise CliError(f"--{dest} is for the demo and needs --demo")
+        if given is None:
+            setattr(args, dest, default)
     n_list = [_number(int, tok, "--n-list") for tok in args.n_list.replace(",", " ").split()]
     run.param(val=args.val, delta=args.delta, n_list=n_list)
     schedule = capacity.stability_schedule(args.val, args.delta, n_list)
@@ -447,10 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--demo", action="store_true")
     q.add_argument("--pfa")
     q.add_argument("--word")
-    q.add_argument("--free", type=int, default=4)
-    q.add_argument("--etas", default="2")
-    q.add_argument("--samples", type=int, default=10_000)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--free", type=int)
+    q.add_argument("--etas")
+    q.add_argument("--samples", type=int)
+    q.add_argument("--seed", type=int)
     q.add_argument("--csv")
     q.set_defaults(handler=cmd_capacity_stability)
 

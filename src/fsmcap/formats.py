@@ -11,10 +11,13 @@ Automaton files look like::
     1/2 0 1/2
     0 0 1/2
 
-Rationals are written ``p/q`` or as integers.  Matrices are row-major;
-columns index the source state, rows the target state.  Channel files mirror
-the layout with ``output <x>:`` (|Y| x |S| table of p(y|x,s')) and
-``state <x>:`` (|S| x |S| table of p(s|x,s')) sections per input symbol.
+Rationals are written ``p/q`` or as integers.  A parse converts each
+distinct token once, and a serialization prints each distinct entry object
+once, so a table of a few repeated values costs a few conversions.
+Matrices are row-major; columns index the source state, rows the target
+state.  Channel files mirror the layout with ``output <x>:`` (|Y| x |S|
+table of p(y|x,s')) and ``state <x>:`` (|S| x |S| table of p(s|x,s'))
+sections per input symbol.
 Layout errors are raised at the line where they are read.  The file then
 builds its `Pfa` or `Fsmc` once, and the construction's first violation in
 file order is raised, with the validator's text, at the line of its section
@@ -46,6 +49,21 @@ def format_rational(value: Fraction) -> str:
     return past_digit_limit(str, Fraction(value))
 
 
+def _printer():
+    """A line printer for one serialization: each entry object is printed by
+    `format_rational` once, then looked up by its id.  The object being
+    serialized keeps every entry alive for the call, so no id is reused
+    within it."""
+    printed: dict[int, str] = {}
+
+    def line(entries) -> str:
+        for e in entries:
+            if id(e) not in printed:
+                printed[id(e)] = format_rational(e)
+        return " ".join([printed[id(e)] for e in entries])
+    return line
+
+
 def _clean_lines(text: str):
     """(lineno, content) pairs with comments and blank lines removed."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -60,15 +78,22 @@ class _Reader:
         self.pos = 0
         self.source = source
         self.sections: dict[str, int] = {}   # section -> line of its header
+        self.known: dict[str, Fraction] = {}  # token -> its value, once read well
 
     def error(self, lineno: Optional[int], message: str) -> FormatError:
         return FormatError(f"{self.source}:{lineno}: {message}" if lineno else f"{self.source}: {message}")
 
     def rationals(self, lineno: int, tokens: list[str], what: str) -> list[Fraction]:
+        """The tokens' values; only a token not read before is converted, so a
+        bad token still raises at its first occurrence."""
+        known = self.known
         try:
-            return [frac(tok) for tok in tokens]
+            for tok in tokens:
+                if tok not in known:
+                    known[tok] = frac(tok)
         except PfaError as exc:
             raise self.error(lineno, f"{what}: {exc}") from None
+        return [known[tok] for tok in tokens]
 
     def done(self) -> bool:
         return self.pos >= len(self.lines)
@@ -152,16 +177,17 @@ def parse_pfa(text: str, source: str = "<string>") -> Pfa:
 
 
 def serialize_pfa(p: Pfa) -> str:
+    line = _printer()
     lines = [
         "states: " + " ".join(p.states),
         "alphabet: " + " ".join(p.alphabet),
-        "initial: " + " ".join(format_rational(e) for e in p.initial),
+        "initial: " + line(p.initial),
         "accepting: " + " ".join(s for s in p.states if s in p.accepting),
     ]
     for sym in p.alphabet:
         lines.append(f"matrix {sym}:")
         for row in p.matrices[sym]:
-            lines.append(" ".join(format_rational(e) for e in row))
+            lines.append(line(row))
     return "\n".join(lines) + "\n"
 
 
@@ -192,6 +218,7 @@ def parse_fsmc(text: str, source: str = "<string>") -> Fsmc:
 
 
 def serialize_fsmc(ch: Fsmc) -> str:
+    line = _printer()
     lines = [
         "inputs: " + " ".join(ch.inputs),
         "outputs: " + " ".join(ch.outputs),
@@ -201,10 +228,10 @@ def serialize_fsmc(ch: Fsmc) -> str:
     for sym in ch.inputs:
         lines.append(f"output {sym}:")
         for row in ch.output_law[sym]:
-            lines.append(" ".join(format_rational(e) for e in row))
+            lines.append(line(row))
         lines.append(f"state {sym}:")
         for row in ch.state_law[sym]:
-            lines.append(" ".join(format_rational(e) for e in row))
+            lines.append(line(row))
     return "\n".join(lines) + "\n"
 
 

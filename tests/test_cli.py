@@ -326,6 +326,14 @@ def test_closed_form_mismatch_is_not_a_domain_error(monkeypatch):
       "--k", "3", "--csv", "w.csv"], "--x is for plain mode"),
     (["witness", "--x", "3/4", "--word", "aaa", "--eps", "1/10", "--k", "3", "--csv", "w.csv"],
      "--word is for lifted mode and needs --pfa"),
+    (["capacity", "stability", "--val", "0.55", "--delta", "0.1", "--n-list", "8,8",
+      "--free", "9"], "--free is for the demo and needs --demo"),
+    (["capacity", "stability", "--val", "0.55", "--delta", "0.1", "--n-list", "8,8",
+      "--etas", "nan"], "--etas is for the demo and needs --demo"),
+    (["capacity", "stability", "--val", "0.55", "--delta", "0.1", "--n-list", "8,8",
+      "--samples", "5"], "--samples is for the demo and needs --demo"),
+    (["capacity", "stability", "--val", "0.55", "--delta", "0.1", "--n-list", "8,8",
+      "--seed", "3"], "--seed is for the demo and needs --demo"),
 ])
 def test_out_of_range_arguments_exit_1(capsys, tmp_path, monkeypatch, argv, fragment):
     for name in ("d_25.pfa", "bsc11.dmc"):
@@ -358,6 +366,24 @@ def test_demo_runs_a_long_free_length(capsys, tmp_path, monkeypatch):
                              "--free", "200", "--samples", "1000", "--seed", "0")
     assert code == 0 and err == ""
     assert "n=12864 block_rate=0.492537313433" in out.splitlines()[-1]
+
+
+def test_demo_flags_not_given_take_their_defaults(capsys, tmp_path, monkeypatch):
+    (tmp_path / "d_25.pfa").write_text(fixtures.fixture_text("d_25.pfa"))
+    monkeypatch.chdir(tmp_path)
+    demo = ["capacity", "stability", "--val", "0.55", "--delta", "0.1", "--n-list", "4,4",
+            "--demo", "--pfa", "d_25.pfa", "--word", "b", "--csv", "st.csv"]
+    runs = []
+    for extra in ([], ["--free", "4", "--etas", "2", "--samples", "10000", "--seed", "0"]):
+        code, out, err = run_cli(capsys, *demo, *extra)
+        manifest = json.loads((tmp_path / "st.csv.manifest.json").read_text())
+        runs.append((code, out, err, (tmp_path / "st.csv").read_text(),
+                     manifest["parameters"], manifest["seed"]))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+    assert runs[0][4] == {"val": 0.55, "delta": 0.1, "n_list": [4, 4], "word": "b", "free": 4,
+                          "etas": "2", "samples": 10000, "threads": 1}
+    assert runs[0][5] == 0
 
 
 def test_demo_reads_an_unspaced_word_on_the_lifted_alphabet(capsys, tmp_path, monkeypatch):

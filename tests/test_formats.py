@@ -1,14 +1,19 @@
 import dataclasses
+import pickle
 import sys
 from fractions import Fraction
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsmcap import fixtures
 from fsmcap.formats import (FormatError, format_rational, parse_dmc, parse_fsmc,
                             parse_pfa, serialize_fsmc, serialize_pfa)
-from fsmcap.fsmc import FsmcError, build_V
-from fsmcap.pfa import PfaError, frac, gamma, make_matrix, make_pfa, validate_pfa
+from fsmcap.fsmc import FsmcError, build_V, lift
+from fsmcap.pfa import (PfaError, frac, gamma, make_matrix, make_pfa, past_digit_limit,
+                        validate_pfa)
 
 GOOD = """\
 # worked example
@@ -323,3 +328,111 @@ def test_a_layout_error_wins_over_an_earlier_violation():
     with pytest.raises(FormatError) as err:
         parse_fsmc(text, source="bad.fsmc")
     assert str(err.value) == "bad.fsmc: unexpected end of file inside state table 'u'"
+
+
+def test_each_distinct_token_is_converted_once(monkeypatch):
+    """family3.pfa has 994 entries and 7 distinct tokens: a parse converts
+    each token once, and a serialization prints each entry object once."""
+    from fsmcap import formats
+    converted, printed = [], []
+
+    def counting_frac(tok):
+        converted.append(tok)
+        return frac(tok)
+
+    def counting_format(value):
+        printed.append(value)
+        return format_rational(value)
+
+    monkeypatch.setattr(formats, "frac", counting_frac)
+    monkeypatch.setattr(formats, "format_rational", counting_format)
+    text = fixtures.fixture_text("family3.pfa")
+    p = parse_pfa(text)
+    assert sorted(converted) == ["0", "1", "1/2", "1/3", "1/4", "2/3", "3/4"]
+    assert serialize_pfa(p) == text
+    assert len(printed) == 7
+    channel = serialize_fsmc(lift(fixtures.d_34()))
+    converted.clear()
+    printed.clear()
+    assert serialize_fsmc(parse_fsmc(channel)) == channel
+    assert len(converted) == len(printed) == 7
+
+
+# an entry of 4,401 digits, past Python's int-str digit limit
+_LONG = Fraction(1, 10 ** 4400 + 7)
+
+
+@st.composite
+def _automata(draw):
+    """Small automata whose columns are normalized small weights, so that
+    entries repeat, with at times one column holding a 4,401-digit entry."""
+    n = draw(st.integers(1, 4))
+    states = [f"q{i}" for i in range(n)]
+    alphabet = ["a", "b", "c"][:draw(st.integers(1, 3))]
+
+    def column():
+        weights = draw(st.lists(st.sampled_from([0, 0, 1, 1, 2, 3]), min_size=n, max_size=n))
+        weights[draw(st.integers(0, n - 1))] += 1
+        return [Fraction(w, sum(weights)) for w in weights]
+
+    matrices = {}
+    for sym in alphabet:
+        columns = [column() for _ in states]
+        matrices[sym] = [[col[i] for col in columns] for i in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        # the last symbol's first column
+        columns[0] = [1 - _LONG, _LONG] + [0] * (n - 2)
+        matrices[alphabet[-1]] = [[col[i] for col in columns] for i in range(n)]
+    accepting = draw(st.lists(st.sampled_from(states), unique=True))
+    return make_pfa(states, alphabet, matrices, column(), accepting)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_automata(), decimals=st.booleans())
+def test_parse_and_serialize_round_trip(p, decimals):
+    text = serialize_pfa(p)
+    q = parse_pfa(text)
+    assert q == p and past_digit_limit(repr, q) == past_digit_limit(repr, p)
+    assert pickle.loads(pickle.dumps(q)) == p
+    assert serialize_pfa(q) == text
+    if decimals:
+        # 1/4 read as 0.25 where it appears as a matrix entry: same values
+        lines = text.splitlines(keepends=True)
+        lines[5:] = [" ".join("0.25" if tok == "1/4" else tok for tok in line.split(" "))
+                     for line in lines[5:]]
+        assert parse_pfa("".join(lines)) == p
+        assert serialize_pfa(parse_pfa("".join(lines))) == text
+    # the channel lift needs a point initial law
+    ch = lift(dataclasses.replace(p, initial=(1,) + (0,) * (len(p.states) - 1)))
+    channel = serialize_fsmc(ch)
+    assert parse_fsmc(channel) == ch
+    assert serialize_fsmc(parse_fsmc(channel)) == channel
+
+
+@pytest.mark.parametrize("text, message", [
+    # a bad token that appears twice raises at its first line
+    (GOOD.replace("1/2 1 0", "1/2 oops 0").replace("0 1 1/2", "0 oops 1/2"),
+     "bad.pfa:7: matrix 'a': not a rational: 'oops'"),
+    # a bad token after good ones read before raises at its own line
+    (GOOD.replace("0 0 1/2\nmatrix b", "1/2 0 1/0\nmatrix b"),
+     "bad.pfa:9: matrix 'a': not a rational: '1/0'"),
+])
+def test_a_bad_token_raises_at_its_first_line(text, message):
+    with pytest.raises(FormatError) as err:
+        parse_pfa(text, source="bad.pfa")
+    assert str(err.value) == message
+
+
+_SHIPPED_PFA = sorted(f.name for f in resources.files("fsmcap").joinpath("fixtures").iterdir()
+                      if f.name.endswith(".pfa"))
+
+
+@pytest.mark.parametrize("text, parse, serialize", [
+    *(pytest.param(fixtures.fixture_text(name), parse_pfa, serialize_pfa, id=name)
+      for name in _SHIPPED_PFA),
+    # what `fsmcap channel build --pfa d_34.pfa` writes
+    pytest.param(serialize_fsmc(lift(fixtures.d_34())), parse_fsmc, serialize_fsmc,
+                 id="lifted-d_34.fsmc"),
+])
+def test_shipped_files_round_trip_byte_for_byte(text, parse, serialize):
+    assert serialize(parse(text)) == text
