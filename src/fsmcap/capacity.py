@@ -744,6 +744,9 @@ def stability_schedule(val, delta, n_list: Sequence[int]) -> StabilitySchedule:
         raise CapacityError(f"val {val} outside (0, 1]")
     if not 0 < delta < math.inf:
         raise CapacityError(f"delta {delta} must be positive and finite")
+    stray = [n for n in n_list if n % 1]
+    if stray:
+        raise CapacityError(f"stage length {stray[0]} is not a whole number")
     n_list = [int(n) for n in n_list]
     if len(n_list) < 2:
         raise CapacityError("need n_t for at least two stages (t and t+1)")

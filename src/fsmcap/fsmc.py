@@ -15,8 +15,8 @@ from functools import cached_property
 from typing import Sequence
 
 from .pfa import (FREEZE_SYMBOL, RESET_SYMBOL, Matrix, Pfa, PfaError, ReadOnlyDict,
-                  duplicate_violations, gamma, membership_violations, raise_violations,
-                  table_violations)
+                  _int_columns, duplicate_violations, gamma, membership_violations,
+                  raise_violations, table_violations)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -216,18 +216,16 @@ def lift(p: Pfa) -> Fsmc:
     return build_V(lifted_automaton(p))
 
 
-def _draw(rng: random.Random, labels: Sequence[str], probs: Sequence[Fraction]) -> str:
-    r = Fraction(rng.getrandbits(53), 1 << 53)
-    acc = ZERO
-    last = None
-    for label, pr in zip(labels, probs):
-        if not pr:
-            continue
-        last = label
-        acc += pr
-        if r < acc:
-            return label
-    return last  # guard against accumulated-mass boundary
+def _draw(rng: random.Random, column: Sequence[tuple[int, int]], den: int) -> int:
+    """Row of the first entry of a sparse integer column over `den` whose
+    running sum `acc` passes one 53-bit draw: bits/2^53 < acc/den, on
+    integers.  A valid column sums to `den`, so some entry passes."""
+    scaled = rng.getrandbits(53) * den
+    acc = 0
+    for i, x in column:
+        acc += x
+        if scaled < acc << 53:
+            return i
 
 
 def sample(ch: Fsmc, xs: Sequence[str], seed: int) -> tuple[str, ...]:
@@ -235,20 +233,21 @@ def sample(ch: Fsmc, xs: Sequence[str], seed: int) -> tuple[str, ...]:
 
     Randomness comes from ``random.Random(seed)`` (Mersenne Twister), with
     each draw made by comparing a 53-bit uniform rational against the exact
-    cumulative distribution.  Seeds are nonnegative: Random(-s) is Random(s).
+    cumulative distribution (`_draw`), on the integer columns each distinct
+    input's laws are turned into once per call (`pfa._int_columns`).  Seeds
+    are nonnegative: Random(-s) is Random(s).
     """
     if seed < 0:
         raise FsmcError(f"seed {seed} must be >= 0")
-    for x in xs:
+    distinct = dict.fromkeys(xs)
+    for x in distinct:
         ch.input_index(x)
+    tables = {x: (_int_columns(ch.output_law[x]), _int_columns(ch.state_law[x])) for x in distinct}
     rng = random.Random(seed)
     j = ch.state_index(ch.initial)
     ys = []
     for x in xs:
-        out = ch.output_law[x]
-        mov = ch.state_law[x]
-        y = _draw(rng, ch.outputs, [out[yi][j] for yi in range(len(ch.outputs))])
-        ys.append(y)
-        s2 = _draw(rng, ch.states, [mov[si][j] for si in range(ch.n_states)])
-        j = ch.state_index(s2)
+        (out, out_den), (mov, mov_den) = tables[x]
+        ys.append(ch.outputs[_draw(rng, out[j], out_den)])
+        j = _draw(rng, mov[j], mov_den)
     return tuple(ys)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .pfa import Matrix, Pfa, PfaError, frac, gamma
+from .pfa import Matrix, Pfa, PfaError, evolve, frac, gamma
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -188,12 +188,7 @@ def _amplifier(a: Pfa, p: Fraction, sink_accepting: bool) -> Pfa:
     n = len(a.states)
     matrices = {}
     for sym in a.alphabet:
-        m = a.matrices[sym]
-        first_step = [sum((m[i][j] * a.initial[j] for j in range(n) if a.initial[j]), ZERO)
-                      for i in range(n)]
-        rows = []
-        for i in range(n):
-            rows.append(tuple(m[i]) + (p * first_step[i], ZERO))
+        rows = [tuple(row) + (p * x, ZERO) for row, x in zip(a.matrices[sym], evolve(a, (sym,)))]
         rows.append((ZERO,) * n + (ZERO, ZERO))            # nothing re-enters init
         rows.append((ZERO,) * n + (1 - p, ONE))            # leak to the sink, which absorbs
         matrices[sym] = tuple(rows)

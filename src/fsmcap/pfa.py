@@ -9,12 +9,13 @@ Every public function takes and returns Fractions.  Inside, laws and
 matrices are integer numerators over one common denominator, and a Fraction
 is built only for what is returned.  One kernel holds that form: `_numerators`
 converts (the validation checks, `_int_columns`, the start of every walk,
-`capacity.agreement_profile`); `_step` moves a row by a symbol's sparse
-integer columns (`mat_vec`; `_advance` behind `evolve`, `value` and
-`witness`; the word search `_walk`; the acceptance-pattern
-walks of `capacity`); `_reduced` divides vectors and their denominator by
-their gcd, and `_on_grid` also rounds them up onto a dyadic grid (`_advance`,
-the search bound `_HorizonBound`).  An automaton builds its integer columns
+`capacity.agreement_profile`), and the channel sampler `fsmc.sample` draws
+from `_int_columns` of each input's laws; `_step` moves a row by a symbol's
+sparse integer columns (`mat_vec`; `_advance` behind `evolve`, `value` and
+`witness`; the word search `_walk`; the acceptance-pattern walks of
+`capacity`); `_reduced` divides vectors and their denominator by their gcd,
+and `_on_grid` also rounds them up onto a dyadic grid (`_advance`, the
+search bound `_HorizonBound`).  An automaton builds its integer columns
 and their denominators once, on first use, and keeps them (`Pfa.columns`),
 with the bounds that let the word search skip subtrees that cannot beat the
 best value so far: the state-observed horizon bound and its blind-lookahead

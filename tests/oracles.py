@@ -8,6 +8,7 @@ the length formulas.
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -588,3 +589,41 @@ def naive_unlift(ch):
     return Pfa(states=ch.states, alphabet=tuple(matrices), matrices=matrices,
                initial=tuple(one if i == s0 else zero for i in range(len(ch.states))),
                accepting=frozenset(s for j, s in enumerate(ch.states) if noiseless[j]))
+
+
+def _naive_draw(rng, labels, probs):
+    r = Fraction(rng.getrandbits(53), 1 << 53)
+    acc = Fraction(0)
+    last = None
+    for label, pr in zip(labels, probs):
+        if not pr:
+            continue
+        last = label
+        acc += pr
+        if r < acc:
+            return label
+    return last  # guard against accumulated-mass boundary
+
+
+def naive_sample(ch, xs, seed):
+    """One output trajectory drawn by summing Fraction laws, each state
+    looked up by name: each draw compares one 53-bit uniform rational from
+    ``random.Random(seed)`` against the cumulative distribution, the
+    output first, then the next state."""
+    from fsmcap.fsmc import FsmcError
+
+    if seed < 0:
+        raise FsmcError(f"seed {seed} must be >= 0")
+    for x in xs:
+        ch.input_index(x)
+    rng = random.Random(seed)
+    j = ch.state_index(ch.initial)
+    ys = []
+    for x in xs:
+        out = ch.output_law[x]
+        mov = ch.state_law[x]
+        y = _naive_draw(rng, ch.outputs, [out[yi][j] for yi in range(len(ch.outputs))])
+        ys.append(y)
+        s2 = _naive_draw(rng, ch.states, [mov[si][j] for si in range(ch.n_states)])
+        j = ch.state_index(s2)
+    return tuple(ys)

@@ -545,6 +545,16 @@ def test_stability_schedule_validation():
             stability_schedule(0.5, 0.1, n_list)
 
 
+def test_stability_schedule_refuses_a_stage_length_that_is_not_whole():
+    # int() would have run [2.7, 3.9] as n_t = 2 with the floor 9
+    for n_list, bad in (([2.7, 3.9], "2.7"), ([4, 4.5], "4.5"), ([4, F(9, 2)], "9/2"),
+                        ([math.nan, 4], "nan"), ([4, math.inf], "inf")):
+        with pytest.raises(CapacityError, match=f"^stage length {bad} is not a whole number$"):
+            stability_schedule(0.5, 0.1, n_list)
+    assert stability_schedule(0.5, 0.1, [8.0, 8]) == stability_schedule(0.5, 0.1, [8, 8])
+    assert stability_schedule(0.5, 0.1, [F(8), 8]).stages[0].n_t == 8
+
+
 def _mixer_toy():
     """Frozen state is accepting w.p. 3/4 after one symbol: block rate ~0.56."""
     return make_pfa(["r", "g"], ["u"],

@@ -108,7 +108,7 @@ def test_validate_reports_first_violation_line(capsys, tmp_path, example1):
     bad.write_text(serialize_pfa(example1).replace("accepting: q3", "accepting: q9"))
     code, out, err = run_cli(capsys, "pfa", "validate", "--pfa", bad)
     assert code == 1 and out == ""
-    assert err.startswith(f"error: {bad}:4:") and err.count("\n") == 1
+    assert err == f"error: {bad}:4: accepting state 'q9' is not a state\n"
 
 
 def test_gadget_emission_round_trips(capsys, tmp_path):
@@ -420,6 +420,53 @@ def test_demo_is_all_or_nothing(capsys, tmp_path, monkeypatch, extra, fragment):
     _assert_one_error_line(code, err, fragment)
 
 
+# the demo on the lifted d_34 coin, short of --val and --etas
+_D34_DEMO = ["capacity", "stability", "--delta", "0.1", "--n-list", "8,8", "--demo",
+             "--pfa", "d_34.pfa", "--word", "a b", "--free", "7", "--samples", "10000",
+             "--seed", "0"]
+
+
+@pytest.mark.parametrize("argv, golden", [
+    # a golden ending in .pfa is the shipped fixture of that name
+    pytest.param(["gadget", "dxy", "--x", "3/4", "--y", "1/2"], "d_34.pfa", id="dxy 3/4"),
+    pytest.param(["gadget", "dxy", "--x", "2/5", "--y", "1/2"], "d_25.pfa", id="dxy 2/5"),
+    pytest.param(["gadget", "family", "--pfa", "amp3.pfa", "--lam", "1"], "family3.pfa",
+                 id="family amp3"),
+    pytest.param(["capacity", "bracket", "--pfa", "d_34.pfa", "--delta", "0.1", "--block", "14"],
+                 "lower: 0.468276099723  (m=8, n=6, delta=0.1)\nupper: 1  [trivial]\n"
+                 "gap: 0.531723900277\nvalue estimate at horizon: 0.816284179688\n",
+                 id="bracket d_34 block 14"),
+    pytest.param([*_D34_DEMO, "--val", "0.21", "--etas", "0.5,1,2"],
+                 "t,n_t,m_t,m_formula,m_floor\n1,8,64,3,64\n"
+                 "eta=0.5: n=576 block_rate=0.208965639935 empirical=0.806 analytic=2\n"
+                 "eta=1: n=576 block_rate=0.208965639935 empirical=0.6111 analytic=2\n"
+                 "eta=2: n=576 block_rate=0.208965639935 empirical=0.31 analytic=2\n",
+                 id="demo d_34 val 0.21"),
+])
+def test_command_prints_its_golden_output(capsys, tmp_path, monkeypatch, argv, golden):
+    for name in ("amp3.pfa", "d_34.pfa"):
+        (tmp_path / name).write_text(fixtures.fixture_text(name))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (fixtures.fixture_text(golden) if golden.endswith(".pfa") else golden)
+
+
+def test_demo_prints_for_each_eta_what_a_run_with_it_alone_prints(capsys, tmp_path,
+                                                                    monkeypatch):
+    (tmp_path / "d_34.pfa").write_text(fixtures.fixture_text("d_34.pfa"))
+    monkeypatch.chdir(tmp_path)
+
+    def eta_lines(etas):
+        code, out, err = run_cli(capsys, *_D34_DEMO, "--val", "0.55", "--etas", etas)
+        assert (code, err) == (0, "")
+        return [line for line in out.splitlines() if line.startswith("eta=")]
+
+    together = eta_lines("1.5,2,3")
+    assert len(together) == 3
+    assert together == [line for eta in ("1.5", "2", "3") for line in eta_lines(eta)]
+
+
 def _search_family3(capsys, tmp_path, max_len):
     family3 = tmp_path / "family3.pfa"
     family3.write_text(fixtures.fixture_text("family3.pfa"))
@@ -438,6 +485,8 @@ def test_search_budget_counts_distributions_not_words(capsys, tmp_path):
     (12, "a c a b b a a a a a a c", "367087/373248"),
     (14, "a c a b b a a a a a a a a c", "13379479/13436928"),
     (16, "a c a b b a a a a a a a a a a c", "483204367/483729408"),
+    # past the full walk's reach: what the pruned walk prints
+    (20, "a c a b b a a a a a a a a a a a a a a c", "626870368447/626913312768"),
 ])
 def test_pruned_search_prints_what_the_full_walk_printed(capsys, tmp_path, max_len, word, value):
     # what the walk without the horizon bound printed

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import types
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from fsmcap.fsmc import (Fsmc, FsmcError, build_V, lift, lifted_automaton, sampl
                          validate_fsmc)
 from fsmcap.gadgets import build_D_xy, build_family_member
 from fsmcap.pfa import PfaError, gamma, make_pfa
-from test_pfa import small_pfas
+from oracles import _naive_draw, naive_sample
+from test_pfa import small_pfas, stochastic_columns
 
 F = Fraction
 H = F(1, 2)
@@ -233,11 +235,66 @@ def test_sample_deterministic(example1):
     assert len({sample(ch, xs, seed=seed) for seed in range(10)}) >= 2
 
 
-def test_sample_refuses_a_negative_seed(example1):
+def test_sample_refuses_a_negative_seed(example1, monkeypatch):
     # random.Random(-s) is random.Random(s), so a negative seed would repeat another's draws
     ch = build_V(gamma(example1))
+
+    def no_draw(seed):
+        raise AssertionError("drew before checking the seed and every input")
+
+    monkeypatch.setattr(fsmc_module, "random", types.SimpleNamespace(Random=no_draw))
     with pytest.raises(FsmcError, match="seed -5 must be >= 0"):
         sample(ch, ("0:a", "1:b"), seed=-5)
+    with pytest.raises(FsmcError, match="unknown input '2:b'"):
+        sample(ch, ("0:a", "1:b") * 3 + ("2:b",), seed=5)
+
+
+class _Bits:
+    """A generator stub whose 53-bit draws are given."""
+
+    def __init__(self, bits):
+        self.bits = bits
+
+    def getrandbits(self, k):
+        return self.bits
+
+
+def test_a_draw_on_a_cumulative_sum_falls_in_the_next_entry():
+    # bits/2^53 = 1/4 and = 1/2 sit exactly on the column's running sums
+    law = (F(1, 4), F(0), F(1, 4), H)
+    (column,), den = pfa_module._int_columns([[e] for e in law])
+    for bits in (0, (1 << 51) - 1, 1 << 51, (1 << 52) - 1, 1 << 52, (1 << 53) - 1):
+        row = fsmc_module._draw(_Bits(bits), column, den)
+        assert "abcd"[row] == _naive_draw(_Bits(bits), "abcd", law)
+
+
+@st.composite
+def sampled_channels(draw):
+    """Hand-built channels that are no lift, with three outputs and zero
+    entries, or lifts of random automata given a point initial law."""
+    if draw(st.booleans()):
+        p = draw(small_pfas())
+        start = draw(st.integers(0, len(p.states) - 1))
+        point = tuple(int(i == start) for i in range(len(p.states)))
+        return lift(dataclasses.replace(p, initial=point))
+    states = tuple(f"s{i}" for i in range(draw(st.integers(1, 3))))
+    inputs = ("u", "v", "w")[:draw(st.integers(1, 3))]
+
+    def table(n_rows):
+        cols = [draw(stochastic_columns(n_rows, 7)) for _ in states]
+        return tuple(tuple(col[i] for col in cols) for i in range(n_rows))
+
+    return Fsmc(inputs=inputs, outputs=("x", "y", "z"), states=states,
+                output_law={x: table(3) for x in inputs},
+                state_law={x: table(len(states)) for x in inputs},
+                initial=draw(st.sampled_from(states)))
+
+
+@settings(max_examples=200)
+@given(sampled_channels(), st.integers(0, 50), st.data())
+def test_sample_draws_what_the_fraction_sampler_drew(ch, seed, data):
+    xs = tuple(data.draw(st.lists(st.sampled_from(ch.inputs), max_size=40)))
+    assert sample(ch, xs, seed) == naive_sample(ch, xs, seed)
 
 
 def test_sample_noiseless_when_always_accepting(always_accept):
